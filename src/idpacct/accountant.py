@@ -23,7 +23,7 @@ import numpy as np
 
 from ._fileio import atomic_write_text
 from .kernel import sgm_rdp_matrix
-from .rdp_math import RdpCurve, _check_orders, default_orders, rdp_to_dp
+from .rdp_math import RdpCurve, _check_orders, _eps_from_rdp, default_orders, rdp_to_dp
 
 
 class LedgerError(RuntimeError):
@@ -270,14 +270,7 @@ class IndividualLedger:
     def epsilons(self, delta: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
         """(epsilon, best order) for all examples in one vectorized pass."""
         delta = self.config.delta if delta is None else delta
-        if not 0.0 < delta < 1.0:
-            raise ValueError(f"delta must be in (0, 1), got {delta}")
-        rdp = self.counts() @ self.cache.matrix()
-        conv = math.log(1.0 / delta) / (self.config.orders - 1.0)
-        total = rdp + conv[None, :]
-        best = np.argmin(total, axis=1)          # first minimum = smallest order
-        eps = total[np.arange(self.n), best]
-        return eps, self.config.orders[best]
+        return _eps_from_rdp(self.counts() @ self.cache.matrix(), self.config.orders, delta)
 
     def report(self, delta: Optional[float] = None,
                group_labels: Optional[Sequence[int]] = None) -> "PrivacyReport":

@@ -19,7 +19,7 @@ import numpy as np
 
 from .accountant import AccountantConfig, IndividualLedger
 from .kernel import sgm_rdp_matrix
-from .rdp_math import _check_orders, default_orders
+from .rdp_math import _check_orders, _eps_from_rdp, default_orders
 
 
 class NanAbortError(RuntimeError):
@@ -427,15 +427,11 @@ def exact_reference_accounting(norms: np.ndarray, config: AccountantConfig,
     uniq, inv = np.unique(mult, return_inverse=True)
     rows = sgm_rdp_matrix(config.sampling_prob, uniq, config.orders)
     inv = inv.reshape(z.shape)
-    m = z.shape[1]
-    counts = np.zeros((m, uniq.shape[0]), dtype=np.int64)
-    for j in range(m):
-        counts[j] = np.bincount(inv[:, j], minlength=uniq.shape[0])
-    rdp = counts @ rows
-    conv = math.log(1.0 / delta) / (config.orders - 1.0)
-    total = rdp + conv[None, :]
-    best = np.argmin(total, axis=1)
-    return total[np.arange(m), best], config.orders[best]
+    m, n_unique = z.shape[1], uniq.shape[0]
+    col = np.arange(m, dtype=np.int64)[None, :]
+    counts = np.bincount((col * n_unique + inv).ravel(),
+                         minlength=m * n_unique).reshape(m, n_unique)
+    return _eps_from_rdp(counts @ rows, config.orders, delta)
 
 
 def accuracy(model, dataset: Dataset) -> float:

@@ -117,15 +117,24 @@ def compose(a: RdpCurve, b: RdpCurve) -> RdpCurve:
     return RdpCurve(a.orders, a.values + b.values)
 
 
+def _eps_from_rdp(rdp: np.ndarray, orders: np.ndarray,
+                  delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise RDP-to-DP conversion of an (n, orders) matrix: minimize
+    rho_alpha + log(1/delta)/(alpha - 1) over the grid. Returns the (n,)
+    epsilons and minimizing orders (smallest order on ties)."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    total = rdp + (math.log(1.0 / delta) / (orders - 1.0))[None, :]
+    best = np.argmin(total, axis=1)
+    return total[np.arange(total.shape[0]), best], orders[best]
+
+
 def rdp_to_dp(curve: RdpCurve, delta: float) -> tuple[float, int]:
     """Convert a curve to (epsilon, delta)-DP: minimize
     rho_alpha + log(1/delta)/(alpha - 1) over the grid. Returns the epsilon
     and the minimizing order (smallest order on ties)."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    eps = curve.values + math.log(1.0 / delta) / (curve.orders - 1.0)
-    best = int(np.argmin(eps))
-    return float(eps[best]), int(curve.orders[best])
+    eps, best = _eps_from_rdp(curve.values[None, :], curve.orders, delta)
+    return float(eps[0]), int(best[0])
 
 
 _SIGMA_CAP = 1e6

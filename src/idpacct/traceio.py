@@ -15,6 +15,7 @@ import io
 import json
 import math
 import os
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,7 +154,7 @@ def read_trace(path: str) -> tuple[TraceHeader, np.ndarray]:
                     "record must be an object with exactly step/id/norm",
                     line=lineno)
             step, ex, norm = rec["step"], rec["id"], rec["norm"]
-            if not isinstance(step, int) or not isinstance(ex, int):
+            if type(step) is not int or type(ex) is not int:     # bool is an int subclass
                 raise TraceFormatError("step and id must be integers", line=lineno)
             if not isinstance(norm, (int, float)) or isinstance(norm, bool) \
                     or not math.isfinite(norm) or norm < 0:
@@ -195,17 +196,30 @@ def write_trace_npz(path: str, header: TraceHeader, norms: np.ndarray) -> None:
 
 
 def read_trace_npz(path: str) -> tuple[TraceHeader, np.ndarray]:
-    with np.load(path) as z:
+    try:
+        z = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise TraceFormatError(f"not an .npz archive: {exc}")
+    if not isinstance(z, np.lib.npyio.NpzFile):
+        raise TraceFormatError("not an .npz archive")
+    with z:
         try:
-            header = _parse_header(bytes(z["header"]).decode())
-            step_col, id_col, norm_col = z["step"], z["id"], z["norm"]
+            header_col, step_col, id_col, norm_col = (
+                z["header"], z["step"], z["id"], z["norm"])
         except KeyError as exc:
             raise TraceFormatError(f"missing array {exc} in binary trace")
+        except (ValueError, zipfile.BadZipFile) as exc:
+            raise TraceFormatError(f"unreadable array in binary trace: {exc}")
+    header = _parse_header(bytes(header_col).decode())
     refresh = header.refresh_steps()
     expect_steps = np.repeat(refresh, header.n)
     expect_ids = np.tile(np.arange(header.n, dtype=np.int64), len(refresh))
-    if (step_col.shape != expect_steps.shape
-            or np.any(step_col != expect_steps) or np.any(id_col != expect_ids)):
+    for name, col in (("step", step_col), ("id", id_col), ("norm", norm_col)):
+        if col.shape != expect_steps.shape:
+            raise TraceFormatError(
+                f"binary trace column {name!r} has shape {col.shape}, header "
+                f"implies {expect_steps.shape}")
+    if np.any(step_col != expect_steps) or np.any(id_col != expect_ids):
         raise TraceFormatError("binary trace columns disagree with its header")
     norms = np.asarray(norm_col, dtype=np.float64).reshape(len(refresh), header.n)
     if not np.all(np.isfinite(norms)) or np.any(norms < 0):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from idpacct.accountant import AccountantConfig, IndividualLedger
+from idpacct.cli import EXIT_VALIDATION, main
 from idpacct.rdp_math import RdpCurve, compose, rdp_to_dp, sgm_rdp_curve
 from idpacct.traceio import (
     TraceFormatError,
@@ -169,17 +170,50 @@ def test_missing_record_rejected(tmp_path):
         read_trace(path)
 
 
-def test_npz_header_column_mismatch(tmp_path):
+@pytest.mark.parametrize("record", [
+    '{"step": false, "id": 1, "norm": 0.5}',
+    '{"step": 0, "id": true, "norm": 0.5}',
+])
+def test_boolean_step_or_id_rejected(tmp_path, record):
+    path = _tamper(tmp_path, 2, record)
+    with pytest.raises(TraceFormatError, match="integers") as err:
+        read_trace(path)
+    assert err.value.line == 3
+    assert main(["account", path]) == EXIT_VALIDATION
+
+
+def _npz_with(tmp_path, **replace):
     header = _header()
-    norms = _norms(header)
     path = str(tmp_path / "t.npz")
-    write_trace_npz(path, header, norms)
+    write_trace_npz(path, header, _norms(header))
     with np.load(path) as z:
         arrays = {k: z[k] for k in z.files}
-    arrays["step"] = arrays["step"] + 1
+    for name, fix in replace.items():
+        arrays[name] = fix(arrays[name])
     np.savez(path, **arrays)
+    return path
+
+
+def test_npz_header_column_mismatch(tmp_path):
+    path = _npz_with(tmp_path, step=lambda a: a + 1)
     with pytest.raises(TraceFormatError):
         read_trace_npz(path)
+
+
+@pytest.mark.parametrize("column", ["id", "norm"])
+def test_npz_column_of_wrong_length_rejected(tmp_path, column):
+    path = _npz_with(tmp_path, **{column: lambda a: a[:-1]})
+    with pytest.raises(TraceFormatError, match=f"column '{column}' has shape"):
+        read_trace_npz(path)
+    assert main(["account", path]) == EXIT_VALIDATION
+
+
+def test_npz_non_archive_rejected(tmp_path):
+    path = str(tmp_path / "t.npz")
+    write_trace(path, _header(), _norms(_header()))     # JSON-Lines under .npz
+    with pytest.raises(TraceFormatError, match="npz archive"):
+        read_trace_npz(path)
+    assert main(["account", path]) == EXIT_VALIDATION
 
 
 # --------------------------------------------------------------- replay ---

@@ -1,20 +1,21 @@
 """Per-example privacy ledger for DP-SGD.
 
 Each example's accumulated RDP is a histogram of charged steps per
-sensitivity bucket times the bucket's cached single-step curve.  Buckets are
-clipped gradient norms rounded to the grid {r, 2r, ..., C} (or the raw
-clipped norms with rounding disabled), so at most ceil(C/r) distinct curves
-are ever computed per configuration.  Every example is charged at every
-step, sampled or not, using its most recent bucket assignment; assignments
-refresh only when the caller supplies fresh norms.  Conversion to
-per-example (epsilon, delta) happens lazily at query time.
+sensitivity bucket times the bucket's single-step curve.  Buckets are
+clipped gradient norms rounded to the nearest point of the grid
+{r, 2r, ..., C} (ties round up, zero maps to r), or the raw clipped norms
+with rounding disabled.  The grid's ceil(C/r) curves, at most MAX_BUCKETS
+(10,000), are computed once when the ledger is built, so a refresh is array
+indexing only.  Every example is charged at every step, sampled or not,
+using its most recent bucket assignment; assignments refresh only when the
+caller supplies fresh norms.  Conversion to per-example (epsilon, delta)
+happens lazily at query time.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import threading
 from dataclasses import dataclass, field
 from itertools import product as _iter_product
 from typing import Callable, Optional, Sequence
@@ -24,6 +25,9 @@ import numpy as np
 from ._fileio import atomic_write_text
 from .kernel import sgm_rdp_matrix
 from .rdp_math import RdpCurve, _check_orders, _eps_from_rdp, default_orders, rdp_to_dp
+
+
+MAX_BUCKETS = 10_000      # ceil(C/r) bound: the grid's curves are built up front
 
 
 class LedgerError(RuntimeError):
@@ -42,7 +46,8 @@ class AccountantConfig:
     gradient norms (the per-bucket noise multiplier is noise_std / Z).
     rounding == 0 disables bucket rounding: each distinct clipped norm
     becomes its own bucket (exactness mode; memory grows with the number of
-    distinct norms, so meant for short runs and tests).
+    distinct norms, so meant for short runs and tests).  A positive rounding
+    may make at most MAX_BUCKETS grid points.
     """
 
     noise_std: float
@@ -54,6 +59,9 @@ class AccountantConfig:
     orders: np.ndarray = field(default_factory=default_orders)
 
     def __post_init__(self):
+        for name in ("noise_std", "max_clip", "rounding"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.noise_std <= 0:
             raise ValueError(f"noise_std must be > 0, got {self.noise_std}")
         if self.max_clip <= 0:
@@ -63,6 +71,11 @@ class AccountantConfig:
         if self.rounding < 0 or self.rounding > self.max_clip:
             raise ValueError(
                 f"rounding must be 0 (disabled) or in (0, max_clip], got {self.rounding}")
+        if self.rounding > 0 and self.max_clip / self.rounding > MAX_BUCKETS:
+            raise ValueError(
+                f"rounding={self.rounding} with max_clip={self.max_clip} makes more "
+                f"than {MAX_BUCKETS} sensitivity buckets; use a coarser rounding, "
+                f"or rounding=0 to disable bucketing")
         if int(self.frequency) != self.frequency or self.frequency < 1:
             raise ValueError(f"frequency must be an integer >= 1, got {self.frequency}")
         self.frequency = int(self.frequency)
@@ -127,59 +140,53 @@ def round_to_bucket(z: float, rounding: float, max_clip: float) -> float:
 
 
 class BucketCache:
-    """Lazy map bucket value -> single-step RDP curve for one configuration.
-
-    Counts distinct curve computations (`misses`); thread-safe insertion.
+    """Curve table: ``rows[j]`` is the single-step RDP curve of sensitivity
+    ``bucket_values[j]``.  With rounding on, the whole grid {r, 2r, ..., C}
+    is computed in one kernel call here; with rounding off (exactness mode)
+    each refresh appends one curve per distinct norm it brings.
     """
 
     def __init__(self, config: AccountantConfig):
         self.config = config
-        self._index: dict[float, int] = {}
-        self._values: list[float] = []
-        self._rows: list[np.ndarray] = []
-        self._lock = threading.Lock()
-        self.misses = 0
+        grid = np.arange(1, (config.n_buckets or 0) + 1) * config.rounding
+        # np.unique: float rounding can make the last two grid points both C
+        self.bucket_values = np.unique(np.minimum(grid, config.max_clip))
+        self.rows = self._curves(self.bucket_values)
+
+    def _curves(self, values: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return sgm_rdp_matrix(self.config.sampling_prob,
+                                  self.config.noise_std / values, self.config.orders)
 
     def __len__(self) -> int:
-        return len(self._values)
+        return self.bucket_values.shape[0]
 
     @property
-    def bucket_values(self) -> np.ndarray:
-        return np.asarray(self._values)
-
-    def curve(self, z: float) -> RdpCurve:
-        idx = self.indices_for(np.asarray([float(z)]))[0]
-        return RdpCurve(self.config.orders, self._rows[idx].copy())
+    def misses(self) -> int:
+        """Curves computed so far."""
+        return len(self)
 
     def indices_for(self, buckets: np.ndarray) -> np.ndarray:
-        """Map bucket values to row indices, computing missing curves in one
-        batched kernel call."""
-        cfg = self.config
-        with self._lock:
-            missing = sorted({float(z) for z in buckets} - self._index.keys())
-            if missing:
-                with np.errstate(divide="ignore"):
-                    mult = cfg.noise_std / np.asarray(missing)
-                rows = sgm_rdp_matrix(cfg.sampling_prob, mult, cfg.orders)
-                for z, row in zip(missing, rows):
-                    self._index[z] = len(self._values)
-                    self._values.append(z)
-                    self._rows.append(row)
-                self.misses += len(missing)
-            return np.asarray([self._index[float(z)] for z in buckets], dtype=np.int64)
-
-    def matrix(self) -> np.ndarray:
-        """All cached curves as (n_buckets, n_orders)."""
-        if not self._rows:
-            return np.zeros((0, self.config.orders.shape[0]))
-        return np.vstack(self._rows)
+        """Row index of each bucket value.  Grid mode accepts only grid
+        points (as made by ``_round_array``); exactness mode adds rows."""
+        if self.config.rounding > 0:
+            idx = np.minimum(np.searchsorted(self.bucket_values, buckets), len(self) - 1)
+            if not np.array_equal(self.bucket_values[idx], buckets):
+                raise ValueError("bucket values must lie on the sensitivity grid")
+            return idx
+        values, inverse = np.unique(buckets, return_inverse=True)
+        offset = len(self)
+        self.bucket_values = np.concatenate([self.bucket_values, values])
+        self.rows = np.vstack([self.rows, self._curves(values)])
+        return inverse + offset
 
     def corrupt_for_testing(self, factor: float = 1.02) -> None:
-        """Negative-control hook: scale the most recent cached curve so a
-        downstream comparison against independent re-accounting must fail."""
-        if not self._rows:
+        """Negative-control hook: scale the last curve (bucket C in grid
+        mode) so a downstream comparison against independent re-accounting
+        must fail."""
+        if not len(self):
             raise LedgerError("nothing cached to corrupt")
-        self._rows[-1] = self._rows[-1] * factor
+        self.rows[-1] *= factor
 
 
 class IndividualLedger:
@@ -189,7 +196,10 @@ class IndividualLedger:
     t mod frequency == 0 (including t = 0), record_step(t) at every step.
     Steps between assignment refreshes accumulate in a single pending
     counter and are flushed in O(n) when assignments change or at query
-    time, so per-step cost is O(1).
+    time, so per-step cost is O(1).  With rounding on, the count matrix has
+    one column per grid point from the start; with rounding off it gains
+    columns as refreshes bring new norms.  A ledger is not thread-safe:
+    drive it from one thread.
     """
 
     def __init__(self, n: int, config: AccountantConfig):
@@ -200,15 +210,11 @@ class IndividualLedger:
         self.cache = BucketCache(config)
         self.steps = 0
         self._assign: Optional[np.ndarray] = None
-        self._counts = np.zeros((self.n, 0), dtype=np.int64)
+        self._counts = np.zeros((self.n, len(self.cache)), dtype=np.int64)
         self._pending = 0
 
     def _flush(self) -> None:
-        if self._pending and self._assign is not None:
-            nb = len(self.cache)
-            if self._counts.shape[1] < nb:
-                pad = np.zeros((self.n, nb - self._counts.shape[1]), dtype=np.int64)
-                self._counts = np.hstack([self._counts, pad])
+        if self._pending:
             self._counts[np.arange(self.n), self._assign] += self._pending
             self._pending = 0
 
@@ -230,6 +236,10 @@ class IndividualLedger:
         # no-rounding mode keeps exact clipped norms; a zero norm means zero
         # sensitivity, whose multiplier is inf and whose curve is zero
         self._assign = self.cache.indices_for(z)
+        grown = len(self.cache) - self._counts.shape[1]
+        if grown:
+            self._counts = np.hstack(
+                [self._counts, np.zeros((self.n, grown), dtype=np.int64)])
 
     def record_step(self, step: Optional[int] = None) -> None:
         """Charge every example one step at its current bucket."""
@@ -250,10 +260,6 @@ class IndividualLedger:
         """(n, n_buckets) charged-step histogram; columns align with
         cache.bucket_values."""
         self._flush()
-        nb = len(self.cache)
-        if self._counts.shape[1] < nb:
-            pad = np.zeros((self.n, nb - self._counts.shape[1]), dtype=np.int64)
-            self._counts = np.hstack([self._counts, pad])
         return self._counts
 
     def accumulated_rdp(self, i: int) -> RdpCurve:
@@ -261,7 +267,7 @@ class IndividualLedger:
         if not 0 <= i < self.n:
             raise IndexError(f"example index {i} out of range [0, {self.n})")
         c = self.counts()[i]
-        return RdpCurve(self.config.orders, c @ self.cache.matrix())
+        return RdpCurve(self.config.orders, c @ self.cache.rows)
 
     def epsilon_of(self, i: int, delta: Optional[float] = None) -> tuple[float, int]:
         delta = self.config.delta if delta is None else delta
@@ -270,7 +276,7 @@ class IndividualLedger:
     def epsilons(self, delta: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
         """(epsilon, best order) for all examples in one vectorized pass."""
         delta = self.config.delta if delta is None else delta
-        return _eps_from_rdp(self.counts() @ self.cache.matrix(), self.config.orders, delta)
+        return _eps_from_rdp(self.counts() @ self.cache.rows, self.config.orders, delta)
 
     def report(self, delta: Optional[float] = None,
                group_labels: Optional[Sequence[int]] = None) -> "PrivacyReport":

@@ -50,6 +50,10 @@ class TraceHeader:
     version: int = TRACE_VERSION
 
     def __post_init__(self):
+        for name in ("n", "steps", "frequency"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.steps < 1:

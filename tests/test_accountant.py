@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idpacct import accountant
 from idpacct.accountant import (
     AccountantConfig,
     BucketCache,
     IndividualLedger,
     LedgerError,
     PrivacyReport,
+    _round_array,
     clip_sensitivity,
     coin_chain_spec,
     deterministic_spec,
@@ -24,6 +26,7 @@ from idpacct.accountant import (
     round_to_bucket,
     worst_case_epsilon,
 )
+from idpacct.kernel import sgm_rdp_matrix
 from idpacct.rdp_math import (
     RdpCurve,
     calibrate_noise,
@@ -99,6 +102,11 @@ def test_config_validation():
         _config(rounding=2.0)        # above max_clip
     with pytest.raises(ValueError):
         _config(frequency=0)
+    for name, value in [("noise_std", math.inf), ("noise_std", math.nan),
+                        ("max_clip", math.inf), ("max_clip", math.nan),
+                        ("rounding", math.nan), ("rounding", math.inf)]:
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            _config(**{name: value})
     assert _config(rounding=0.01).n_buckets == 100
     assert _config(rounding=0.0).n_buckets is None
 
@@ -123,11 +131,47 @@ def test_assignments_exact_mode_keeps_raw_norms():
     assert np.array_equal(ledger.assigned_buckets(), [0.2, 0.7])
 
 
-def test_cache_bounded_by_grid_size(rng):
-    cfg = _config(rounding=0.01)
+def test_cache_bounded_by_grid_size(rng, monkeypatch):
+    calls = []
+
+    def counting(q, multipliers, orders):
+        calls.append(len(multipliers))
+        return sgm_rdp_matrix(q, multipliers, orders)
+
+    monkeypatch.setattr(accountant, "sgm_rdp_matrix", counting)
+    cfg = _config(rounding=0.01, frequency=2)
     ledger = IndividualLedger(10_000, cfg)
-    ledger.update_assignments(rng.uniform(0.0, 3.0, 10_000))
-    assert ledger.cache.misses <= 100
+    for t in range(6):
+        if t % 2 == 0:
+            # the first refresh reaches only half the grid
+            ledger.update_assignments(rng.uniform(0.0, 0.5 * (t + 1), 10_000), step=t)
+        ledger.record_step(t)
+    ledger.epsilons()
+    assert calls == [100]                      # the whole grid, once
+    assert len(ledger.cache) == ledger.cache.misses == 100
+    assert ledger.counts().shape == (10_000, 100)
+
+    # the grid is built with _round_array's own expression, so indexing by
+    # search finds exactly the rounded value, for any spacing and clip
+    caches = {(r, c): BucketCache(_config(rounding=r, max_clip=c))
+              for r in (0.007, 0.01, 0.03, 0.05, 0.13, 1.0) for c in (1.0, 2.5, 7.0)}
+
+    @settings(max_examples=200, deadline=None)
+    @given(key=st.sampled_from(sorted(caches)), u=st.floats(0.0, 1.0))
+    def index_round_trip(key, u):
+        r, c = key
+        z = np.asarray([u * c])
+        cache = caches[key]
+        got = cache.bucket_values[cache.indices_for(_round_array(z, r, c))]
+        assert got[0] == round_to_bucket(z[0], r, c)
+
+    index_round_trip()
+    with pytest.raises(ValueError, match="grid"):
+        caches[(0.01, 1.0)].indices_for(np.asarray([0.015]))
+
+    with pytest.raises(ValueError, match="rounding=0"):
+        _config(rounding=1e-9)                # 10^9 curves
+    assert _config(rounding=1 / 8192).n_buckets == 8192
 
 
 # ----------------------------------------------------------- counting ---

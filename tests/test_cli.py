@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+import idpacct
 from idpacct.accountant import PrivacyReport
 from idpacct.cli import (
     EXIT_OK,
@@ -114,12 +115,15 @@ def test_simulate_flag_overrides_config(tmp_path):
 
 # -------------------------------------------------------------- account ---
 
-def test_account_round_trip_reproduces_report(tmp_path):
+@pytest.mark.parametrize("trace, flags", [("trace.jsonl", []),
+                                          ("trace.npz", ["--binary-trace"])],
+                         ids=["jsonl", "npz"])
+def test_account_round_trip_reproduces_report(tmp_path, trace, flags):
     cfg = _sim_config(tmp_path)
     sim_out, acct_out = tmp_path / "sim", tmp_path / "acct"
     assert main(["simulate", "--config", cfg, "--out", str(sim_out),
-                 "--unsafe-export-per-example"]) == EXIT_OK
-    assert main(["account", str(sim_out / "trace.jsonl"),
+                 "--unsafe-export-per-example", *flags]) == EXIT_OK
+    assert main(["account", str(sim_out / trace),
                  "--losses", str(sim_out / "losses.csv"),
                  "--out", str(acct_out), "--unsafe-export-per-example"]) == EXIT_OK
     assert (json.loads((sim_out / "report.json").read_text())
@@ -149,6 +153,26 @@ def test_account_malformed_trace_reports_line(tmp_path, capsys):
     bad.write_text("\n".join(lines) + "\n")
     assert main(["account", str(bad)]) == EXIT_VALIDATION
     assert "line 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rounding", float("nan")),          # used to run exactness mode
+    ("clip", float("inf")),              # used to overflow in the grid size
+    ("clip", float("nan")),
+    ("rounding", 1e-9),                  # a 10^9-point grid
+])
+def test_account_rejects_bad_header_values(tmp_path, capsys, field, value):
+    trace = tmp_path / "t.jsonl"
+    header = TraceHeader(n=2, clip=1.0, noise_std=1.0, sampling_prob=0.1,
+                         frequency=1, rounding=0.01, steps=2)
+    write_trace(str(trace), header, np.full((2, 2), 0.5))
+    lines = trace.read_text().splitlines()
+    doc = json.loads(lines[0])
+    doc[field] = value
+    lines[0] = json.dumps(doc)              # writes NaN / Infinity tokens
+    trace.write_text("\n".join(lines) + "\n")
+    assert main(["account", str(trace)]) == EXIT_VALIDATION
+    assert "line 1" in capsys.readouterr().err
 
 
 def test_account_missing_file(tmp_path):
@@ -248,7 +272,11 @@ def test_unknown_subcommand_is_validation_failure():
 
 
 def test_console_entry_point_runs():
+    # the child imports the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(idpacct.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-m", "idpacct.cli", "--help"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
     assert out.returncode == 0
     assert "simulate" in out.stdout and "verify" in out.stdout

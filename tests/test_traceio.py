@@ -80,6 +80,10 @@ def test_header_validation():
         _header(noise_std=-1.0)
     with pytest.raises(ValueError):
         _header(sampling_prob=2.0)
+    for name, value in [("n", 2.0), ("steps", 2.5), ("frequency", 2.0),
+                        ("n", True), ("frequency", True)]:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            _header(**{name: value})
 
 
 def test_future_version_rejected(tmp_path):
@@ -106,6 +110,25 @@ def test_unknown_header_field_rejected(tmp_path):
     open(path, "w").write("\n".join(lines) + "\n")
     with pytest.raises(TraceFormatError):
         read_trace(path)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("n", 2.0, "n must be an integer"),
+    ("steps", 2.5, "steps must be an integer"),
+    ("frequency", True, "frequency must be an integer"),
+])
+def test_non_integer_header_count_rejected(tmp_path, field, value, message):
+    header = _header()
+    path = str(tmp_path / "t.jsonl")
+    write_trace(path, header, _norms(header))
+    lines = open(path).read().splitlines()
+    doc = json.loads(lines[0])
+    doc[field] = value
+    lines[0] = json.dumps(doc)
+    open(path, "w").write("\n".join(lines) + "\n")
+    with pytest.raises(TraceFormatError, match=message) as err:
+        read_trace(path)
+    assert err.value.line == 1
 
 
 def _tamper(tmp_path, line_index, new_line):

@@ -28,6 +28,7 @@ from .rdp_math import RdpCurve, _check_orders, _eps_from_rdp, default_orders, rd
 
 
 MAX_BUCKETS = 10_000      # ceil(C/r) bound: the grid's curves are built up front
+_EPS_BLOCK = 4096         # rows per epsilons() block: bounds its float temporaries
 
 
 class LedgerError(RuntimeError):
@@ -59,6 +60,9 @@ class AccountantConfig:
     orders: np.ndarray = field(default_factory=default_orders)
 
     def __post_init__(self):
+        for name in ("noise_std", "max_clip", "sampling_prob", "rounding", "delta"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         for name in ("noise_std", "max_clip", "rounding"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -274,9 +278,17 @@ class IndividualLedger:
         return rdp_to_dp(self.accumulated_rdp(i), delta)
 
     def epsilons(self, delta: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
-        """(epsilon, best order) for all examples in one vectorized pass."""
+        """(epsilon, best order) for all examples, converted in blocks of
+        rows so the extra memory is O(block x orders), not O(n x orders)."""
         delta = self.config.delta if delta is None else delta
-        return _eps_from_rdp(self.counts() @ self.cache.rows, self.config.orders, delta)
+        counts = self.counts()
+        eps = np.empty(self.n)
+        best = np.empty(self.n, dtype=np.int64)
+        for lo in range(0, self.n, _EPS_BLOCK):
+            block = slice(lo, lo + _EPS_BLOCK)
+            eps[block], best[block] = _eps_from_rdp(
+                counts[block] @ self.cache.rows, self.config.orders, delta)
+        return eps, best
 
     def report(self, delta: Optional[float] = None,
                group_labels: Optional[Sequence[int]] = None) -> "PrivacyReport":

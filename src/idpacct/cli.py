@@ -40,14 +40,22 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationFailure(message)
 
 
-def _load_json(path: str) -> dict:
+def _read_input(read, path: str):
+    """``read(path)``, with a missing file or malformed JSON or trace
+    reported as a validation failure that names the path."""
     try:
-        with open(path) as f:
-            return json.load(f)
+        return read(path)
     except FileNotFoundError:
         raise ValidationFailure(f"{path}: no such file")
     except json.JSONDecodeError as exc:
         raise ValidationFailure(f"{path}:{exc.lineno}: {exc.msg}")
+    except traceio.TraceFormatError as exc:
+        raise ValidationFailure(f"{path}: {exc}")
+
+
+def _json_file(path: str) -> dict:
+    with open(path) as f:
+        return json.load(f)
 
 
 def _build_config(cls, doc: dict, overrides: dict, path: str):
@@ -87,7 +95,7 @@ def _write_analysis_outputs(args, report: PrivacyReport, losses, groups) -> None
 
 
 def cmd_simulate(args) -> int:
-    doc = _load_json(args.config) if args.config else {}
+    doc = _read_input(_json_file, args.config) if args.config else {}
     overrides = {"seed": args.seed, "delta": args.delta, "clipping": args.clipping,
                  "rounding": args.rounding, "gamma": args.gamma}
     config: SimConfig = _build_config(SimConfig, doc, overrides, args.config or "<defaults>")
@@ -117,17 +125,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_account(args) -> int:
-    try:
-        header, norms = traceio.read_any_trace(args.trace)
-    except FileNotFoundError:
-        raise ValidationFailure(f"{args.trace}: no such file")
-    except traceio.TraceFormatError as exc:
-        raise ValidationFailure(f"{args.trace}: {exc}")
+    header, norms = _read_input(traceio.read_any_trace, args.trace)
     ledger = traceio.replay_trace(header, norms,
                                   delta=args.delta if args.delta is not None else 1e-5)
     labels = None
     if args.losses:
-        _, labels = traceio.read_losses_csv(args.losses)
+        _, labels = _read_input(traceio.read_losses_csv, args.losses)
     report = ledger.report(group_labels=labels)
     report.to_json(_out_path(args, "report.json"),
                    unsafe_export_per_example=args.unsafe_export_per_example)
@@ -139,15 +142,12 @@ def cmd_account(args) -> int:
 
 
 def cmd_report(args) -> int:
-    report = PrivacyReport.from_json(args.report)
+    report = _read_input(PrivacyReport.from_json, args.report)
     if report.epsilons is None:
         raise ValidationFailure(
             f"{args.report}: report was exported without per-example values; "
             "re-export with --unsafe-export-per-example to analyze it")
-    try:
-        losses, groups = traceio.read_losses_csv(args.losses)
-    except FileNotFoundError:
-        raise ValidationFailure(f"{args.losses}: no such file")
+    losses, groups = _read_input(traceio.read_losses_csv, args.losses)
     if losses.size != report.n:
         raise ValidationFailure(
             f"losses file has {losses.size} rows but the report covers {report.n}")
@@ -159,12 +159,12 @@ def cmd_report(args) -> int:
 
 
 def cmd_release(args) -> int:
-    report = PrivacyReport.from_json(args.report)
+    report = _read_input(PrivacyReport.from_json, args.report)
     if report.epsilons is None:
         raise ValidationFailure(
             f"{args.report}: cannot release statistics of a report exported "
             "without per-example values")
-    doc = _load_json(args.config) if args.config else {}
+    doc = _read_input(_json_file, args.config) if args.config else {}
     overrides = {"seed": args.seed, "delta": args.delta}
     if args.zero_noise:
         overrides["zero_noise"] = True

@@ -5,8 +5,14 @@ A trace is JSON-Lines: the first line is a header object
 (version, n, clip, noise_std, sampling_prob, frequency, rounding, steps);
 every following line is one record ``{"step": t, "id": i, "norm": v}``,
 sorted by (step, id).  Records exist exactly at assignment-refresh steps
-(t mod frequency == 0), n per such step.  A packed columnar ``.npz``
-variant with identical semantics is available for bulk use.
+(t mod frequency == 0), n per such step.
+
+The binary ``.npz`` variant holds exactly two members: ``header``, the same
+header JSON as bytes, and ``norm``, the (refresh steps x n) float64 matrix.
+Row r is refresh step r * frequency and column i is example i, so the
+header fixes every value's step and id.  An archive with any other members
+(such as an older layout with flat ``step``/``id``/``norm`` columns) is
+rejected; re-create it with ``idpacct simulate --binary-trace``.
 """
 
 from __future__ import annotations
@@ -86,7 +92,7 @@ def _check_matrix(header: TraceHeader, norms: np.ndarray) -> np.ndarray:
     norms = np.asarray(norms, dtype=np.float64)
     expected = (len(header.refresh_steps()), header.n)
     if norms.shape != expected:
-        raise ValueError(f"expected a {expected} norm matrix, got {norms.shape}")
+        raise ValueError(f"column 'norm' has shape {norms.shape}, header implies {expected}")
     if not np.all(np.isfinite(norms)) or np.any(norms < 0):
         raise ValueError("norms must be finite and >= 0")
     return norms
@@ -187,15 +193,11 @@ def read_trace(path: str) -> tuple[TraceHeader, np.ndarray]:
 
 
 def write_trace_npz(path: str, header: TraceHeader, norms: np.ndarray) -> None:
-    """Columnar binary variant: header as JSON plus flat step/id/norm arrays."""
+    """Binary variant: the header as JSON bytes plus the norm matrix."""
     norms = _check_matrix(header, norms)
-    refresh = header.refresh_steps()
-    steps_col = np.repeat(refresh, header.n)
-    ids_col = np.tile(np.arange(header.n, dtype=np.int64), len(refresh))
     buf = io.BytesIO()
     np.savez_compressed(buf, header=np.frombuffer(
-        json.dumps(header.to_dict()).encode(), dtype=np.uint8),
-        step=steps_col, id=ids_col, norm=norms.ravel())
+        json.dumps(header.to_dict()).encode(), dtype=np.uint8), norm=norms)
     atomic_write_bytes(path, buf.getvalue())
 
 
@@ -207,28 +209,20 @@ def read_trace_npz(path: str) -> tuple[TraceHeader, np.ndarray]:
     if not isinstance(z, np.lib.npyio.NpzFile):
         raise TraceFormatError("not an .npz archive")
     with z:
+        members = sorted(z.files)
+        if members != ["header", "norm"]:
+            raise TraceFormatError(
+                f"binary trace holds arrays {members}, expected exactly "
+                "['header', 'norm']; re-create it with `idpacct simulate --binary-trace`")
         try:
-            header_col, step_col, id_col, norm_col = (
-                z["header"], z["step"], z["id"], z["norm"])
-        except KeyError as exc:
-            raise TraceFormatError(f"missing array {exc} in binary trace")
+            header_col, norms = z["header"], z["norm"]
         except (ValueError, zipfile.BadZipFile) as exc:
             raise TraceFormatError(f"unreadable array in binary trace: {exc}")
     header = _parse_header(bytes(header_col).decode())
-    refresh = header.refresh_steps()
-    expect_steps = np.repeat(refresh, header.n)
-    expect_ids = np.tile(np.arange(header.n, dtype=np.int64), len(refresh))
-    for name, col in (("step", step_col), ("id", id_col), ("norm", norm_col)):
-        if col.shape != expect_steps.shape:
-            raise TraceFormatError(
-                f"binary trace column {name!r} has shape {col.shape}, header "
-                f"implies {expect_steps.shape}")
-    if np.any(step_col != expect_steps) or np.any(id_col != expect_ids):
-        raise TraceFormatError("binary trace columns disagree with its header")
-    norms = np.asarray(norm_col, dtype=np.float64).reshape(len(refresh), header.n)
-    if not np.all(np.isfinite(norms)) or np.any(norms < 0):
-        raise TraceFormatError("norms must be finite and >= 0")
-    return header, norms
+    try:
+        return header, _check_matrix(header, norms)
+    except ValueError as exc:
+        raise TraceFormatError(f"binary trace {exc}")
 
 
 def read_any_trace(path: str) -> tuple[TraceHeader, np.ndarray]:
@@ -243,13 +237,10 @@ def replay_trace(header: TraceHeader, norms: np.ndarray, delta: float = 1e-5,
     at every row's step, one charged step per training step."""
     norms = _check_matrix(header, norms)
     ledger = IndividualLedger(header.n, header.to_config(delta=delta, orders=orders))
-    refresh = set(int(t) for t in header.refresh_steps())
-    row = 0
-    for t in range(header.steps):
-        if t in refresh:
-            ledger.update_assignments(norms[row], step=t)
-            row += 1
-        ledger.record_step(t)
+    for row, start in zip(norms, header.refresh_steps().tolist()):
+        ledger.update_assignments(row, step=start)
+        for t in range(start, min(start + header.frequency, header.steps)):
+            ledger.record_step(t)
     return ledger
 
 
@@ -264,16 +255,28 @@ def write_losses_csv(path: str, losses, groups=None) -> None:
 
 
 def read_losses_csv(path: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """Losses and group labels (None when no row has one) from a file as
+    written by ``write_losses_csv``: row i must carry example_id i."""
     import csv
 
     losses, groups = [], []
-    with open(path) as f:
+    with open(path, newline="") as f:
         reader = csv.DictReader(f)
         if reader.fieldnames != ["example_id", "group", "final_loss"]:
             raise ValueError(f"{path}: unexpected losses columns {reader.fieldnames}")
-        for row in reader:
-            losses.append(float(row["final_loss"]))
-            groups.append(int(row["group"]) if row["group"] != "" else -1)
+        for i, row in enumerate(reader):
+            where = f"{path}: line {reader.line_num}"
+            if row["example_id"] != str(i):
+                raise ValueError(f"{where}: example_id {row['example_id']!r}, expected {i} "
+                                 "(rows must be in example order)")
+            try:
+                losses.append(float(row["final_loss"]))
+            except (TypeError, ValueError):
+                raise ValueError(f"{where}: final_loss {row['final_loss']!r} is not a number")
+            try:
+                groups.append(int(row["group"]) if row["group"] != "" else -1)
+            except (TypeError, ValueError):
+                raise ValueError(f"{where}: group {row['group']!r} is not an integer")
     groups_arr = np.asarray(groups, dtype=np.int64)
     return (np.asarray(losses, dtype=np.float64),
             None if np.all(groups_arr == -1) else groups_arr)

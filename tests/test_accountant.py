@@ -107,6 +107,9 @@ def test_config_validation():
                         ("rounding", math.nan), ("rounding", math.inf)]:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             _config(**{name: value})
+    for name in ("noise_std", "max_clip", "sampling_prob", "rounding", "delta"):
+        with pytest.raises(ValueError, match=f"{name} must be a number"):
+            _config(**{name: True})
     assert _config(rounding=0.01).n_buckets == 100
     assert _config(rounding=0.0).n_buckets is None
 
@@ -342,6 +345,23 @@ def _small_report(norms, steps=6, **overrides) -> PrivacyReport:
 def test_report_uniform_buckets_equal_epsilons():
     report = _small_report([0.432, 0.4321, 0.4322])
     assert np.all(report.epsilons == report.epsilons[0])
+
+
+@pytest.mark.parametrize("rounding", [0.01, 0.0])
+def test_epsilons_blocks_match_epsilon_of(rounding):
+    block = accountant._EPS_BLOCK
+    n = 2 * block + 3
+    ledger = IndividualLedger(n, _config(rounding=rounding, frequency=2))
+    rng = np.random.default_rng(0)
+    for t in range(6):
+        if t % 2 == 0:
+            ledger.update_assignments(rng.uniform(0, 1.5, n), step=t)
+        ledger.record_step(t)
+    eps, orders = ledger.epsilons()
+    for i in (0, block - 1, block, 2 * block - 1, 2 * block, n - 1):
+        want_eps, want_order = ledger.epsilon_of(i)
+        assert eps[i] == pytest.approx(want_eps, rel=1e-12)
+        assert orders[i] == want_order
 
 
 def test_report_bounded_by_worst_case():

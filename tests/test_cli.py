@@ -160,6 +160,7 @@ def test_account_malformed_trace_reports_line(tmp_path, capsys):
     ("clip", float("inf")),              # used to overflow in the grid size
     ("clip", float("nan")),
     ("rounding", 1e-9),                  # a 10^9-point grid
+    ("noise_std", True),                 # used to account with noise_std 1.0
 ])
 def test_account_rejects_bad_header_values(tmp_path, capsys, field, value):
     trace = tmp_path / "t.jsonl"
@@ -179,6 +180,23 @@ def test_account_missing_file(tmp_path):
     assert main(["account", str(tmp_path / "nope.jsonl")]) == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["account", "{sim}/trace.jsonl", "--losses", "{tmp}/nope.csv"], "nope.csv: no such file"),
+    (["report", "{tmp}/nope.json", "--losses", "{sim}/losses.csv"], "nope.json: no such file"),
+    (["release", "{tmp}/nope.json"], "nope.json: no such file"),
+    (["report", "{sim}/losses.csv", "--losses", "{sim}/losses.csv"],
+     "losses.csv:1: Expecting value"),                  # not a JSON report
+], ids=["account_losses", "report", "release", "report_not_json"])
+def test_missing_or_malformed_input_is_validation_failure(tmp_path, capsys, argv, message):
+    sim_out = tmp_path / "sim"
+    assert main(["simulate", "--config", _sim_config(tmp_path),
+                 "--out", str(sim_out)]) == EXIT_OK
+    capsys.readouterr()
+    argv = [a.format(sim=sim_out, tmp=tmp_path) for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+
+
 # --------------------------------------------------------------- report ---
 
 def test_report_subcommand_regenerates_analysis(tmp_path):
@@ -191,6 +209,21 @@ def test_report_subcommand_regenerates_analysis(tmp_path):
                  "--out", str(rep_out)]) == EXIT_OK
     assert (_read(rep_out / "analysis.json") == _read(sim_out / "analysis.json"))
     assert (_read(rep_out / "histogram.csv") == _read(sim_out / "histogram.csv"))
+
+
+def test_report_rejects_losses_out_of_example_order(tmp_path, capsys):
+    cfg = _sim_config(tmp_path)
+    sim_out = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(sim_out),
+                 "--unsafe-export-per-example"]) == EXIT_OK
+    losses = sim_out / "losses.csv"
+    head, *rows = losses.read_text().splitlines()
+    rows.sort(key=lambda r: float(r.split(",")[2]))     # sorted by loss, ids kept
+    losses.write_text("\n".join([head, *rows]) + "\n")
+    code = main(["report", str(sim_out / "report.json"), "--losses", str(losses),
+                 "--out", str(tmp_path / "rep")])
+    assert code == EXIT_VALIDATION
+    assert "example_id" in capsys.readouterr().err
 
 
 def test_report_requires_per_example_values(tmp_path, capsys):

@@ -57,6 +57,9 @@ def test_npz_round_trip_exact(tmp_path):
     got_header, got_norms = read_trace_npz(path)
     assert got_header.to_dict() == header.to_dict()
     assert np.array_equal(got_norms, norms)
+    with np.load(path) as z:                  # the header implies every step and id
+        assert sorted(z.files) == ["header", "norm"]
+        assert z["norm"].shape == norms.shape
 
 
 def test_read_any_trace_dispatches_on_suffix(tmp_path):
@@ -217,17 +220,27 @@ def _npz_with(tmp_path, **replace):
     return path
 
 
-def test_npz_header_column_mismatch(tmp_path):
-    path = _npz_with(tmp_path, step=lambda a: a + 1)
-    with pytest.raises(TraceFormatError):
-        read_trace_npz(path)
-
-
-@pytest.mark.parametrize("column", ["id", "norm"])
+@pytest.mark.parametrize("column", ["norm"])
 def test_npz_column_of_wrong_length_rejected(tmp_path, column):
     path = _npz_with(tmp_path, **{column: lambda a: a[:-1]})
     with pytest.raises(TraceFormatError, match=f"column '{column}' has shape"):
         read_trace_npz(path)
+    assert main(["account", path]) == EXIT_VALIDATION
+
+
+def test_npz_old_layout_rejected(tmp_path):
+    # the earlier layout: flat step/id/norm columns next to the header
+    header = _header()
+    refresh = header.refresh_steps()
+    path = str(tmp_path / "t.npz")
+    np.savez(path, header=np.frombuffer(json.dumps(header.to_dict()).encode(),
+                                        dtype=np.uint8),
+             step=np.repeat(refresh, header.n),
+             id=np.tile(np.arange(header.n), len(refresh)),
+             norm=_norms(header).ravel())
+    with pytest.raises(TraceFormatError, match="step") as err:
+        read_trace_npz(path)
+    assert "simulate --binary-trace" in str(err.value)
     assert main(["account", path]) == EXIT_VALIDATION
 
 
@@ -301,3 +314,16 @@ def test_losses_csv_without_groups(tmp_path):
     losses, groups = read_losses_csv(path)
     assert np.array_equal(losses, [0.5, 0.75])
     assert groups is None
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("1,0,0.25\n0,1,0.5\n", "line 2: example_id '1', expected 0"),   # sorted by loss
+    ("0,x,0.25\n", "line 2: group 'x' is not an integer"),
+    ("0,0,0.25\n1,0,low\n", "line 3: final_loss 'low' is not a number"),
+], ids=["example_order", "group", "loss"])
+def test_losses_csv_rejects_bad_rows(tmp_path, rows, message):
+    path = tmp_path / "l.csv"
+    path.write_text("example_id,group,final_loss\n" + rows)
+    with pytest.raises(ValueError, match=message) as err:
+        read_losses_csv(str(path))
+    assert str(path) in str(err.value)

@@ -397,18 +397,22 @@ class PrivacyReport:
     def from_json(cls, path: str) -> "PrivacyReport":
         with open(path) as f:
             doc = json.load(f)
-        if doc.get("format") != "idpacct-report":
+        if not isinstance(doc, dict) or doc.get("format") != "idpacct-report":
             raise ValueError(f"{path}: not a privacy report file")
         if doc.get("version") != 1:
             raise ValueError(f"{path}: unsupported report version {doc.get('version')!r}")
+        worst = doc["worst_case"] if isinstance(doc.get("worst_case"), dict) else {}
+        missing = [k for k in ("delta", "steps", "n", "config") if k not in doc]
+        missing += [f"worst_case.{k}" for k in ("epsilon", "order") if k not in worst]
+        if missing:
+            raise ValueError(f"{path}: report is missing {', '.join(missing)}")
         eps = doc.get("epsilons")
         gm = doc.get("group_means")
         return cls(
             epsilons=None if eps is None else np.asarray(eps),
             best_orders=(None if doc.get("best_orders") is None
                          else np.asarray(doc["best_orders"])),
-            worst_epsilon=doc["worst_case"]["epsilon"],
-            worst_order=doc["worst_case"]["order"],
+            worst_epsilon=worst["epsilon"], worst_order=worst["order"],
             delta=doc["delta"], steps=doc["steps"], n=doc["n"],
             config=doc["config"],
             group_labels=(None if doc.get("group_labels") is None

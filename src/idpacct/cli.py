@@ -264,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=int, metavar="INT",
                    help="norm refreshes per epoch")
     p.add_argument("--binary-trace", action="store_true",
-                   help="write the packed columnar trace variant (.npz)")
+                   help="write the trace as .npz: the header and the "
+                        "refresh steps x n norm matrix")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("account", help="build a privacy report from a norm trace")

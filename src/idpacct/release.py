@@ -52,6 +52,15 @@ class ReleaseConfig:
     orders: np.ndarray = field(default_factory=release_orders)
 
     def __post_init__(self):
+        for name in ("epsilon", "bound", "delta", "quantile_steps", "quantile_lr", "seed"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+        for name in ("epsilon", "bound", "quantile_lr"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("quantile_steps", "seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.epsilon <= 0:
             raise ValueError("release budget epsilon must be > 0")
         if self.bound <= 0:

@@ -1,25 +1,27 @@
 """Gradient-norm trace files: the on-disk hand-off between a trainer and
 the accountant.
 
-A trace is JSON-Lines: the first line is a header object
+A trace is JSON-Lines.  Line 1 is a header object
 (version, n, clip, noise_std, sampling_prob, frequency, rounding, steps);
-every following line is one record ``{"step": t, "id": i, "norm": v}``,
-sorted by (step, id).  Records exist exactly at assignment-refresh steps
-(t mod frequency == 0), n per such step.
+line 2 + r is one JSON array of the n norms recorded at refresh row r,
+i.e. at training step r * frequency, with element i the norm of example i.
+Nothing else goes in the file, so a trainer writes one
+``json.dumps(list_of_norms)`` line per assignment refresh.  The header
+fixes every value's step and id.
 
 The binary ``.npz`` variant holds exactly two members: ``header``, the same
-header JSON as bytes, and ``norm``, the (refresh steps x n) float64 matrix.
-Row r is refresh step r * frequency and column i is example i, so the
-header fixes every value's step and id.  An archive with any other members
-(such as an older layout with flat ``step``/``id``/``norm`` columns) is
-rejected; re-create it with ``idpacct simulate --binary-trace``.
+header JSON as bytes, and ``norm``, the (refresh steps x n) float64 matrix
+with the same rows and columns.  An archive with any other members (such as
+an older layout with flat ``step``/``id``/``norm`` columns) is rejected;
+re-create it with ``idpacct simulate --binary-trace``.  Both formats share
+the header's version: a trace written under another version is rejected,
+and is re-created with ``idpacct simulate``.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import math
 import os
 import zipfile
 from dataclasses import dataclass
@@ -29,10 +31,9 @@ import numpy as np
 from ._fileio import atomic_write_bytes, atomic_write_text
 from .accountant import AccountantConfig, IndividualLedger
 
-TRACE_VERSION = 1
+TRACE_VERSION = 2
 _HEADER_KEYS = {"version", "n", "clip", "noise_std", "sampling_prob",
                 "frequency", "rounding", "steps"}
-_RECORD_KEYS = {"step", "id", "norm"}
 
 
 class TraceFormatError(ValueError):
@@ -101,13 +102,8 @@ def _check_matrix(header: TraceHeader, norms: np.ndarray) -> np.ndarray:
 def write_trace(path: str, header: TraceHeader, norms: np.ndarray) -> None:
     """``norms`` has one row per refresh step, one column per example."""
     norms = _check_matrix(header, norms)
-    buf = io.StringIO()
-    buf.write(json.dumps(header.to_dict()) + "\n")
-    for row, step in zip(norms, header.refresh_steps()):
-        for i in range(header.n):
-            buf.write('{"step": %d, "id": %d, "norm": %s}\n'
-                      % (step, i, repr(float(row[i]))))
-    atomic_write_text(path, buf.getvalue())
+    lines = [json.dumps(header.to_dict())] + [json.dumps(row) for row in norms.tolist()]
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def _parse_header(line: str) -> TraceHeader:
@@ -121,7 +117,8 @@ def _parse_header(line: str) -> TraceHeader:
     if doc["version"] != TRACE_VERSION:
         raise TraceFormatError(
             f"unsupported trace version {doc['version']!r} "
-            f"(this build reads version {TRACE_VERSION})", line=1)
+            f"(this build reads version {TRACE_VERSION}); "
+            "re-create it with `idpacct simulate`", line=1)
     extra = set(doc) - _HEADER_KEYS
     missing = _HEADER_KEYS - set(doc)
     if extra or missing:
@@ -134,12 +131,37 @@ def _parse_header(line: str) -> TraceHeader:
         raise TraceFormatError(f"invalid header values: {exc}", line=1)
 
 
+def _parse_row(raw: str, n: int, lineno: int) -> np.ndarray:
+    try:
+        row = json.loads(raw)
+    except ValueError as exc:        # also an integer literal of over 4300 digits
+        raise TraceFormatError("blank line inside trace" if not raw.strip()
+                               else f"not valid JSON: {exc}", line=lineno)
+    # bool is an int subclass, so compare exact types
+    if type(row) is not list or not set(map(type, row)) <= {int, float}:
+        raise TraceFormatError("refresh row must be a JSON array of numbers", line=lineno)
+    if len(row) != n:
+        raise TraceFormatError(f"refresh row holds {len(row)} norms, header implies n = {n}",
+                               line=lineno)
+    try:
+        values = np.array(row, dtype=np.float64)
+    except OverflowError:
+        raise TraceFormatError("norm too large for a float64", line=lineno)
+    bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0)))
+    if bad.size:
+        i = int(bad[0])
+        raise TraceFormatError(f"norm of example {i} must be finite and >= 0, got {row[i]!r}",
+                               line=lineno)
+    return values
+
+
 def read_trace(path: str) -> tuple[TraceHeader, np.ndarray]:
     """Parse and validate a JSON-Lines trace.
 
     Returns the header and the (refresh steps x n) norm matrix.  Any
-    malformed record raises TraceFormatError with its line number;
-    out-of-order, duplicate, or missing (step, id) pairs are rejected.
+    malformed row, and any row beyond the header's count, raises
+    TraceFormatError with its line number; a missing row raises it with
+    the row's step.
     """
     with open(path) as f:
         first = f.readline()
@@ -147,48 +169,15 @@ def read_trace(path: str) -> tuple[TraceHeader, np.ndarray]:
             raise TraceFormatError("empty trace file", line=1)
         header = _parse_header(first)
         refresh = header.refresh_steps()
-        step_row = {int(t): r for r, t in enumerate(refresh)}
-        norms = np.full((len(refresh), header.n), np.nan)
-        prev = (-1, -1)
-        lineno = 1
-        for raw in f:
-            lineno += 1
-            if not raw.strip():
-                raise TraceFormatError("blank line inside trace", line=lineno)
-            try:
-                rec = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise TraceFormatError(f"not valid JSON: {exc}", line=lineno)
-            if not isinstance(rec, dict) or set(rec) != _RECORD_KEYS:
-                raise TraceFormatError(
-                    "record must be an object with exactly step/id/norm",
-                    line=lineno)
-            step, ex, norm = rec["step"], rec["id"], rec["norm"]
-            if type(step) is not int or type(ex) is not int:     # bool is an int subclass
-                raise TraceFormatError("step and id must be integers", line=lineno)
-            if not isinstance(norm, (int, float)) or isinstance(norm, bool) \
-                    or not math.isfinite(norm) or norm < 0:
-                raise TraceFormatError(f"norm must be finite and >= 0, got {norm!r}",
-                                       line=lineno)
-            if step not in step_row:
-                raise TraceFormatError(
-                    f"step {step} is not an assignment-refresh step of this header "
-                    f"(steps={header.steps}, frequency={header.frequency})",
-                    line=lineno)
-            if not 0 <= ex < header.n:
-                raise TraceFormatError(f"example id {ex} outside [0, {header.n})",
-                                       line=lineno)
-            if (step, ex) <= prev:
-                raise TraceFormatError(
-                    f"records out of order or duplicated at (step={step}, id={ex})",
-                    line=lineno)
-            prev = (step, ex)
-            norms[step_row[step], ex] = norm
-    hole = np.argwhere(np.isnan(norms))
-    if hole.size:
-        r, c = hole[0]
-        raise TraceFormatError(
-            f"missing record for step {int(refresh[r])}, example {int(c)}")
+        norms = np.empty((len(refresh), header.n))
+        rows = 0
+        for rows, raw in enumerate(f, start=1):
+            if rows > len(refresh):
+                raise TraceFormatError(f"more rows than the header's {len(refresh)} "
+                                       "refresh steps", line=rows + 1)
+            norms[rows - 1] = _parse_row(raw, header.n, rows + 1)
+    if rows < len(refresh):
+        raise TraceFormatError(f"missing refresh row for step {int(refresh[rows])}")
     return header, norms
 
 

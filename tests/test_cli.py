@@ -149,10 +149,11 @@ def test_account_malformed_trace_reports_line(tmp_path, capsys):
                          frequency=1, rounding=0.01, steps=2)
     write_trace(str(bad), header, np.full((2, 2), 0.5))
     lines = bad.read_text().splitlines()
-    lines[3] = "{broken"
+    assert len(lines) == 3                  # the header, then one row per step
+    lines[2] = "[0.5, {broken"
     bad.write_text("\n".join(lines) + "\n")
     assert main(["account", str(bad)]) == EXIT_VALIDATION
-    assert "line 4" in capsys.readouterr().err
+    assert "line 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field, value", [
@@ -186,12 +187,19 @@ def test_account_missing_file(tmp_path):
     (["release", "{tmp}/nope.json"], "nope.json: no such file"),
     (["report", "{sim}/losses.csv", "--losses", "{sim}/losses.csv"],
      "losses.csv:1: Expecting value"),                  # not a JSON report
-], ids=["account_losses", "report", "release", "report_not_json"])
+    (["release", "{tmp}/list.json"], "list.json: not a privacy report file"),
+    (["release", "{tmp}/no_steps.json"], "no_steps.json: report is missing steps"),
+], ids=["account_losses", "report", "release", "report_not_json", "release_list",
+        "release_no_steps"])
 def test_missing_or_malformed_input_is_validation_failure(tmp_path, capsys, argv, message):
     sim_out = tmp_path / "sim"
     assert main(["simulate", "--config", _sim_config(tmp_path),
                  "--out", str(sim_out)]) == EXIT_OK
     capsys.readouterr()
+    (tmp_path / "list.json").write_text("[]")             # used to exit 2
+    doc = json.loads((sim_out / "report.json").read_text())
+    del doc["steps"]                                      # used to exit 2
+    (tmp_path / "no_steps.json").write_text(json.dumps(doc))
     argv = [a.format(sim=sim_out, tmp=tmp_path) for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_VALIDATION
     assert message in capsys.readouterr().err
@@ -271,6 +279,21 @@ def test_release_budget_echo_and_reproducibility(tmp_path, sim_report):
     b = json.loads((out2 / "release.json").read_text())
     assert a == b
     assert a["budget"]["realized_epsilon"] <= 2.0
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"epsilon": True}, "epsilon must be a number"),     # used to exit 0
+    ({"quantile_lr": float("nan")}, "quantile_lr must be finite"),
+    ({"quantile_steps": True}, "quantile_steps must be a number"),
+    ({"bound": float("nan")}, "bound must be finite"),
+    ({"epsilon": float("inf")}, "epsilon must be finite"),
+], ids=["epsilon_bool", "quantile_lr_nan", "quantile_steps_bool", "bound_nan", "epsilon_inf"])
+def test_release_rejects_bad_config_values(tmp_path, capsys, sim_report, fields, message):
+    cfg = _write_config(tmp_path, name="rel.json", **{"epsilon": 1.0, "bound": 40.0, **fields})
+    assert main(["release", str(sim_report), "--config", cfg,
+                 "--out", str(tmp_path / "rel")]) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "rel" / "release.json").exists()
 
 
 def test_release_requires_per_example_values(tmp_path):

@@ -203,3 +203,21 @@ def test_release_config_validation():
         ReleaseConfig(epsilon=1.0, bound=-1.0)
     with pytest.raises(ValueError):
         ReleaseConfig(epsilon=1.0, bound=8.0, quantiles=(0.5, 1.5))
+    base = dict(epsilon=1.0, bound=8.0)
+    for name, value, message in [
+        ("epsilon", True, "epsilon must be a number"),
+        ("bound", True, "bound must be a number"),
+        ("delta", True, "delta must be a number"),
+        ("quantile_lr", True, "quantile_lr must be a number"),
+        ("quantile_steps", True, "quantile_steps must be a number"),
+        ("seed", False, "seed must be a number"),
+        ("epsilon", math.inf, "epsilon must be finite"),
+        ("epsilon", math.nan, "epsilon must be finite"),
+        ("bound", math.nan, "bound must be finite"),
+        ("quantile_lr", math.nan, "quantile_lr must be finite"),
+        ("quantile_lr", math.inf, "quantile_lr must be finite"),
+        ("quantile_steps", 2.0, "quantile_steps must be an integer"),
+        ("seed", 1.5, "seed must be an integer"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            ReleaseConfig(**dict(base, **{name: value}))

@@ -4,6 +4,8 @@ validation with line numbers, the binary variant, and replay equivalence."""
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from idpacct.accountant import AccountantConfig, IndividualLedger
 from idpacct.cli import EXIT_VALIDATION, main
 from idpacct.rdp_math import RdpCurve, compose, rdp_to_dp, sgm_rdp_curve
 from idpacct.traceio import (
+    TRACE_VERSION,
     TraceFormatError,
     TraceHeader,
     read_any_trace,
@@ -47,6 +50,10 @@ def test_jsonl_round_trip_exact(tmp_path):
     got_header, got_norms = read_trace(path)
     assert got_header.to_dict() == header.to_dict()
     assert np.array_equal(got_norms, norms)      # bit-exact float round trip
+    # the header line, then one array of n norms per refresh step
+    lines = open(path).read().splitlines()
+    assert len(lines) == 1 + len(header.refresh_steps())
+    assert [len(json.loads(line)) for line in lines[1:]] == [header.n] * len(norms)
 
 
 def test_npz_round_trip_exact(tmp_path):
@@ -60,6 +67,20 @@ def test_npz_round_trip_exact(tmp_path):
     with np.load(path) as z:                  # the header implies every step and id
         assert sorted(z.files) == ["header", "norm"]
         assert z["norm"].shape == norms.shape
+
+
+def test_readme_example_trace_reads(tmp_path):
+    # the documented example must stay a trace the reader accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```jsonl\n(.*?)^```$", readme, re.S | re.M)
+    assert len(blocks) == 1
+    path = tmp_path / "example.jsonl"
+    path.write_text(blocks[0])
+    header, norms = read_trace(str(path))
+    assert (header.n, header.frequency, header.steps) == (3, 2, 4)
+    assert header.refresh_steps().tolist() == [0, 2]
+    assert norms.shape == (2, 3)
+    assert norms.tolist() == [json.loads(line) for line in blocks[0].splitlines()[1:]]
 
 
 def test_read_any_trace_dispatches_on_suffix(tmp_path):
@@ -95,11 +116,26 @@ def test_future_version_rejected(tmp_path):
     write_trace(path, header, _norms(header))
     lines = open(path).read().splitlines()
     doc = json.loads(lines[0])
-    doc["version"] = 2
+    doc["version"] = TRACE_VERSION + 1
     lines[0] = json.dumps(doc)
     open(path, "w").write("\n".join(lines) + "\n")
     with pytest.raises(TraceFormatError, match="version"):
         read_trace(path)
+
+
+def test_v1_trace_rejected(tmp_path):
+    # the earlier layout: one {"step", "id", "norm"} object per example and refresh
+    header = _header()
+    doc = dict(header.to_dict(), version=1)
+    records = [json.dumps({"step": int(t), "id": i, "norm": float(v)})
+               for t, row in zip(header.refresh_steps(), _norms(header))
+               for i, v in enumerate(row)]
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n".join([json.dumps(doc), *records]) + "\n")
+    with pytest.raises(TraceFormatError, match="version 1.*re-create") as err:
+        read_trace(str(path))
+    assert err.value.line == 1
+    assert main(["account", str(path)]) == EXIT_VALIDATION
 
 
 def test_unknown_header_field_rejected(tmp_path):
@@ -135,12 +171,15 @@ def test_non_integer_header_count_rejected(tmp_path, field, value, message):
 
 
 def _tamper(tmp_path, line_index, new_line):
+    # the header line is followed by one row per refresh step: 3 rows here
     header = _header()
     path = str(tmp_path / "t.jsonl")
     write_trace(path, header, _norms(header))
     lines = open(path).read().splitlines()
     if new_line is None:
         del lines[line_index]
+    elif line_index == len(lines):
+        lines.append(new_line)
     else:
         lines[line_index] = new_line
     open(path, "w").write("\n".join(lines) + "\n")
@@ -148,64 +187,80 @@ def _tamper(tmp_path, line_index, new_line):
 
 
 def test_malformed_json_reports_line_number(tmp_path):
-    path = _tamper(tmp_path, 2, '{"step": 0, "id": 1')
+    path = _tamper(tmp_path, 2, "[0.5, 0.25")
     with pytest.raises(TraceFormatError) as err:
         read_trace(path)
     assert err.value.line == 3
 
 
 def test_wrong_record_keys_rejected(tmp_path):
-    path = _tamper(tmp_path, 2, '{"step": 0, "id": 1, "grad": 0.5}')
-    with pytest.raises(TraceFormatError, match="step/id/norm"):
+    # an object where a row belongs, such as a record of the earlier layout
+    path = _tamper(tmp_path, 2, '{"step": 2, "id": 1, "norm": 0.5}')
+    with pytest.raises(TraceFormatError, match="array") as err:
         read_trace(path)
+    assert err.value.line == 3
 
 
 def test_negative_norm_rejected(tmp_path):
-    path = _tamper(tmp_path, 2, '{"step": 0, "id": 1, "norm": -0.5}')
-    with pytest.raises(TraceFormatError, match="norm"):
+    path = _tamper(tmp_path, 2, "[0.5, -0.5, 0.5]")
+    with pytest.raises(TraceFormatError, match="example 1 .*-0.5") as err:
         read_trace(path)
+    assert err.value.line == 3
 
 
 def test_nan_norm_rejected(tmp_path):
-    path = _tamper(tmp_path, 2, '{"step": 0, "id": 1, "norm": NaN}')
-    with pytest.raises(TraceFormatError, match="norm"):
+    path = _tamper(tmp_path, 2, "[0.5, 0.5, NaN]")
+    with pytest.raises(TraceFormatError, match="example 2 .*nan") as err:
         read_trace(path)
+    assert err.value.line == 3
 
 
 def test_non_refresh_step_rejected(tmp_path):
-    path = _tamper(tmp_path, 2, '{"step": 1, "id": 1, "norm": 0.5}')
-    with pytest.raises(TraceFormatError, match="refresh"):
+    # a header whose steps imply 2 refresh rows, above 3 rows written for 6 steps
+    path = _tamper(tmp_path, 0, json.dumps(_header(steps=4).to_dict()))
+    with pytest.raises(TraceFormatError, match="2 refresh steps") as err:
         read_trace(path)
+    assert err.value.line == 4
 
 
 def test_out_of_range_id_rejected(tmp_path):
-    path = _tamper(tmp_path, 2, '{"step": 0, "id": 7, "norm": 0.5}')
-    with pytest.raises(TraceFormatError, match="id"):
-        read_trace(path)
+    # a row one value short or one value long, i.e. with an example id beyond n
+    for row in ("[0.5, 0.5]", "[0.5, 0.5, 0.5, 0.5]"):
+        path = _tamper(tmp_path, 2, row)
+        with pytest.raises(TraceFormatError, match="header implies n = 3") as err:
+            read_trace(path)
+        assert err.value.line == 3
 
 
 def test_duplicate_record_rejected(tmp_path):
-    path = _tamper(tmp_path, 2, '{"step": 0, "id": 0, "norm": 0.5}')
-    with pytest.raises(TraceFormatError, match="order|duplicat"):
+    path = _tamper(tmp_path, 4, "[0.5, 0.5, 0.5]")
+    with pytest.raises(TraceFormatError, match="more rows") as err:
         read_trace(path)
+    assert err.value.line == 5
 
 
 def test_missing_record_rejected(tmp_path):
     path = _tamper(tmp_path, 2, None)
-    with pytest.raises(TraceFormatError, match="missing"):
+    with pytest.raises(TraceFormatError, match="missing refresh row for step 4"):
         read_trace(path)
 
 
-@pytest.mark.parametrize("record", [
-    '{"step": false, "id": 1, "norm": 0.5}',
-    '{"step": 0, "id": true, "norm": 0.5}',
-])
-def test_boolean_step_or_id_rejected(tmp_path, record):
-    path = _tamper(tmp_path, 2, record)
-    with pytest.raises(TraceFormatError, match="integers") as err:
+@pytest.mark.parametrize("row, message", [
+    ("[0.5, true, 0.5]", "array of numbers"),
+    ("[0.5, null, 0.5]", "array of numbers"),
+    ('[0.5, "0.5", 0.5]', "array of numbers"),
+    ("[0.5, [0.5], 0.5]", "array of numbers"),
+    ("[0.5, " + "9" * 400 + ", 0.5]", "too large"),       # used to exit 2
+    ("[0.5, " + "9" * 5000 + ", 0.5]", "not valid JSON"),   # over int's 4300 digits
+    ("", "blank line"),
+], ids=["true", "null", "string", "nested", "huge_int", "huge_int_literal", "blank"])
+def test_bad_row_rejected(tmp_path, capsys, row, message):
+    path = _tamper(tmp_path, 2, row)
+    with pytest.raises(TraceFormatError, match=message) as err:
         read_trace(path)
     assert err.value.line == 3
     assert main(["account", path]) == EXIT_VALIDATION
+    assert "line 3" in capsys.readouterr().err
 
 
 def _npz_with(tmp_path, **replace):

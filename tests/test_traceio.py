@@ -263,6 +263,25 @@ def test_bad_row_rejected(tmp_path, capsys, row, message):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("record", [
+    '{"step": false, "id": 1, "norm": 0.5}',
+    '{"step": 0, "id": true, "norm": 0.5}',
+])
+def test_boolean_step_or_id_rejected(tmp_path, record):
+    # a record of the earlier layout with a boolean step or id, where a row belongs
+    path = _tamper(tmp_path, 2, record)
+    with pytest.raises(TraceFormatError, match="array of numbers") as err:
+        read_trace(path)
+    assert err.value.line == 3
+    assert main(["account", path]) == EXIT_VALIDATION
+    # the same boolean where a norm belongs in a row
+    flag = next(v for v in json.loads(record).values() if type(v) is bool)
+    path = _tamper(tmp_path, 2, json.dumps([0.5, flag, 0.5]))
+    with pytest.raises(TraceFormatError, match="array of numbers") as err:
+        read_trace(path)
+    assert err.value.line == 3
+
+
 def _npz_with(tmp_path, **replace):
     header = _header()
     path = str(tmp_path / "t.npz")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from itertools import product as _iter_product
 from typing import Callable, Optional, Sequence
@@ -408,6 +409,16 @@ class PrivacyReport:
             raise ValueError(f"{path}: report is missing {', '.join(missing)}")
         eps = doc.get("epsilons")
         gm = doc.get("group_means")
+        if gm is not None and not (isinstance(gm, dict) and all(
+                re.fullmatch(r"-?[0-9]+", k) and _finite_number(v)
+                for k, v in gm.items())):
+            raise ValueError(f"{path}: group_means must be null or an object "
+                             "mapping integer keys to finite numbers")
+        summary = doc.get("summary")
+        if summary is not None and not (isinstance(summary, dict) and all(
+                _finite_number(summary.get(k)) for k in ("mean", "min", "max"))):
+            raise ValueError(f"{path}: summary must be null or an object with "
+                             "finite numeric mean, min and max")
         return cls(
             epsilons=None if eps is None else np.asarray(eps),
             best_orders=(None if doc.get("best_orders") is None
@@ -417,8 +428,15 @@ class PrivacyReport:
             config=doc["config"],
             group_labels=(None if doc.get("group_labels") is None
                           else np.asarray(doc["group_labels"])),
-            summary=doc.get("summary"),
+            summary=summary,
             group_means=None if gm is None else {int(k): v for k, v in gm.items()})
+
+
+def _finite_number(v) -> bool:
+    """A JSON number other than NaN or +-Infinity (booleans excluded)."""
+    if isinstance(v, bool):
+        return False
+    return isinstance(v, int) or (isinstance(v, float) and math.isfinite(v))
 
 
 # --- adaptive-vs-fixed enumeration oracle ---------------------------------

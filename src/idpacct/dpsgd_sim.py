@@ -402,10 +402,13 @@ def exact_reference_accounting(norms: np.ndarray, config: AccountantConfig,
 
     ``norms`` is (steps, m): one row per training step, one column per
     tracked example (a missing step would make the guarantee unsound, hence
-    the full-matrix input).  ``quantize_rel`` optionally snaps noise
-    multipliers onto a geometric grid of that relative spacing before
-    deduplication, trading that much relative curve error for fewer kernel
-    rows; None (default) keeps multipliers exact.
+    the full-matrix input).  Each distinct noise multiplier's curve is
+    computed once, and the (m, orders) RDP total gains one curve per example
+    per step, so memory beyond the input is O(m x orders) plus the distinct
+    curves.  ``quantize_rel`` optionally snaps noise multipliers onto a
+    geometric grid of that relative spacing before deduplication, trading
+    that much relative curve error for fewer kernel rows; None (default)
+    keeps multipliers exact.
     """
     norms = np.asarray(norms, dtype=np.float64)
     if norms.ndim != 2 or norms.shape[0] < 1:
@@ -426,12 +429,10 @@ def exact_reference_accounting(norms: np.ndarray, config: AccountantConfig,
 
     uniq, inv = np.unique(mult, return_inverse=True)
     rows = sgm_rdp_matrix(config.sampling_prob, uniq, config.orders)
-    inv = inv.reshape(z.shape)
-    m, n_unique = z.shape[1], uniq.shape[0]
-    col = np.arange(m, dtype=np.int64)[None, :]
-    counts = np.bincount((col * n_unique + inv).ravel(),
-                         minlength=m * n_unique).reshape(m, n_unique)
-    return _eps_from_rdp(counts @ rows, config.orders, delta)
+    rdp = np.zeros((z.shape[1], rows.shape[1]))
+    for step in inv.reshape(z.shape):
+        rdp += rows[step]
+    return _eps_from_rdp(rdp, config.orders, delta)
 
 
 def accuracy(model, dataset: Dataset) -> float:

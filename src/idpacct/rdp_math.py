@@ -138,6 +138,7 @@ def rdp_to_dp(curve: RdpCurve, delta: float) -> tuple[float, int]:
 
 
 _SIGMA_CAP = 1e6
+_CANDIDATES = 64            # interior noise multipliers per narrowing call
 
 
 def calibrate_noise(
@@ -148,43 +149,49 @@ def calibrate_noise(
     orders=None,
     tol: float = 1e-3,
 ) -> float:
-    """Smallest-noise bisection: returns a noise multiplier whose composed
+    """Smallest-noise search: returns a noise multiplier whose composed
     epsilon over ``steps`` lands in [target - tol, target]. Epsilon is
-    strictly decreasing in the multiplier, which makes the bracket valid."""
+    strictly decreasing in the multiplier, so one kernel call over a
+    power-of-two ladder brackets the target, and each further call narrows
+    the bracket to one of ``_CANDIDATES + 1`` geometric sub-intervals."""
     if target_epsilon <= 0.0:
         raise ValueError("target epsilon must be > 0")
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if not tol > 0.0:
+        raise ValueError("tol must be > 0")
     orders = default_orders() if orders is None else _check_orders(orders)
 
-    def eps_at(sig: float) -> float:
-        return rdp_to_dp(sgm_rdp_curve(q, sig, orders).scaled(steps), delta)[0]
+    def eps_at(sigmas: np.ndarray) -> np.ndarray:
+        return _eps_from_rdp(sgm_rdp_matrix(q, sigmas, orders) * steps, orders, delta)[0]
 
-    hi = 1.0
-    while eps_at(hi) > target_epsilon:
-        hi *= 2.0
-        if hi > _SIGMA_CAP:
-            if eps_at(_SIGMA_CAP) > target_epsilon:
-                raise InfeasibleTargetError(
-                    f"epsilon at noise multiplier {_SIGMA_CAP:g} still exceeds "
-                    f"target {target_epsilon}")
-            hi = _SIGMA_CAP
+    # Aim inside the window by a margin far above the last-bit difference
+    # between a batched row and the single-row curve that confirms the result.
+    margin = min(1e-9 * target_epsilon, tol / 4.0)
+    low, high = target_epsilon - tol + margin, target_epsilon - margin
+
+    sig = np.append(2.0 ** np.arange(-33, 20), _SIGMA_CAP)    # 1.2e-10 .. cap
+    eps = eps_at(sig)
+    if eps[-1] > high:
+        raise InfeasibleTargetError(
+            f"epsilon at noise multiplier {_SIGMA_CAP:g} still exceeds "
+            f"target {target_epsilon}")
+    if eps[0] <= high:
+        raise CalibrationError("failed to bracket the target epsilon")
+    for _ in range(60):
+        i = int(np.argmax(eps <= high))     # least noise meeting the target
+        if eps[i] >= low:
             break
-    lo = hi / 2.0
-    while eps_at(lo) <= target_epsilon:
-        lo /= 2.0
-        if lo < 1e-10:
-            raise CalibrationError("failed to bracket the target epsilon")
-
-    for _ in range(200):
-        if target_epsilon - eps_at(hi) <= tol:
-            return hi
-        mid = math.sqrt(lo * hi)
-        if eps_at(mid) > target_epsilon:
-            lo = mid
-        else:
-            hi = mid
-    raise CalibrationError("bisection did not converge in 200 iterations")
+        sig = np.geomspace(sig[i - 1], sig[i], _CANDIDATES + 2)
+        eps = np.concatenate(([eps[i - 1]], eps_at(sig[1:-1]), [eps[i]]))
+    else:
+        raise CalibrationError("calibration did not converge in 60 narrowing steps")
+    sigma = float(sig[i])
+    eps_one = rdp_to_dp(sgm_rdp_curve(q, sigma, orders).scaled(steps), delta)[0]
+    if not target_epsilon - tol <= eps_one <= target_epsilon:
+        raise CalibrationError(
+            f"epsilon {eps_one} at noise multiplier {sigma:g} left the target window")
+    return sigma
 
 
 def sgm_rdp_quadrature_oracle(

@@ -189,8 +189,12 @@ def test_account_missing_file(tmp_path):
      "losses.csv:1: Expecting value"),                  # not a JSON report
     (["release", "{tmp}/list.json"], "list.json: not a privacy report file"),
     (["release", "{tmp}/no_steps.json"], "no_steps.json: report is missing steps"),
+    (["release", "{tmp}/group_means_list.json"],
+     "group_means_list.json: group_means must be null or an object"),
+    (["release", "{tmp}/summary_string.json"],
+     "summary_string.json: summary must be null or an object"),
 ], ids=["account_losses", "report", "release", "report_not_json", "release_list",
-        "release_no_steps"])
+        "release_no_steps", "release_group_means_list", "release_summary_string"])
 def test_missing_or_malformed_input_is_validation_failure(tmp_path, capsys, argv, message):
     sim_out = tmp_path / "sim"
     assert main(["simulate", "--config", _sim_config(tmp_path),
@@ -198,6 +202,10 @@ def test_missing_or_malformed_input_is_validation_failure(tmp_path, capsys, argv
     capsys.readouterr()
     (tmp_path / "list.json").write_text("[]")             # used to exit 2
     doc = json.loads((sim_out / "report.json").read_text())
+    (tmp_path / "group_means_list.json").write_text(     # used to exit 2
+        json.dumps(dict(doc, group_means=[0.5, 0.7])))
+    (tmp_path / "summary_string.json").write_text(
+        json.dumps(dict(doc, summary={"mean": "0.5", "min": 0.1, "max": 0.9})))
     del doc["steps"]                                      # used to exit 2
     (tmp_path / "no_steps.json").write_text(json.dumps(doc))
     argv = [a.format(sim=sim_out, tmp=tmp_path) for a in argv]

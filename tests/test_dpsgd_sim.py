@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from idpacct.accountant import AccountantConfig, IndividualLedger, worst_case_epsilon
+from idpacct.rdp_math import RdpCurve, compose, rdp_to_dp, sgm_rdp_curve
 from idpacct.dpsgd_sim import (
     Dataset,
     LogisticModel,
@@ -230,6 +231,23 @@ def test_exact_reference_static_norms_equals_ledger_any_frequency():
         ledger.record_step(t)
     eps_ledger, _ = ledger.epsilons()
     assert max_rel_diff(eps_exact, eps_ledger) <= 1e-12
+
+
+def test_exact_reference_equals_composed_per_step_curves():
+    cfg = AccountantConfig(noise_std=0.9, max_clip=1.0, sampling_prob=0.05,
+                           rounding=0.0)
+    norms = np.asarray([[0.5, 0.0, 1.7, 0.5],
+                        [0.5, 0.3, 0.0, 0.0],
+                        [0.2, 0.3, 2.5, 0.0],
+                        [0.5, 0.0, 1.7, 0.9],
+                        [0.0, 0.0, 0.0, 0.0]])      # repeated and zero norms
+    eps, _ = exact_reference_accounting(norms, cfg)
+    for i in range(norms.shape[1]):
+        total = RdpCurve.zero(cfg.orders)
+        for z in np.minimum(norms[:, i], cfg.max_clip):
+            mult = math.inf if z == 0.0 else cfg.noise_std / z
+            total = compose(total, sgm_rdp_curve(cfg.sampling_prob, mult, cfg.orders))
+        assert eps[i] == pytest.approx(rdp_to_dp(total, cfg.delta)[0], rel=1e-12)
 
 
 def test_exact_reference_saturated_norms_equal_worst_case(rng):

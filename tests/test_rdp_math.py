@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idpacct import rdp_math
 from idpacct.rdp_math import (
     CalibrationError,
     GridMismatchError,
@@ -188,6 +189,26 @@ def test_calibration_round_trip(target):
     assert target - 1e-3 <= eps <= target
 
 
+@pytest.mark.parametrize("target,q,steps", [
+    (1.0, 0.01, 1000), (3.0, 0.01, 1000), (8.0, 0.01, 1000),
+    (8.0, 0.05, 400), (8.0, 4096 / 50000, 3600), (0.5, 1.0, 6),
+])
+def test_calibration_batches_kernel_calls(monkeypatch, target, q, steps):
+    calls = []
+    kernel = rdp_math.sgm_rdp_matrix
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(rdp_math, "sgm_rdp_matrix", counted)
+    sigma = calibrate_noise(target, 1e-5, q=q, steps=steps)
+    assert len(calls) <= 5
+    curve = sgm_rdp_curve(q, sigma, default_orders()).scaled(steps)
+    eps, _ = rdp_to_dp(curve, 1e-5)
+    assert target - 1e-3 <= eps <= target
+
+
 def test_calibration_monotone_in_target():
     s_small = calibrate_noise(1.0, 1e-5, q=0.02, steps=500)
     s_big = calibrate_noise(8.0, 1e-5, q=0.02, steps=500)
@@ -211,6 +232,8 @@ def test_calibration_rejects_bad_inputs():
         calibrate_noise(-1.0, 1e-5, q=0.1, steps=10)
     with pytest.raises(ValueError):
         calibrate_noise(1.0, 1e-5, q=0.1, steps=0)
+    with pytest.raises(ValueError):
+        calibrate_noise(1.0, 1e-5, q=0.1, steps=10, tol=0.0)
 
 
 # --------------------------------------------------------- quadrature ---

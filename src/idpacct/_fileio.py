@@ -6,20 +6,10 @@ import os
 import tempfile
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def atomic_write_bytes(path: str, data: bytes) -> None:
+def atomic_write(path: str, data: str | bytes) -> None:
+    """Write ``data`` to ``path`` atomically; text is encoded as UTF-8."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
     try:

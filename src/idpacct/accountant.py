@@ -23,9 +23,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._fileio import atomic_write_text
+from ._fileio import atomic_write
 from .kernel import sgm_rdp_matrix
-from .rdp_math import RdpCurve, _check_orders, _eps_from_rdp, default_orders, rdp_to_dp
+from .rdp_math import (RdpCurve, _check_fields, _check_orders, _eps_from_rdp,
+                       default_orders, rdp_to_dp)
 
 
 MAX_BUCKETS = 10_000      # ceil(C/r) bound: the grid's curves are built up front
@@ -61,12 +62,9 @@ class AccountantConfig:
     orders: np.ndarray = field(default_factory=default_orders)
 
     def __post_init__(self):
-        for name in ("noise_std", "max_clip", "sampling_prob", "rounding", "delta"):
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
-        for name in ("noise_std", "max_clip", "rounding"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        _check_fields(self, numbers=("noise_std", "max_clip", "sampling_prob", "rounding",
+                                     "delta", "frequency"),
+                      finite=("noise_std", "max_clip", "rounding"))
         if self.noise_std <= 0:
             raise ValueError(f"noise_std must be > 0, got {self.noise_std}")
         if self.max_clip <= 0:
@@ -392,7 +390,7 @@ class PrivacyReport:
             doc["best_orders"] = [int(a) for a in self.best_orders]
             if self.group_labels is not None:
                 doc["group_labels"] = [int(g) for g in self.group_labels]
-        atomic_write_text(path, json.dumps(doc, indent=1) + "\n")
+        atomic_write(path, json.dumps(doc, indent=1) + "\n")
 
     @classmethod
     def from_json(cls, path: str) -> "PrivacyReport":

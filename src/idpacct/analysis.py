@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._fileio import atomic_write_text
+from ._fileio import atomic_write
 from .accountant import PrivacyReport
 
 LOSS_FLOOR = 1e-12      # separable tasks drive losses to 0; log needs a floor
@@ -150,7 +150,7 @@ def write_analysis_json(path: str, corr: Optional[CorrelationResult],
             "worst_marker": hist.worst_marker,
         },
     }
-    atomic_write_text(path, json.dumps(doc, indent=1) + "\n")
+    atomic_write(path, json.dumps(doc, indent=1) + "\n")
 
 
 def write_histogram_csv(path: str, hist: HistogramResult) -> None:
@@ -159,7 +159,7 @@ def write_histogram_csv(path: str, hist: HistogramResult) -> None:
     w.writerow(["bin_left", "bin_right", "count"])
     for i, c in enumerate(hist.counts):
         w.writerow([repr(float(hist.edges[i])), repr(float(hist.edges[i + 1])), int(c)])
-    atomic_write_text(path, buf.getvalue())
+    atomic_write(path, buf.getvalue())
 
 
 def write_scatter_csv(path: str, report: PrivacyReport, losses: Sequence[float],
@@ -176,4 +176,4 @@ def write_scatter_csv(path: str, report: PrivacyReport, losses: Sequence[float],
     for i in range(report.n):
         g = "" if groups is None else int(groups[i])
         w.writerow([i, repr(float(report.epsilons[i])), repr(float(log_loss[i])), g])
-    atomic_write_text(path, buf.getvalue())
+    atomic_write(path, buf.getvalue())

@@ -19,7 +19,7 @@ import numpy as np
 
 from .accountant import AccountantConfig, IndividualLedger
 from .kernel import sgm_rdp_matrix
-from .rdp_math import _check_orders, _eps_from_rdp, default_orders
+from .rdp_math import _check_fields, _check_orders, _eps_from_rdp, default_orders
 
 
 class NanAbortError(RuntimeError):
@@ -64,22 +64,30 @@ class SimConfig:
     orders: np.ndarray = field(default_factory=default_orders)
 
     def __post_init__(self):
+        # clip and rounding may be None (resolved in train); clip may be inf
+        optional = tuple(name for name in ("clip", "rounding")
+                         if getattr(self, name) is not None)
+        _check_fields(self, numbers=("separation", "lr", "noise_std", "sampling_prob",
+                                     "delta") + optional,
+                      finite=("separation", "lr", "noise_std")
+                      + (("rounding",) if self.rounding is not None else ()),
+                      integers=("n", "d", "hidden", "epochs", "gamma", "seed", "holdout"))
         if self.n < 1 or self.d < 1:
             raise ValueError("n and d must be >= 1")
         props = np.asarray(self.group_proportions, dtype=np.float64)
-        if props.ndim != 1 or props.size == 0 or np.any(props <= 0) \
-                or abs(float(np.sum(props)) - 1.0) > 1e-9:
+        if props.ndim != 1 or props.size == 0 or not np.all(props > 0) \
+                or not abs(float(np.sum(props)) - 1.0) <= 1e-9:
             raise ValueError("group proportions must be positive and sum to 1")
         scales = np.asarray(self.group_noise_scales, dtype=np.float64)
-        if scales.shape != props.shape or np.any(scales <= 0):
-            raise ValueError("one positive noise scale per group required")
+        if scales.shape != props.shape or not np.all(np.isfinite(scales) & (scales > 0)):
+            raise ValueError("one positive finite noise scale per group required")
         if self.model not in ("logistic", "mlp"):
             raise ValueError(f"unknown model {self.model!r}")
         if self.model == "mlp" and self.hidden < 1:
             raise ValueError("hidden width must be >= 1")
         if self.lr <= 0:
             raise ValueError("learning rate must be > 0")
-        if self.clip is not None and self.clip <= 0:
+        if self.clip is not None and not self.clip > 0:
             raise ValueError("clip must be > 0 (or None for median-at-init)")
         if self.noise_std < 0:
             raise ValueError("noise_std must be >= 0")
@@ -87,9 +95,8 @@ class SimConfig:
             raise ValueError("sampling_prob must be in (0, 1]")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if int(self.gamma) != self.gamma or self.gamma < 1:
+        if self.gamma < 1:
             raise ValueError("gamma must be an integer >= 1")
-        self.gamma = int(self.gamma)
         if self.rounding is not None and self.rounding < 0:
             raise ValueError("rounding must be >= 0 (or None for 0.01*clip)")
         if self.clipping not in ("max", "individual"):
@@ -310,8 +317,7 @@ class TrainOutput:
     tracked_buckets: Optional[np.ndarray] = None    # (steps, m): assigned Z
 
 
-def train(config: SimConfig, dataset: Optional[Dataset] = None,
-          ledger: Optional[IndividualLedger] = None) -> TrainOutput:
+def train(config: SimConfig, dataset: Optional[Dataset] = None) -> TrainOutput:
     """Run DP-SGD per the config; returns the populated ledger, the norm
     trace at refresh steps, per-step norms for tracked ids, and final
     per-example losses."""
@@ -330,12 +336,11 @@ def train(config: SimConfig, dataset: Optional[Dataset] = None,
         raise ValueError("resolved clip threshold is not positive")
     accounting = config.noise_std > 0 and math.isfinite(c)
     r = config.rounding if config.rounding is not None else 0.01 * c
-    if accounting and ledger is None:
+    ledger = None
+    if accounting:
         ledger = IndividualLedger(n, AccountantConfig(
             noise_std=config.noise_std, max_clip=c, sampling_prob=config.sampling_prob,
             rounding=r, frequency=k_freq, delta=config.delta, orders=config.orders))
-    elif not accounting:
-        ledger = None
 
     tracked = None
     if config.track_ids is not None:
@@ -394,8 +399,7 @@ def train(config: SimConfig, dataset: Optional[Dataset] = None,
 
 
 def exact_reference_accounting(norms: np.ndarray, config: AccountantConfig,
-                               delta: Optional[float] = None,
-                               quantize_rel: Optional[float] = None):
+                               delta: Optional[float] = None):
     """Ground-truth per-example epsilon from per-step norms (K=1, no
     rounding): clip each norm to C, compose the exact per-step curves, and
     convert.
@@ -405,10 +409,7 @@ def exact_reference_accounting(norms: np.ndarray, config: AccountantConfig,
     the full-matrix input).  Each distinct noise multiplier's curve is
     computed once, and the (m, orders) RDP total gains one curve per example
     per step, so memory beyond the input is O(m x orders) plus the distinct
-    curves.  ``quantize_rel`` optionally snaps noise multipliers onto a
-    geometric grid of that relative spacing before deduplication, trading
-    that much relative curve error for fewer kernel rows; None (default)
-    keeps multipliers exact.
+    curves.
     """
     norms = np.asarray(norms, dtype=np.float64)
     if norms.ndim != 2 or norms.shape[0] < 1:
@@ -420,12 +421,6 @@ def exact_reference_accounting(norms: np.ndarray, config: AccountantConfig,
     z = np.minimum(norms, config.max_clip)
     with np.errstate(divide="ignore"):
         mult = config.noise_std / z          # zero sensitivity -> inf -> zero curve
-    if quantize_rel is not None:
-        if not 0 < quantize_rel < 1:
-            raise ValueError("quantize_rel must be in (0, 1)")
-        step = math.log1p(quantize_rel)
-        finite = np.isfinite(mult)
-        mult[finite] = np.exp(np.round(np.log(mult[finite]) / step) * step)
 
     uniq, inv = np.unique(mult, return_inverse=True)
     rows = sgm_rdp_matrix(config.sampling_prob, uniq, config.orders)

@@ -54,6 +54,22 @@ def _check_orders(orders) -> np.ndarray:
     return a
 
 
+def _check_fields(obj, numbers=(), finite=(), integers=()) -> None:
+    """Type checks shared by the config dataclasses; each message names the
+    field.  ``numbers`` reject booleans, ``finite`` reject NaN and
+    infinities, and ``integers`` accept only non-boolean integers."""
+    for name in numbers:
+        if isinstance(getattr(obj, name), bool):
+            raise ValueError(f"{name} must be a number, got {getattr(obj, name)!r}")
+    for name in finite:
+        if not math.isfinite(getattr(obj, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(obj, name)}")
+    for name in integers:
+        value = getattr(obj, name)
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass
 class RdpCurve:
     """RDP values aligned with a grid of integer orders."""

@@ -6,13 +6,17 @@ public clamp bound B (the worst-case epsilon, derived from configuration,
 not data).  The mean uses one Gaussian query of sensitivity B/n; each
 quantile runs a fixed number of noisy below-threshold counting queries
 (sensitivity 1) driving the geometric update
-Q <- Q * exp(-eta * (fraction - target)).  Every query's noise scale is
-calibrated against an even share of the total budget, and the realized
-budget is recomputed by composing all constituent Gaussian RDP curves and
-converting once — so the reported guarantee is measured, not assumed.
+Q <- Q * exp(-eta * (fraction - target)).
 
-Shares of a small total budget need Renyi orders far beyond the
-accountant's default grid, hence the wider grid here.
+Gaussian queries compose to one Gaussian whose multiplier m satisfies
+1/m^2 = sum_j 1/m_j^2 (Mironov 2017, "Renyi Differential Privacy").  So the
+whole release is calibrated once, as that one Gaussian, and 1/m^2 is split
+evenly between the mean and the quantiles.  The realized budget is then
+recomputed from the noise scales actually used, so the reported guarantee
+is measured, not assumed.
+
+Small budgets minimize at Renyi orders far beyond the accountant's default
+grid, hence the wider grid here.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._fileio import atomic_write_text
-from .rdp_math import (RdpCurve, _check_orders, calibrate_noise, compose,
+from ._fileio import atomic_write
+from .rdp_math import (_check_fields, _check_orders, calibrate_noise,
                        gaussian_rdp_curve, rdp_to_dp)
 
 
@@ -35,7 +39,7 @@ class BudgetInfeasibleError(RuntimeError):
 
 def release_orders() -> np.ndarray:
     """Order grid for release accounting: {2..64} plus powers of two up to
-    16384 (tiny per-query budgets minimize at orders in the thousands)."""
+    16384 (tiny budgets minimize at orders in the thousands)."""
     return np.concatenate([np.arange(2, 65), 2 ** np.arange(7, 15)])
 
 
@@ -52,15 +56,10 @@ class ReleaseConfig:
     orders: np.ndarray = field(default_factory=release_orders)
 
     def __post_init__(self):
-        for name in ("epsilon", "bound", "delta", "quantile_steps", "quantile_lr", "seed"):
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
-        for name in ("epsilon", "bound", "quantile_lr"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("quantile_steps", "seed"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        _check_fields(self, numbers=("epsilon", "bound", "delta", "quantile_steps",
+                                     "quantile_lr", "seed"),
+                      finite=("epsilon", "bound", "quantile_lr"),
+                      integers=("quantile_steps", "seed"))
         if self.epsilon <= 0:
             raise ValueError("release budget epsilon must be > 0")
         if self.bound <= 0:
@@ -90,67 +89,68 @@ def calibrate_gaussian_scale(sensitivity: float, epsilon: float, delta: float,
     return mult * sensitivity
 
 
-def dp_mean(values: Sequence[float], bound: float, epsilon: float, delta: float,
-            rng: Optional[np.random.Generator] = None,
-            zero_noise: bool = False) -> float:
-    """Clamped mean plus calibrated Gaussian noise (sensitivity B/n)."""
-    released, _ = _dp_mean_with_scale(values, bound, epsilon, delta, rng, zero_noise)
-    return released
-
-
-def _dp_mean_with_scale(values, bound, epsilon, delta, rng=None, zero_noise=False):
+def _clamped(values, bound: float) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("values must be a non-empty 1-D sequence")
     if bound <= 0:
         raise ValueError("bound must be > 0")
-    clamped = float(np.mean(np.clip(v, 0.0, bound)))
-    if zero_noise or epsilon == math.inf:
-        return clamped, 0.0
-    scale = calibrate_gaussian_scale(bound / v.size, epsilon, delta)
+    return np.clip(v, 0.0, bound)
+
+
+def _noisy_mean(v: np.ndarray, std: float, rng) -> float:
+    """Mean of the clamped values plus Gaussian noise of std `std`."""
+    mean = float(np.mean(v))
+    if std > 0.0:
+        rng = np.random.default_rng() if rng is None else rng
+        mean += std * float(rng.standard_normal())
+    return mean
+
+
+def _noisy_quantile(v: np.ndarray, target: float, bound: float, std: float,
+                    steps: int, lr: float, rng) -> float:
+    """Geometric quantile update over `steps` below-threshold counts of the
+    clamped values, each plus Gaussian noise of std `std`."""
+    n = v.size
+    if std > n / 4:
+        raise BudgetInfeasibleError(
+            f"count noise scale {std:.1f} exceeds n/4 = {n / 4:.1f}; "
+            f"the noisy fractions would be meaningless")
     rng = np.random.default_rng() if rng is None else rng
-    return clamped + scale * float(rng.standard_normal()), scale
+    floor = 1e-6 * bound
+    q = bound / 2.0
+    for _ in range(steps):
+        count = float(np.sum(v <= q))
+        if std > 0.0:
+            count += std * float(rng.standard_normal())
+        frac = count / n
+        q = min(max(q * math.exp(-lr * (frac - target)), floor), bound)
+    return float(q)
+
+
+def dp_mean(values: Sequence[float], bound: float, epsilon: float, delta: float,
+            rng: Optional[np.random.Generator] = None,
+            zero_noise: bool = False) -> float:
+    """Clamped mean plus Gaussian noise calibrated to (epsilon, delta)
+    on its own (sensitivity B/n)."""
+    v = _clamped(values, bound)
+    std = 0.0 if zero_noise or epsilon == math.inf \
+        else calibrate_gaussian_scale(bound / v.size, epsilon, delta)
+    return _noisy_mean(v, std, rng)
 
 
 def dp_quantile(values: Sequence[float], target: float, bound: float,
                 epsilon: float, delta: float, steps: int = 20, lr: float = 0.2,
                 rng: Optional[np.random.Generator] = None,
                 zero_noise: bool = False) -> float:
-    """Iterative DP quantile from noisy below-threshold fractions."""
-    q, _ = _dp_quantile_with_scale(values, target, bound, epsilon, delta,
-                                   steps, lr, rng, zero_noise)
-    return q
-
-
-def _dp_quantile_with_scale(values, target, bound, epsilon, delta,
-                            steps=20, lr=0.2, rng=None, zero_noise=False):
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("values must be a non-empty 1-D sequence")
+    """Iterative DP quantile from noisy below-threshold fractions, its
+    `steps` counting queries calibrated to (epsilon, delta) on their own."""
+    v = _clamped(values, bound)
     if not 0.0 < target < 1.0:
         raise ValueError("quantile target must be in (0, 1)")
-    if bound <= 0:
-        raise ValueError("bound must be > 0")
-    n = v.size
-    v = np.clip(v, 0.0, bound)
-    if zero_noise or epsilon == math.inf:
-        scale = 0.0
-    else:
-        scale = calibrate_gaussian_scale(1.0, epsilon, delta, queries=steps)
-        if scale > n / 4:
-            raise BudgetInfeasibleError(
-                f"count noise scale {scale:.1f} exceeds n/4 = {n / 4:.1f}; "
-                f"the noisy fractions would be meaningless")
-    rng = np.random.default_rng() if rng is None else rng
-    floor = 1e-6 * bound
-    q = bound / 2.0
-    for _ in range(steps):
-        count = float(np.sum(v <= q))
-        if scale > 0.0:
-            count += scale * float(rng.standard_normal())
-        frac = count / n
-        q = min(max(q * math.exp(-lr * (frac - target)), floor), bound)
-    return float(q), scale
+    std = 0.0 if zero_noise or epsilon == math.inf \
+        else calibrate_gaussian_scale(1.0, epsilon, delta, queries=steps)
+    return _noisy_quantile(v, target, bound, std, steps, lr, rng)
 
 
 @dataclass
@@ -163,13 +163,13 @@ class ReleasedStats:
     def to_json(self, path: str) -> None:
         doc = {
             "format": "idpacct-release",
-            "version": 1,
+            "version": 2,
             "mean": self.mean,
             "quantiles": {str(k): v for k, v in self.quantiles.items()},
             "budget": self.budget,
             "zero_noise": self.zero_noise,
         }
-        atomic_write_text(path, json.dumps(doc, indent=1) + "\n")
+        atomic_write(path, json.dumps(doc, indent=1) + "\n")
 
     @classmethod
     def from_json(cls, path: str) -> "ReleasedStats":
@@ -177,7 +177,7 @@ class ReleasedStats:
             doc = json.load(f)
         if doc.get("format") != "idpacct-release":
             raise ValueError(f"{path}: not a release file")
-        if doc.get("version") != 1:
+        if doc.get("version") != 2:
             raise ValueError(f"{path}: unsupported release version {doc.get('version')!r}")
         return cls(mean=doc["mean"],
                    quantiles={float(k): v for k, v in doc["quantiles"].items()},
@@ -185,44 +185,39 @@ class ReleasedStats:
 
 
 def release_all(values: Sequence[float], config: ReleaseConfig) -> ReleasedStats:
-    """Release the clamped mean and the configured quantiles, splitting the
-    budget evenly across the 1 + len(quantiles) releases, then recompute
-    the realized budget by composing every constituent query's RDP curve."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("values must be a non-empty 1-D sequence")
-    rng = np.random.default_rng(config.seed)
+    """Release the clamped mean and the configured quantiles as one
+    Gaussian mechanism of multiplier m, calibrated once.  The mean and each
+    quantile get an even 1/(1 + Q) share of 1/m^2, a quantile's share spread
+    over its `quantile_steps` counting queries."""
+    v = _clamped(values, config.bound)
+    n, steps = v.size, config.quantile_steps
     shares = 1 + len(config.quantiles)
-    share = config.epsilon / shares
-
-    mean, mean_scale = _dp_mean_with_scale(
-        v, config.bound, share, config.delta, rng, config.zero_noise)
-    quantiles = {}
-    count_scale = 0.0
-    for t in config.quantiles:
-        quantiles[t], count_scale = _dp_quantile_with_scale(
-            v, t, config.bound, share, config.delta, config.quantile_steps,
-            config.quantile_lr, rng, config.zero_noise)
-
     if config.zero_noise:
+        mean_scale = count_scale = 0.0
         realized_eps, realized_order = 0.0, 0
     else:
-        mean_mult = mean_scale / (config.bound / v.size)
-        total = gaussian_rdp_curve(mean_mult, config.orders)
-        per_quantile = gaussian_rdp_curve(count_scale, config.orders) \
-            .scaled(config.quantile_steps)
-        for _ in config.quantiles:
-            total = compose(total, per_quantile)
-        realized_eps, realized_order = rdp_to_dp(total, config.delta)
-        if realized_eps > config.epsilon + 1e-9:
+        m = calibrate_gaussian_scale(1.0, config.epsilon, config.delta,
+                                     orders=config.orders)
+        mean_scale = m * math.sqrt(shares) * config.bound / n
+        count_scale = m * math.sqrt(shares * steps)
+        # recompose the scales actually used: 1/m^2 = sum_j 1/m_j^2
+        inv_sq = ((config.bound / n) / mean_scale) ** 2 \
+            + len(config.quantiles) * steps / count_scale ** 2
+        realized_eps, realized_order = rdp_to_dp(
+            gaussian_rdp_curve(1.0 / math.sqrt(inv_sq), config.orders), config.delta)
+        if realized_eps > config.epsilon:
             raise BudgetInfeasibleError(
                 f"composed budget {realized_eps:.6f} exceeds configured "
                 f"{config.epsilon:.6f}")
 
+    rng = np.random.default_rng(config.seed)
+    mean = _noisy_mean(v, mean_scale, rng)
+    quantiles = {t: _noisy_quantile(v, t, config.bound, count_scale, steps,
+                                    config.quantile_lr, rng)
+                 for t in config.quantiles}
     budget = {
         "configured_epsilon": config.epsilon,
         "delta": config.delta,
-        "per_release_epsilon": share,
         "mean_noise_scale": mean_scale,
         "count_noise_scale": count_scale,
         "realized_epsilon": realized_eps,

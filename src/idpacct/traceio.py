@@ -28,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fileio import atomic_write_bytes, atomic_write_text
+from ._fileio import atomic_write
 from .accountant import AccountantConfig, IndividualLedger
+from .rdp_math import _check_fields
 
 TRACE_VERSION = 2
 _HEADER_KEYS = {"version", "n", "clip", "noise_std", "sampling_prob",
@@ -57,10 +58,7 @@ class TraceHeader:
     version: int = TRACE_VERSION
 
     def __post_init__(self):
-        for name in ("n", "steps", "frequency"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_fields(self, integers=("n", "steps", "frequency"))
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.steps < 1:
@@ -103,7 +101,7 @@ def write_trace(path: str, header: TraceHeader, norms: np.ndarray) -> None:
     """``norms`` has one row per refresh step, one column per example."""
     norms = _check_matrix(header, norms)
     lines = [json.dumps(header.to_dict())] + [json.dumps(row) for row in norms.tolist()]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _parse_header(line: str) -> TraceHeader:
@@ -187,7 +185,7 @@ def write_trace_npz(path: str, header: TraceHeader, norms: np.ndarray) -> None:
     buf = io.BytesIO()
     np.savez_compressed(buf, header=np.frombuffer(
         json.dumps(header.to_dict()).encode(), dtype=np.uint8), norm=norms)
-    atomic_write_bytes(path, buf.getvalue())
+    atomic_write(path, buf.getvalue())
 
 
 def read_trace_npz(path: str) -> tuple[TraceHeader, np.ndarray]:
@@ -240,7 +238,7 @@ def write_losses_csv(path: str, losses, groups=None) -> None:
     for i in range(losses.size):
         g = "" if groups is None else int(groups[i])
         buf.write(f"{i},{g},{repr(float(losses[i]))}\n")
-    atomic_write_text(path, buf.getvalue())
+    atomic_write(path, buf.getvalue())
 
 
 def read_losses_csv(path: str) -> tuple[np.ndarray, np.ndarray | None]:

@@ -107,7 +107,7 @@ def test_config_validation():
                         ("rounding", math.nan), ("rounding", math.inf)]:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             _config(**{name: value})
-    for name in ("noise_std", "max_clip", "sampling_prob", "rounding", "delta"):
+    for name in ("noise_std", "max_clip", "sampling_prob", "rounding", "delta", "frequency"):
         with pytest.raises(ValueError, match=f"{name} must be a number"):
             _config(**{name: True})
     assert _config(rounding=0.01).n_buckets == 100

@@ -103,6 +103,21 @@ def test_simulate_rejects_invalid_values(tmp_path):
     assert main(["simulate", "--config", cfg]) == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"noise_std": float("nan")}, "noise_std must be finite"),   # used to exit 2
+    ({"lr": float("nan")}, "lr must be finite"),                 # used to exit 2
+    ({"n": 50.5}, "n must be an integer"),                       # used to exit 2
+    ({"epochs": 1.5}, "epochs must be an integer"),              # used to exit 2
+    ({"epochs": True}, "epochs must be an integer"),             # used to exit 0
+], ids=["noise_std_nan", "lr_nan", "n_fraction", "epochs_fraction", "epochs_bool"])
+def test_simulate_rejects_bad_config_values(tmp_path, capsys, fields, message):
+    cfg = _sim_config(tmp_path, **fields)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_flag_overrides_config(tmp_path):
     cfg = _sim_config(tmp_path)
     out = tmp_path / "out"

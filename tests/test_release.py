@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from idpacct import release
 from idpacct.release import (
     BudgetInfeasibleError,
     ReleaseConfig,
@@ -17,7 +18,6 @@ from idpacct.release import (
     dp_quantile,
     release_all,
 )
-from idpacct.release import _dp_mean_with_scale
 
 
 # -------------------------------------------------------------- dp_mean ---
@@ -47,11 +47,10 @@ def test_dp_mean_rejects_empty():
 def test_dp_mean_error_within_three_sigma_in_95_of_100_trials():
     values = np.random.default_rng(0).uniform(0, 8, 10_000)
     true = float(np.mean(values))
+    scale = calibrate_gaussian_scale(8.0 / values.size, 0.05, 1e-5)
     hits = 0
-    scale = None
     for seed in range(100):
-        released, scale = _dp_mean_with_scale(
-            values, 8.0, 0.05, 1e-5, rng=np.random.default_rng(1000 + seed))
+        released = dp_mean(values, 8.0, 0.05, 1e-5, rng=np.random.default_rng(1000 + seed))
         if abs(released - true) <= 3 * scale:
             hits += 1
     assert scale > 0
@@ -149,6 +148,41 @@ def test_release_all_realized_budget_never_exceeds_configured():
         assert stats.budget["realized_epsilon"] <= eps + 1e-9
 
 
+@pytest.mark.parametrize("eps", [0.1, 0.3, 1.0, 4.0])
+def test_release_all_spends_the_configured_budget(eps):
+    # the whole release is one calibrated Gaussian, so the realized budget
+    # lands in the calibration window just below the configured one (n is
+    # large enough that the count noise at eps = 0.1 stays under n/4)
+    stats = release_all(_mid_range_values(), ReleaseConfig(epsilon=eps, bound=8.0))
+    assert eps - 1e-3 <= stats.budget["realized_epsilon"] <= eps
+
+
+def test_release_all_calibrates_once(monkeypatch):
+    calls = []
+    calibrate = release.calibrate_noise
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return calibrate(*args, **kwargs)
+
+    monkeypatch.setattr(release, "calibrate_noise", counted)
+    release_all(_mid_range_values(2000, 3), ReleaseConfig(epsilon=1.0, bound=8.0))
+    assert len(calls) == 1    # one per release, not one per statistic
+
+
+def test_release_all_splits_one_multiplier_evenly():
+    # mean std = m sqrt(1+Q) B/n, count std = m sqrt((1+Q) S) for one m
+    v = _mid_range_values(2000, 3)
+    cfg = ReleaseConfig(epsilon=1.0, bound=8.0)
+    budget = release_all(v, cfg).budget
+    shares, steps = 1 + len(cfg.quantiles), cfg.quantile_steps
+    m = calibrate_gaussian_scale(1.0, 1.0, cfg.delta)
+    assert budget["mean_noise_scale"] == pytest.approx(
+        m * math.sqrt(shares) * 8.0 / v.size, rel=1e-12)
+    assert budget["count_noise_scale"] == pytest.approx(m * math.sqrt(shares * steps), rel=1e-12)
+    assert "per_release_epsilon" not in budget
+
+
 def test_release_all_estimates_stay_in_bounds():
     v = np.random.default_rng(5).uniform(0, 20, 5000)       # above the cap
     stats = release_all(v, ReleaseConfig(epsilon=1.0, bound=8.0, seed=2))
@@ -194,6 +228,15 @@ def test_released_stats_json_round_trip(tmp_path):
     assert again.mean == stats.mean
     assert again.quantiles == stats.quantiles
     assert again.budget == stats.budget
+
+
+def test_released_stats_rejects_version_1(tmp_path):
+    stats = release_all(_mid_range_values(1000, 6), ReleaseConfig(epsilon=0.7, bound=8.0))
+    path = tmp_path / "release.json"
+    stats.to_json(str(path))
+    path.write_text(path.read_text().replace('"version": 2', '"version": 1'))
+    with pytest.raises(ValueError, match="unsupported release version 1"):
+        ReleasedStats.from_json(str(path))
 
 
 def test_release_config_validation():

@@ -12,6 +12,7 @@ deterministic under the config seed.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -105,6 +106,13 @@ class SimConfig:
             raise ValueError("delta must be in (0, 1)")
         if self.holdout < 0:
             raise ValueError("holdout must be >= 0")
+        if self.track_ids is not None:
+            ids = tuple(self.track_ids) if isinstance(self.track_ids, Iterable) else None
+            if ids is None or not all(isinstance(i, (int, np.integer))
+                                      and not isinstance(i, bool) for i in ids):
+                raise ValueError(f"track_ids must be a sequence of integers, "
+                                 f"got {self.track_ids!r}")
+            self.track_ids = ids
         self.orders = _check_orders(self.orders)
 
     @property

@@ -69,6 +69,10 @@ class ReleaseConfig:
         qs = list(self.quantiles)
         if any(not 0.0 < q < 1.0 for q in qs):
             raise ValueError("quantile targets must be in (0, 1)")
+        if len(set(qs)) != len(qs):
+            # release_all keys estimates by target: a repeat would spend
+            # budget on an estimate it then drops
+            raise ValueError(f"quantiles must be distinct, got {qs}")
         self.quantiles = tuple(qs)
         if self.quantile_steps < 1:
             raise ValueError("quantile_steps must be >= 1")

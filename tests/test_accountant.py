@@ -26,6 +26,7 @@ from idpacct.accountant import (
     round_to_bucket,
     worst_case_epsilon,
 )
+from idpacct.dpsgd_sim import exact_reference_accounting
 from idpacct.kernel import sgm_rdp_matrix
 from idpacct.rdp_math import (
     RdpCurve,
@@ -40,6 +41,20 @@ def _config(**overrides) -> AccountantConfig:
     base = dict(noise_std=1.0, max_clip=1.0, sampling_prob=0.1, rounding=0.01)
     base.update(overrides)
     return AccountantConfig(**base)
+
+
+def _assert_matches_stepwise(ledger, buckets):
+    """The ledger's accumulated RDP equals sum_t sgm_rdp_curve(q, sigma / z_t)
+    over each example's per-step assigned buckets ((steps, n) ``buckets``),
+    at 1e-12 relative."""
+    cfg = ledger.config
+    values, inverse = np.unique(np.asarray(buckets, dtype=np.float64), return_inverse=True)
+    with np.errstate(divide="ignore"):
+        curves = np.stack([sgm_rdp_curve(cfg.sampling_prob, cfg.noise_std / z,
+                                         cfg.orders).values for z in values])
+    want = curves[inverse.reshape(np.shape(buckets))].sum(axis=0)
+    got = np.stack([ledger.accumulated_rdp(i).values for i in range(ledger.n)])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 # ----------------------------------------------------------- clipping ---
@@ -144,15 +159,18 @@ def test_cache_bounded_by_grid_size(rng, monkeypatch):
     monkeypatch.setattr(accountant, "sgm_rdp_matrix", counting)
     cfg = _config(rounding=0.01, frequency=2)
     ledger = IndividualLedger(10_000, cfg)
+    buckets = []
     for t in range(6):
         if t % 2 == 0:
             # the first refresh reaches only half the grid
             ledger.update_assignments(rng.uniform(0.0, 0.5 * (t + 1), 10_000), step=t)
+        buckets.append(ledger.assigned_buckets())
         ledger.record_step(t)
     ledger.epsilons()
     assert calls == [100]                      # the whole grid, once
     assert len(ledger.cache) == ledger.cache.misses == 100
-    assert ledger.counts().shape == (10_000, 100)
+    assert ledger.counts().shape == (10_000, cfg.orders.size)
+    _assert_matches_stepwise(ledger, buckets)
 
     # the grid is built with _round_array's own expression, so indexing by
     # search finds exactly the rounded value, for any spacing and clip
@@ -184,8 +202,7 @@ def test_static_assignments_count_every_step():
     ledger.update_assignments([0.5, 0.7, 1.0])
     for t in range(7):
         ledger.record_step(t)
-    counts = ledger.counts()
-    assert np.array_equal(counts.sum(axis=1), [7, 7, 7])
+    _assert_matches_stepwise(ledger, [[0.5, 0.7, 1.0]] * 7)
 
 
 def test_same_bucket_identical_curves():
@@ -208,11 +225,7 @@ def test_assignment_change_splits_counts():
     ledger.update_assignments([0.9], step=2)
     ledger.record_step(2)
     ledger.record_step(3)
-    counts = ledger.counts()[0]
-    values = ledger.cache.bucket_values
-    assert counts.sum() == 4
-    assert counts[np.where(values == 0.2)[0][0]] == 2
-    assert counts[np.where(values == 0.9)[0][0]] == 2
+    _assert_matches_stepwise(ledger, [[0.2], [0.2], [0.9], [0.9]])
 
 
 def test_protocol_errors():
@@ -277,6 +290,47 @@ def test_zero_norm_without_rounding_costs_nothing():
         ledger.record_step()
     assert np.all(ledger.accumulated_rdp(0).values == 0.0)
     assert np.all(ledger.accumulated_rdp(1).values > 0.0)
+
+
+def test_exactness_mode_state_does_not_grow_with_distinct_norms():
+    n, refreshes = 2_000, 20
+    cfg = _config(rounding=0.0, frequency=1)
+    ledger = IndividualLedger(n, cfg)
+    rng = np.random.default_rng(3)
+    norms = rng.uniform(0.05, 1.0, (refreshes, n))
+    assert np.unique(norms).size == refreshes * n          # all distinct
+    for t in range(refreshes):
+        ledger.update_assignments(norms[t], step=t)
+        ledger.record_step(t)
+    eps, _ = ledger.epsilons()
+    assert ledger.counts().nbytes == n * cfg.orders.size * 8 < 5_000_000
+    assert len(ledger.cache) == n                          # one refresh's curves
+    assert ledger.cache.misses == refreshes * n
+    want, _ = exact_reference_accounting(norms[:, :50], cfg)
+    np.testing.assert_allclose(eps[:50], want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("rounding", [0.01, 0.0])
+def test_cache_corrupted_after_last_refresh_changes_epsilons(rounding):
+    # the steps since the last refresh are charged at the first query, so a
+    # fault planted in the curve table after training must reach the result
+    ledgers = [IndividualLedger(50, _config(rounding=rounding, frequency=3))
+               for _ in range(2)]
+    rng = np.random.default_rng(4)
+    for t in range(9):
+        norms = rng.uniform(0.0, 1.5, 50) if t % 3 == 0 else None
+        for ledger in ledgers:
+            if norms is not None:
+                ledger.update_assignments(norms, step=t)
+            ledger.record_step(t)
+    clean, corrupt = ledgers
+    corrupt.cache.corrupt_for_testing()
+    hit = corrupt.assigned_buckets() == corrupt.cache.bucket_values[-1]
+    eps_clean, _ = clean.epsilons()
+    eps_corrupt, _ = corrupt.epsilons()
+    assert hit.any()
+    assert np.all(eps_corrupt[hit] > eps_clean[hit])
+    assert np.array_equal(eps_corrupt[~hit], eps_clean[~hit])
 
 
 # ------------------------------------------------------------ epsilon ---
@@ -428,14 +482,21 @@ def test_counts_conserved_under_any_refresh_pattern(data):
     n = data.draw(st.integers(1, 5))
     k = data.draw(st.integers(1, 4))
     steps = data.draw(st.integers(1, 30))
-    cfg = _config(frequency=k)
+    rounding = data.draw(st.sampled_from([0.01, 0.07, 0.0]))
+    cfg = _config(frequency=k, rounding=rounding)
     ledger = IndividualLedger(n, cfg)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31)))
+    buckets = []
     for t in range(steps):
         if t % k == 0:
-            ledger.update_assignments(rng.uniform(0, 2, n), step=t)
+            norms = rng.uniform(0, 2, n)
+            z = np.minimum(norms, cfg.max_clip)
+            if rounding:
+                z = _round_array(z, rounding, cfg.max_clip)
+            ledger.update_assignments(norms, step=t)
+        buckets.append(z)
         ledger.record_step(t)
-    assert np.array_equal(ledger.counts().sum(axis=1), np.full(n, steps))
+    _assert_matches_stepwise(ledger, buckets)
     eps, _ = ledger.epsilons()
     assert np.all(eps <= worst_case_epsilon(cfg, steps) + 1e-9)
 

@@ -109,7 +109,9 @@ def test_simulate_rejects_invalid_values(tmp_path):
     ({"n": 50.5}, "n must be an integer"),                       # used to exit 2
     ({"epochs": 1.5}, "epochs must be an integer"),              # used to exit 2
     ({"epochs": True}, "epochs must be an integer"),             # used to exit 0
-], ids=["noise_std_nan", "lr_nan", "n_fraction", "epochs_fraction", "epochs_bool"])
+    ({"track_ids": [1.7, 2.2]}, "track_ids must be a sequence of integers"),  # used to exit 0
+], ids=["noise_std_nan", "lr_nan", "n_fraction", "epochs_fraction", "epochs_bool",
+        "track_ids_fraction"])
 def test_simulate_rejects_bad_config_values(tmp_path, capsys, fields, message):
     cfg = _sim_config(tmp_path, **fields)
     out = tmp_path / "out"
@@ -310,7 +312,9 @@ def test_release_budget_echo_and_reproducibility(tmp_path, sim_report):
     ({"quantile_steps": True}, "quantile_steps must be a number"),
     ({"bound": float("nan")}, "bound must be finite"),
     ({"epsilon": float("inf")}, "epsilon must be finite"),
-], ids=["epsilon_bool", "quantile_lr_nan", "quantile_steps_bool", "bound_nan", "epsilon_inf"])
+    ({"quantiles": [0.5, 0.5]}, "quantiles must be distinct"),   # used to exit 0
+], ids=["epsilon_bool", "quantile_lr_nan", "quantile_steps_bool", "bound_nan", "epsilon_inf",
+        "quantiles_repeated"])
 def test_release_rejects_bad_config_values(tmp_path, capsys, sim_report, fields, message):
     cfg = _write_config(tmp_path, name="rel.json", **{"epsilon": 1.0, "bound": 40.0, **fields})
     assert main(["release", str(sim_report), "--config", cfg,

@@ -68,6 +68,14 @@ def test_generate_synthetic_deterministic_and_counts():
     assert np.array_equal(a.y, a.groups % 2)
 
 
+def test_sim_config_track_ids_must_be_integers():
+    # fractional ids used to be truncated (1.7 tracked example 1)
+    for bad in ([1.7, 2.2], [True, False], np.asarray([0.0, 1.0]), 3):
+        with pytest.raises(ValueError, match="track_ids"):
+            SimConfig(n=20, track_ids=bad)
+    assert SimConfig(n=20, track_ids=np.arange(3)).track_ids == (0, 1, 2)
+
+
 def test_generate_synthetic_rejects_empty_group():
     with pytest.raises(ValueError):
         generate_synthetic(SimConfig(n=3, group_proportions=(0.999, 0.001)))

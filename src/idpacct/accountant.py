@@ -123,15 +123,29 @@ def clip_sensitivity(norm: float, max_clip: float) -> float:
 
 
 def _round_array(z: np.ndarray, rounding: float, max_clip: float) -> np.ndarray:
-    """Vectorized nearest-grid rounding onto {r, 2r, ..., C}; ties up,
-    zero maps to r (the grid has no zero)."""
+    """Vectorized nearest-grid rounding of z in [0, C] onto {r, 2r, ..., C};
+    ties up, zero maps to r (the grid has no zero).
+
+    With j = floor(z / r), z picks v[j + 1] over v[j], where
+    v[i] = min(clip(i, 1, ceil(C/r)) * r, C), when v[j+1] - z <= z - v[j]
+    in floating point.  That test is monotone in z, so it equals z >= t[j]
+    for the least float t[j] that passes it.  v and t are built over the
+    j present, leaving a few passes over z."""
     jmax = int(math.ceil(max_clip / rounding))
-    j = np.floor(z / rounding)
-    lo = np.clip(j, 1, jmax)
-    hi = np.clip(j + 1, 1, jmax)
-    vlo = np.minimum(lo * rounding, max_clip)
-    vhi = np.minimum(hi * rounding, max_clip)
-    return np.where(vhi - z <= z - vlo, vhi, vlo)
+    j = (z / rounding).astype(np.intp)      # floor, as z >= 0
+    if j.size == 0:
+        return np.empty(z.shape)
+    jlo = int(j.min())
+    v = np.minimum(np.clip(np.arange(jlo, int(j.max()) + 2), 1, jmax) * rounding, max_clip)
+    lo, hi = v[:-1], v[1:]
+    # hi <= 2 lo, so both differences in the test are exact near the
+    # midpoint, and t[j] is the least float >= (lo + hi) / 2: the rounded
+    # midpoint, or the float after it
+    t = lo + (hi - lo) * 0.5
+    t = np.where(hi - t <= t - lo, t, np.nextafter(t, np.inf))
+    j -= jlo
+    j += z >= t.take(j)
+    return v.take(j)
 
 
 def round_to_bucket(z: float, rounding: float, max_clip: float) -> float:

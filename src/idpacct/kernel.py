@@ -5,21 +5,33 @@ the divergence at integer order a is
 
     rho = log1p( sum_{k=2..a} w_k * expm1(e_k) ) / (a - 1),
 
-cancellation-free because the k<2 terms fold into the leading 1.  The terms
-e_k depend only on the row and k, not on the order, so each chunk of rows
-computes them once for k = 2..max(orders).  Terms with e_k <= 36 are summed
-directly through expm1, for every order at once, as one matrix product with
-the (orders x K) weight matrix, which is zero where k > a.  Larger terms
-(where the -1 is below one ulp) are combined per order in log space and
+cancellation-free because the k<2 terms fold into the leading 1.
+
+Everything that depends only on (q, orders) is built once per (q, orders)
+and cached read-only: the half-products k(k-1)/2, the (orders x K)
+log-weight table, which is -inf where k > a, its exponent and the groups
+of orders.  A group is a run of at most _GROUP_SPAN consecutive orders
+whose k = a columns lie within _GROUP_SPAN of each other; the default grid
+makes eight groups over 2..64, then 128 and 256 alone.
+
+The terms e_k depend only on the row and k, so each chunk of rows computes
+them once for k = 2..max(orders).  Terms with e_k <= 36 are summed directly
+through expm1, one matrix product per group over the columns up to the
+group's largest order, which skips most of the zero weights past k = a.
+Larger terms (where the -1 is below one ulp) are combined in log space and
 merged with log-add-exp.  Since e_k rises with k they form a suffix of each
-row, and only the rows with a large term at k = a and only the columns of
-that suffix enter the order's log-space pass.  Any finite multiplier is
-handled without overflow.  Weights below about 1e-308 flush to zero; the
-lost mass is bounded by 1e-292 absolute, far below anything the accountant
-can observe.
+row; rows are sorted by 1/s^2, so within a chunk the rows with a large term
+at k = a form a prefix.  The log-space pass runs once per group, over one
+(rows x orders x columns) slab of e_k + log w_k, where the -inf weights cut
+each order off at k = a.  Any finite multiplier is handled without
+overflow.  Weights below about 1e-308 flush to zero; the lost mass is
+bounded by 1e-292 absolute, far below anything the accountant can observe.
 """
 
 from __future__ import annotations
+
+import functools
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
@@ -28,12 +40,47 @@ BACKEND = "numpy"
 
 _EXPM1_CUTOFF = 36.0
 _CHUNK_CELLS = 1 << 17
+_GROUP_SPAN = 8          # orders per group, and the span of their k = a columns
+
+
+class _OrderTables(NamedTuple):
+    kk: np.ndarray          # k(k-1)/2 for k = 2..K
+    log_w: np.ndarray       # (orders, K-1) log binomial weights, -inf where k > a
+    w_t: np.ndarray         # exp(log_w).T: zero where k > a
+    denom: np.ndarray       # a - 1
+    groups: tuple           # (first order, stop order, highest k = a column)
+
+
+@functools.lru_cache(maxsize=32)
+def _order_tables(q: float, orders: tuple) -> _OrderTables:
+    alphas = np.asarray(orders, dtype=np.int64)
+    k = np.arange(2, alphas.max() + 1, dtype=np.float64)
+    a = alphas[:, None].astype(np.float64)
+    log_w = (gammaln(a + 1.0) - gammaln(k + 1.0) - gammaln(a - k + 1.0)
+             + (a - k) * np.log1p(-q) + k * np.log(q))
+    log_w[k[None, :] > a] = -np.inf
+    last = alphas - 2                       # column of k = a
+    groups = []
+    j0 = 0
+    for j in range(1, alphas.shape[0] + 1):
+        if (j == alphas.shape[0] or j - j0 == _GROUP_SPAN
+                or np.ptp(last[j0:j + 1]) >= _GROUP_SPAN):
+            groups.append((j0, j, int(last[j0:j].max())))
+            j0 = j
+    kk = 0.5 * k * (k - 1.0)
+    w_t = np.exp(log_w).T
+    denom = alphas - 1.0
+    for arr in (kk, log_w, w_t, denom):
+        arr.flags.writeable = False
+    return _OrderTables(kk, log_w, w_t, denom, tuple(groups))
 
 
 def sgm_rdp_matrix(q: float, noise_multipliers, orders) -> np.ndarray:
     """Batched subsampled-Gaussian RDP: one row per noise multiplier, one
     column per integer order. Multipliers must be > 0 (+inf allowed and
     yields zero cost); orders must be integers >= 2."""
+    if np.ndim(q) != 0 or np.asarray(q).dtype == bool:
+        raise ValueError(f"sampling probability must be a real scalar, got {q!r}")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"sampling probability must be in [0, 1], got {q}")
     sig = np.asarray(noise_multipliers, dtype=np.float64)
@@ -63,41 +110,43 @@ def sgm_rdp_matrix(q: float, noise_multipliers, orders) -> np.ndarray:
     live = np.flatnonzero(x > 0.0)
     if live.size == 0:
         return out
-    # largest x first: within a chunk the rows with a large term at order a
-    # then form a prefix, and the per-order suffixes are views
+    # largest x first: within a chunk the rows with a large term at k = a
+    # then form a prefix
     live = live[np.argsort(-x[live], kind="stable")]
+    kk, log_w, w_t, denom, groups = _order_tables(q, tuple(alphas.tolist()))
 
-    K = int(alphas.max())
-    k = np.arange(2, K + 1, dtype=np.float64)
-    kk = 0.5 * k * (k - 1.0)
-    a = alphas[:, None].astype(np.float64)
-    log_w = (gammaln(a + 1.0) - gammaln(k + 1.0) - gammaln(a - k + 1.0)
-             + (a - k) * np.log1p(-q) + k * np.log(q))
-    log_w[k[None, :] > a] = -np.inf
-    w = np.exp(log_w)                       # zero where k > a
-    last = alphas - 2                       # column of k = a
-
-    rows = max(1, _CHUNK_CELLS // k.shape[0])
-    for lo in range(0, live.shape[0], rows):
-        idx = live[lo:lo + rows]
-        with np.errstate(over="ignore"):
+    rows = max(1, _CHUNK_CELLS // kk.shape[0])
+    # e overflowing to inf, inf - inf and log(0) below all have their intended limits
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for lo in range(0, live.shape[0], rows):
+            idx = live[lo:lo + rows]
             e = x[idx, None] * kk
-        small = e <= _EXPM1_CUTOFF
-        n_small = np.count_nonzero(small, axis=1)   # e rises with k
-        res = np.log1p(np.expm1(np.where(small, e, 0.0)) @ w.T)
-        for j, c in enumerate(last):
-            nb = int(np.searchsorted(n_small, c, side="right"))
-            if nb == 0:
-                continue
+            small = e <= _EXPM1_CUTOFF
+            n_small = np.count_nonzero(small, axis=1)   # e rises with k
+            em = np.expm1(np.where(small, e, 0.0))
+            e_big = np.where(small, -np.inf, e)
             k0 = int(n_small[0])
-            log_t = e[:nb, k0:c + 1] + log_w[j, k0:c + 1]
-            log_t[small[:nb, k0:c + 1]] = -np.inf
-            m = np.max(log_t, axis=1, keepdims=True)    # finite or +inf
-            with np.errstate(invalid="ignore"):
+            has_inf = e[0, -1] == np.inf                # the chunk's largest term
+            res = np.empty((idx.shape[0], denom.shape[0]))
+            for j0, j1, c_hi in groups:
+                r = res[:, j0:j1]
+                np.matmul(em[:, :c_hi + 1], w_t[:c_hi + 1, j0:j1], out=r)
+                np.log1p(r, out=r)
+                nb = int(np.searchsorted(n_small, c_hi, side="right"))
+                if nb == 0:
+                    continue
+                # e = +inf past k = a gives inf + (-inf) = nan: no term there
+                log_t = e_big[:nb, None, k0:c_hi + 1] + log_w[j0:j1, k0:c_hi + 1]
+                if has_inf:
+                    log_t[np.isnan(log_t)] = -np.inf
+                # the max is -inf for an order with no large term in the row,
+                # or +inf where e overflowed; shifting by 0 there instead
+                # gives l_big = log(0) = -inf, or log(inf) = +inf
+                m = np.max(log_t, axis=2, keepdims=True)
+                m[~np.isfinite(m)] = 0.0
                 log_t -= m
-            np.exp(log_t, out=log_t)
-            l_big = m[:, 0] + np.log(np.sum(log_t, axis=1))
-            l_big[np.isinf(m[:, 0])] = np.inf
-            res[:nb, j] = np.logaddexp(res[:nb, j], l_big)
-        out[idx] = res / (alphas - 1.0)
+                np.exp(log_t, out=log_t)
+                l_big = m[:, :, 0] + np.log(np.sum(log_t, axis=2))
+                r[:nb] = np.logaddexp(r[:nb], l_big)
+            out[idx] = res / denom
     return out

@@ -102,6 +102,36 @@ def test_round_to_bucket_within_half_step(z, r):
     assert abs(b - z) <= r / 2 + 1e-12 or b in (grid[0], grid[-1])
 
 
+def _round_array_reference(z, rounding, max_clip):
+    """The neighbour-by-neighbour formula that _round_array must reproduce
+    bit for bit."""
+    jmax = int(math.ceil(max_clip / rounding))
+    j = np.floor(z / rounding)
+    lo = np.clip(j, 1, jmax)
+    hi = np.clip(j + 1, 1, jmax)
+    vlo = np.minimum(lo * rounding, max_clip)
+    vhi = np.minimum(hi * rounding, max_clip)
+    return np.where(vhi - z <= z - vlo, vhi, vlo)
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=st.floats(1e-3, 1e3), steps=st.integers(1, accountant.MAX_BUCKETS),
+       stretch=st.floats(1.0, 1.5),
+       js=st.lists(st.integers(0, accountant.MAX_BUCKETS + 1), min_size=1, max_size=30),
+       extra=st.lists(st.floats(0.0, 1.0), max_size=30))
+def test_round_array_matches_reference_formula(c, steps, stretch, js, extra):
+    # r = C / steps, sometimes nudged off so C is not a grid multiple
+    r = min(c, c / steps * stretch)
+    grid = np.asarray(js, dtype=np.float64) * r
+    ties = (np.asarray(js, dtype=np.float64) + 0.5) * r
+    z = np.concatenate([grid, ties, np.asarray(extra) * c, [0.0, c, r, c - r]])
+    z = np.concatenate([z, np.nextafter(z, np.inf), np.nextafter(z, -np.inf)])
+    z = np.clip(z, 0.0, c)
+    got = _round_array(z, r, c)
+    assert np.array_equal(got, _round_array_reference(z, r, c))
+    assert got.dtype == np.float64
+
+
 # ------------------------------------------------------------- config ---
 
 def test_config_validation():

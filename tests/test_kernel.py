@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from idpacct import kernel
 from idpacct.kernel import sgm_rdp_matrix
+from idpacct.rdp_math import default_orders
 
 from conftest import max_rel_diff
 
@@ -138,6 +139,37 @@ def test_batch_matches_single_row_calls(rng):
     assert np.all(got[tiny] == np.inf) and np.all(single[tiny] == np.inf)
 
 
+@pytest.mark.parametrize("q", [1e-4, 0.1, 0.9])
+@pytest.mark.parametrize("orders", [default_orders(), np.asarray([256, 2, 64, 3, 65, 128, 5])],
+                         ids=["default", "unsorted"])
+def test_order_groups_match_single_order_calls(q, orders):
+    # a single-order call has no column past k = a, so a log-space group
+    # that let such terms into an order would show here
+    sigmas = np.concatenate([np.geomspace(1e-3, 1e4, 300), [np.inf, 1e-200]])
+    got = sgm_rdp_matrix(q, sigmas, orders)
+    for j, a in enumerate(orders):
+        single = sgm_rdp_matrix(q, sigmas, [a])[:, 0]
+        assert max_rel_diff(got[:-2, j], single[:-2]) <= 1e-14, a
+        assert single[-2] == 0.0 and single[-1] == np.inf
+    assert np.all(got[-2] == 0.0) and np.all(got[-1] == np.inf)
+
+
+def test_order_tables_are_cached_read_only():
+    sigmas = np.geomspace(1e-2, 1e2, 200)
+    orders, orders2 = default_orders(), np.asarray([3, 7, 100])
+    kernel._order_tables.cache_clear()
+    first = sgm_rdp_matrix(0.01, sigmas, orders)
+    sgm_rdp_matrix(0.2, sigmas, orders)
+    sgm_rdp_matrix(0.01, sigmas, orders2)
+    again = sgm_rdp_matrix(0.01, sigmas, orders)
+    assert np.array_equal(first, again)
+    assert kernel._order_tables.cache_info().hits >= 1
+    tables = kernel._order_tables(0.01, tuple(orders.tolist()))
+    for table in (tables.kk, tables.log_w, tables.w_t, tables.denom):
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+
+
 def test_zero_sampling_rate_gives_zero_curve():
     out = sgm_rdp_matrix(0.0, np.asarray([0.5, 1.0, 2.0]), np.asarray([2, 3, 64]))
     assert np.all(out == 0.0)
@@ -174,6 +206,10 @@ def test_full_sampling_reduces_to_gaussian():
     lambda: sgm_rdp_matrix(0.5, np.asarray([1.0]), np.asarray([1])),
     lambda: sgm_rdp_matrix(0.5, np.asarray([1.0]), np.asarray([2.5])),
     lambda: sgm_rdp_matrix(0.5, np.asarray([[1.0]]), np.asarray([2])),
+    lambda: sgm_rdp_matrix(True, np.asarray([1.0]), np.asarray([2])),
+    lambda: sgm_rdp_matrix(np.bool_(False), np.asarray([1.0]), np.asarray([2])),
+    lambda: sgm_rdp_matrix(np.asarray([0.5]), np.asarray([1.0]), np.asarray([2])),
+    lambda: sgm_rdp_matrix([0.1, 0.2], np.asarray([1.0]), np.asarray([2])),
 ])
 def test_rejects_bad_inputs(bad_call):
     with pytest.raises((ValueError, TypeError)):

@@ -130,6 +130,9 @@ def test_round_array_matches_reference_formula(c, steps, stretch, js, extra):
     got = _round_array(z, r, c)
     assert np.array_equal(got, _round_array_reference(z, r, c))
     assert got.dtype == np.float64
+    # without the small values the intervals present start above j = 0
+    upper = z[z >= c / 2]
+    assert np.array_equal(_round_array(upper, r, c), _round_array_reference(upper, r, c))
 
 
 # ------------------------------------------------------------- config ---

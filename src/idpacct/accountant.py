@@ -8,8 +8,11 @@ clipped norms with rounding disabled.  The grid's ceil(C/r) curves, at most
 MAX_BUCKETS (10,000), are computed once when the ledger is built, so a
 refresh is array indexing only.  Every example is charged at every step,
 sampled or not, using its most recent bucket assignment; assignments
-refresh only when the caller supplies fresh norms.  Conversion to
-per-example (epsilon, delta) happens lazily at query time.
+refresh only when the caller supplies fresh norms.  Charging is lazy too: a
+refresh only records the steps since the previous one with that
+assignment, and the sums are formed when queried, or folded into an
+(n, orders) state once the recorded charges reach a quarter of its size.
+Conversion to per-example (epsilon, delta) happens at query time.
 """
 
 from __future__ import annotations
@@ -30,8 +33,7 @@ from .rdp_math import (RdpCurve, _check_fields, _check_orders, _eps_from_rdp,
 
 
 MAX_BUCKETS = 10_000      # ceil(C/r) bound: the grid's curves are built up front
-_EPS_BLOCK = 4096         # rows per epsilons() block: bounds its float temporaries
-_FLUSH_BLOCK = 8192       # rows per flush block: bounds the gathered-curve temporary
+_BLOCK = 512              # rows per summing block: keeps the gathered curves in cache
 
 
 class LedgerError(RuntimeError):
@@ -216,15 +218,22 @@ class BucketCache:
 
 
 class IndividualLedger:
-    """Per-example accumulated RDP: an (n, orders) float64 array.
+    """Per-example accumulated RDP, charged lazily.
 
     Protocol: update_assignments(norms, t) at every step t with
     t mod frequency == 0 (including t = 0), record_step(t) at every step.
-    Steps since the last refresh accumulate in a single pending counter and
-    are flushed, as pending x each example's current curve, when
-    assignments change or at query time, so per-step cost is O(1) and the
-    state stays n x orders x 8 bytes in both modes.  A ledger is not
-    thread-safe: drive it from one thread.
+    Steps since the last refresh accumulate in a single pending counter, so
+    per-step cost is O(1).  When assignments change, or at a query, the
+    pending steps close into a held charge: ``pending x`` the curve table
+    plus each example's row index into it, in the smallest unsigned dtype
+    that holds one (one or two bytes per example in grid mode).  A refresh
+    therefore costs rounding and indexing, O(n).  Queries sum the held
+    charges in refresh order, block by block of rows.  Once they reach a
+    quarter of the (n, orders) float64 state, the held charges are folded
+    into it (about every ``orders`` refreshes in grid mode, about every
+    refresh in exactness mode), so no state exists before the first fold
+    and ledger memory stays under 1.25 x n x orders x 8 bytes plus one
+    refresh.  A ledger is not thread-safe: drive it from one thread.
     """
 
     def __init__(self, n: int, config: AccountantConfig):
@@ -235,17 +244,57 @@ class IndividualLedger:
         self.cache = BucketCache(config)
         self.steps = 0
         self._assign: Optional[np.ndarray] = None
-        self._rdp = np.zeros((self.n, len(config.orders)))
         self._pending = 0
+        self._rdp: Optional[np.ndarray] = None    # folded state, from the first fold
+        # held charges: (pending x curve table, each example's row in it)
+        self._held: list[tuple[np.ndarray, np.ndarray]] = []
 
-    def _flush(self) -> None:
+    def _close(self) -> None:
+        """Turn the pending steps into a held charge; fold the held charges
+        once they reach a quarter of the state's size."""
         if not self._pending:
             return
-        scaled = self._pending * self.cache.rows
-        for lo in range(0, self.n, _FLUSH_BLOCK):
-            block = self._rdp[lo:lo + _FLUSH_BLOCK]
-            np.add(block, scaled[self._assign[lo:lo + _FLUSH_BLOCK]], out=block)
+        self._held.append((self._pending * self.cache.rows, self._assign))
         self._pending = 0
+        held_bytes = sum(table.nbytes + assign.nbytes for table, assign in self._held)
+        if 4 * held_bytes >= self.n * self.config.orders.size * 8:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Add the held charges into the state, allocated at the first fold."""
+        if not self._held:
+            return
+        state = self._rdp
+        if state is None:
+            state = np.empty((self.n, self.config.orders.size))
+        scratch = np.empty((_BLOCK, self.config.orders.size))
+        for lo in range(0, self.n, _BLOCK):
+            self._sum_rows(lo, state[lo:lo + _BLOCK], scratch)
+        self._rdp = state
+        self._held = []
+
+    def _sum_rows(self, lo: int, out: np.ndarray, scratch: np.ndarray) -> None:
+        """Rows lo:lo + len(out) of the accumulated RDP, written to ``out``:
+        the held charges added in refresh order onto the folded state's
+        rows (``out`` may be those rows), or onto the first charge's rows
+        when no state exists.  Callers pass blocks of at most _BLOCK rows,
+        so the gathered rows stay in cache."""
+        hi = lo + out.shape[0]
+        held = self._held
+        if self._rdp is not None:
+            if not np.may_share_memory(out, self._rdp):
+                out[...] = self._rdp[lo:hi]
+        elif held:
+            table, assign = held[0]
+            np.take(table, assign[lo:hi], axis=0, out=out, mode="clip")
+            held = held[1:]
+        else:
+            out.fill(0.0)
+        # mode="clip" writes to out unbuffered; every index is in range
+        gathered = scratch[:out.shape[0]]
+        for table, assign in held:
+            np.take(table, assign[lo:hi], axis=0, out=gathered, mode="clip")
+            np.add(out, gathered, out=out)
 
     def update_assignments(self, norms: Sequence[float], step: Optional[int] = None) -> None:
         """Re-bucket every example from fresh gradient norms."""
@@ -259,13 +308,15 @@ class IndividualLedger:
                 f"assignments may only change at steps divisible by "
                 f"frequency={self.config.frequency}, got step {step}")
         # charge the old assignments before exactness mode replaces their curves
-        self._flush()
+        self._close()
         z = np.minimum(norms, self.config.max_clip)
         if self.config.rounding > 0:
             z = _round_array(z, self.config.rounding, self.config.max_clip)
         # no-rounding mode keeps exact clipped norms; a zero norm means zero
         # sensitivity, whose multiplier is inf and whose curve is zero
-        self._assign = self.cache.indices_for(z)
+        idx = self.cache.indices_for(z)
+        # the smallest dtype that indexes the table, as held charges keep it
+        self._assign = idx.astype(np.min_scalar_type(max(len(self.cache) - 1, 0)))
 
     def record_step(self, step: Optional[int] = None) -> None:
         """Charge every example one step at its current bucket."""
@@ -283,34 +334,44 @@ class IndividualLedger:
         return self.cache.bucket_values[self._assign]
 
     def counts(self) -> np.ndarray:
-        """The (n, orders) accumulated-RDP state, every step charged.  Only
-        the benchmark's ledger-size probe reads it, under this name; it
+        """The (n, orders) accumulated-RDP state, every step charged: folds
+        the held charges first, allocating the state if no fold has yet.
+        Only the benchmark's ledger-size probe reads it, under this name; it
         stays until a benchmark-only change renames that probe."""
-        self._flush()
+        self._close()
+        self._fold()
+        if self._rdp is None:
+            self._rdp = np.zeros((self.n, self.config.orders.size))
         return self._rdp
 
     def accumulated_rdp(self, i: int) -> RdpCurve:
         """Sum of the charged single-step curves of example i."""
         if not 0 <= i < self.n:
             raise IndexError(f"example index {i} out of range [0, {self.n})")
-        self._flush()
-        return RdpCurve(self.config.orders, self._rdp[i].copy())
+        self._close()
+        row = np.empty((1, self.config.orders.size))
+        self._sum_rows(i, row, np.empty_like(row))
+        return RdpCurve(self.config.orders, row[0])
 
     def epsilon_of(self, i: int, delta: Optional[float] = None) -> tuple[float, int]:
         delta = self.config.delta if delta is None else delta
         return rdp_to_dp(self.accumulated_rdp(i), delta)
 
     def epsilons(self, delta: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
-        """(epsilon, best order) for all examples, converted in blocks of
-        rows so the extra memory is O(block x orders), not O(n x orders)."""
+        """(epsilon, best order) for all examples, summed and converted in
+        blocks of rows so the extra memory is O(block x orders), not
+        O(n x orders)."""
         delta = self.config.delta if delta is None else delta
-        self._flush()
+        self._close()
         eps = np.empty(self.n)
         best = np.empty(self.n, dtype=np.int64)
-        for lo in range(0, self.n, _EPS_BLOCK):
-            block = slice(lo, lo + _EPS_BLOCK)
-            eps[block], best[block] = _eps_from_rdp(self._rdp[block],
-                                                    self.config.orders, delta)
+        summed = np.empty((_BLOCK, self.config.orders.size))
+        scratch = np.empty_like(summed)
+        for lo in range(0, self.n, _BLOCK):
+            block = slice(lo, lo + _BLOCK)
+            rdp = summed[:min(_BLOCK, self.n - lo)]
+            self._sum_rows(lo, rdp, scratch)
+            eps[block], best[block] = _eps_from_rdp(rdp, self.config.orders, delta)
         return eps, best
 
     def report(self, delta: Optional[float] = None,

@@ -126,11 +126,15 @@ def cmd_simulate(args) -> int:
 
 def cmd_account(args) -> int:
     header, norms = _read_input(traceio.read_any_trace, args.trace)
-    ledger = traceio.replay_trace(header, norms,
-                                  delta=args.delta if args.delta is not None else 1e-5)
     labels = None
     if args.losses:
-        _, labels = _read_input(traceio.read_losses_csv, args.losses)
+        losses, labels = _read_input(traceio.read_losses_csv, args.losses)
+        if losses.size != header.n:
+            raise ValidationFailure(
+                f"{args.losses}: losses file has {losses.size} rows but the "
+                f"trace covers {header.n} examples")
+    ledger = traceio.replay_trace(header, norms,
+                                  delta=args.delta if args.delta is not None else 1e-5)
     report = ledger.report(group_labels=labels)
     report.to_json(_out_path(args, "report.json"),
                    unsafe_export_per_example=args.unsafe_export_per_example)

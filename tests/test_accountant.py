@@ -4,6 +4,7 @@ invariants, and the adaptive-vs-fixed enumeration oracle."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from idpacct.dpsgd_sim import exact_reference_accounting
 from idpacct.kernel import sgm_rdp_matrix
 from idpacct.rdp_math import (
     RdpCurve,
+    _eps_from_rdp,
     calibrate_noise,
     compose,
     rdp_to_dp,
@@ -346,24 +348,92 @@ def test_exactness_mode_state_does_not_grow_with_distinct_norms():
 @pytest.mark.parametrize("rounding", [0.01, 0.0])
 def test_cache_corrupted_after_last_refresh_changes_epsilons(rounding):
     # the steps since the last refresh are charged at the first query, so a
-    # fault planted in the curve table after training must reach the result
-    ledgers = [IndividualLedger(50, _config(rounding=rounding, frequency=3))
-               for _ in range(2)]
-    rng = np.random.default_rng(4)
-    for t in range(9):
-        norms = rng.uniform(0.0, 1.5, 50) if t % 3 == 0 else None
-        for ledger in ledgers:
-            if norms is not None:
-                ledger.update_assignments(norms, step=t)
+    # fault planted in the curve table after training must reach the result,
+    # and only through the examples last assigned to the corrupted curve:
+    # charges closed earlier, held or folded, keep their clean curves
+    runs = [(50, 3), (2_000, 3), (2_000, 40)] if rounding else [(50, 3), (50, 12)]
+    for n, refreshes in runs:
+        ledgers = [IndividualLedger(n, _config(rounding=rounding, frequency=3))
+                   for _ in range(2)]
+        rng = np.random.default_rng(4)
+        for t in range(3 * refreshes):
+            norms = rng.uniform(0.0, 1.5, n) if t % 3 == 0 else None
+            for ledger in ledgers:
+                if norms is not None:
+                    ledger.update_assignments(norms, step=t)
+                ledger.record_step(t)
+        clean, corrupt = ledgers
+        if (n, refreshes) == (2_000, 3):
+            assert corrupt._rdp is None         # every charge still held
+        elif refreshes > 3:
+            assert corrupt._rdp is not None     # past the fold point
+        corrupt.cache.corrupt_for_testing()
+        hit = corrupt.assigned_buckets() == corrupt.cache.bucket_values[-1]
+        eps_clean, _ = clean.epsilons()
+        eps_corrupt, _ = corrupt.epsilons()
+        assert hit.any()
+        assert np.all(eps_corrupt[hit] > eps_clean[hit])
+        assert np.array_equal(eps_corrupt[~hit], eps_clean[~hit])
+
+
+def _ledger_and_reference(n, refreshes, rounding, frequency=3, seed=6):
+    """A ledger driven through ``refreshes`` refreshes, and the accumulated
+    RDP summed directly: steps x the example's curve, refresh by refresh."""
+    cfg = _config(rounding=rounding, frequency=frequency)
+    ledger = IndividualLedger(n, cfg)
+    rng = np.random.default_rng(seed)
+    want = np.zeros((n, cfg.orders.size))
+    for r in range(refreshes):
+        ledger.update_assignments(rng.uniform(0.0, 1.5, n), step=r * frequency)
+        rows = ledger.cache.rows.copy()
+        idx = np.searchsorted(ledger.cache.bucket_values, ledger.assigned_buckets())
+        for t in range(r * frequency, (r + 1) * frequency):
             ledger.record_step(t)
-    clean, corrupt = ledgers
-    corrupt.cache.corrupt_for_testing()
-    hit = corrupt.assigned_buckets() == corrupt.cache.bucket_values[-1]
-    eps_clean, _ = clean.epsilons()
-    eps_corrupt, _ = corrupt.epsilons()
-    assert hit.any()
-    assert np.all(eps_corrupt[hit] > eps_clean[hit])
-    assert np.array_equal(eps_corrupt[~hit], eps_clean[~hit])
+        want += frequency * rows[idx]
+    return ledger, want
+
+
+@pytest.mark.parametrize("rounding, refreshes, folded", [
+    (0.01, 5, False), (0.01, 40, True), (0.0, 6, True)],
+    ids=["grid-held", "grid-folded", "exactness"])
+def test_lazy_charges_equal_refresh_order_sum(rounding, refreshes, folded):
+    # held charges are summed in refresh order, onto the folded state or the
+    # first charge, which is the order of a running sum: equal bit for bit
+    n = 3_000 if rounding else 600
+    ledger, want = _ledger_and_reference(n, refreshes, rounding)
+    assert (ledger._rdp is not None) == folded
+    eps, best = ledger.epsilons()
+    want_eps, want_best = _eps_from_rdp(want, ledger.config.orders, ledger.config.delta)
+    assert np.array_equal(eps, want_eps)
+    assert np.array_equal(best, want_best)
+    for i in (0, accountant._BLOCK - 1, accountant._BLOCK, n - 1):
+        assert np.array_equal(ledger.accumulated_rdp(i).values, want[i])
+
+
+def test_ledger_memory_bounded_by_fold_point():
+    n = 50_000
+    cfg = _config(frequency=2)
+    state = n * cfg.orders.size * 8
+    norms = np.random.default_rng(7).uniform(0.0, 1.5, (70, n))
+
+    def peak_bytes(refreshes):
+        ledger = IndividualLedger(n, cfg)
+        tracemalloc.start()
+        try:
+            for r in range(refreshes):
+                ledger.update_assignments(norms[r], step=2 * r)
+                ledger.record_step(2 * r)
+                ledger.record_step(2 * r + 1)
+            ledger.epsilons()
+            return tracemalloc.get_traced_memory()[1], ledger._rdp is not None
+        finally:
+            tracemalloc.stop()
+
+    one, _ = peak_bytes(1)
+    short, folded = peak_bytes(10)
+    assert not folded and short < state          # no (n, orders) array at all
+    long, folded = peak_bytes(70)
+    assert folded and long <= 1.25 * state + one
 
 
 # ------------------------------------------------------------ epsilon ---
@@ -436,7 +506,7 @@ def test_report_uniform_buckets_equal_epsilons():
 
 @pytest.mark.parametrize("rounding", [0.01, 0.0])
 def test_epsilons_blocks_match_epsilon_of(rounding):
-    block = accountant._EPS_BLOCK
+    block = accountant._BLOCK
     n = 2 * block + 3
     ledger = IndividualLedger(n, _config(rounding=rounding, frequency=2))
     rng = np.random.default_rng(0)

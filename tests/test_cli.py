@@ -19,7 +19,7 @@ from idpacct.cli import (
     EXIT_VERIFICATION,
     main,
 )
-from idpacct.traceio import TraceHeader, write_trace
+from idpacct.traceio import TraceHeader, write_losses_csv, write_trace
 
 
 def _write_config(tmp_path, name="cfg.json", **fields):
@@ -192,6 +192,24 @@ def test_account_rejects_bad_header_values(tmp_path, capsys, field, value):
     trace.write_text("\n".join(lines) + "\n")
     assert main(["account", str(trace)]) == EXIT_VALIDATION
     assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("groups", [None, [0, 1]], ids=["no_groups", "groups"])
+def test_account_rejects_losses_of_another_size(tmp_path, capsys, groups):
+    # a 2-row losses file against a 300-example trace: without groups it
+    # used to exit 0, with groups it failed only after the whole replay
+    trace = tmp_path / "t.jsonl"
+    header = TraceHeader(n=300, clip=1.0, noise_std=1.0, sampling_prob=0.1,
+                         frequency=1, rounding=0.01, steps=2)
+    write_trace(str(trace), header, np.full((2, 300), 0.5))
+    losses = tmp_path / "losses.csv"
+    write_losses_csv(str(losses), [0.1, 0.2], groups)
+    out = tmp_path / "out"
+    assert main(["account", str(trace), "--losses", str(losses),
+                 "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"{losses}: losses file has 2 rows but the trace covers 300" in err
+    assert not (out / "report.json").exists()
 
 
 def test_account_missing_file(tmp_path):

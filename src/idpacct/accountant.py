@@ -10,8 +10,10 @@ refresh is array indexing only.  Every example is charged at every step,
 sampled or not, using its most recent bucket assignment; assignments
 refresh only when the caller supplies fresh norms.  Charging is lazy too: a
 refresh only records the steps since the previous one with that
-assignment, and the sums are formed when queried, or folded into an
-(n, orders) state once the recorded charges reach a quarter of its size.
+assignment, and the sums are formed when queried.  Long or repeatedly
+queried runs fold the recorded charges into an (n, orders) state: first
+when they reach a quarter of its size, or at the first refresh or query
+after a full query, and from then on at every refresh and query.
 Conversion to per-example (epsilon, delta) happens at query time.
 """
 
@@ -226,14 +228,22 @@ class IndividualLedger:
     per-step cost is O(1).  When assignments change, or at a query, the
     pending steps close into a held charge: ``pending x`` the curve table
     plus each example's row index into it, in the smallest unsigned dtype
-    that holds one (one or two bytes per example in grid mode).  A refresh
-    therefore costs rounding and indexing, O(n).  Queries sum the held
-    charges in refresh order, block by block of rows.  Once they reach a
-    quarter of the (n, orders) float64 state, the held charges are folded
-    into it (about every ``orders`` refreshes in grid mode, about every
-    refresh in exactness mode), so no state exists before the first fold
-    and ledger memory stays under 1.25 x n x orders x 8 bytes plus one
-    refresh.  A ledger is not thread-safe: drive it from one thread.
+    that holds one (one or two bytes per example in grid mode).  Until the
+    first fold a refresh therefore costs rounding and indexing, O(n), and
+    a query sums the held charges in refresh order, block by block of rows.
+
+    The held charges are folded into an (n, orders) float64 state, which
+    the first fold allocates, once they reach a quarter of its size (at
+    large n, 2 x orders refreshes with up to 256 buckets and orders
+    refreshes with more; in exactness mode, where one charge is about the
+    state's size, usually the second refresh), or at the first refresh or
+    query after a full query (``epsilons``/``report``): a ledger queried
+    during training is being watched.  From the first fold on, every
+    refresh and query folds, so a long or watched run costs what an eager
+    ledger costs.
+    Ledger memory stays under 1.25 x n x orders x 8 bytes plus one
+    refresh, the extra quarter only up to the first fold.  A ledger is not
+    thread-safe: drive it from one thread.
     """
 
     def __init__(self, n: int, config: AccountantConfig):
@@ -248,30 +258,52 @@ class IndividualLedger:
         self._rdp: Optional[np.ndarray] = None    # folded state, from the first fold
         # held charges: (pending x curve table, each example's row in it)
         self._held: list[tuple[np.ndarray, np.ndarray]] = []
+        self._queried = False                     # a full query has run
 
     def _close(self) -> None:
-        """Turn the pending steps into a held charge; fold the held charges
-        once they reach a quarter of the state's size."""
-        if not self._pending:
-            return
-        self._held.append((self._pending * self.cache.rows, self._assign))
-        self._pending = 0
+        """Turn the pending steps into a held charge."""
+        if self._pending:
+            self._held.append((self._pending * self.cache.rows, self._assign))
+            self._pending = 0
+
+    def _fold_due(self) -> bool:
+        """Whether the held charges go into the state now: always once it
+        exists or a full query has run, else when they reach a quarter of
+        its size."""
+        if not self._held:
+            return False
+        if self._rdp is not None or self._queried:
+            return True
         held_bytes = sum(table.nbytes + assign.nbytes for table, assign in self._held)
-        if 4 * held_bytes >= self.n * self.config.orders.size * 8:
-            self._fold()
+        return 4 * held_bytes >= self.n * self.config.orders.size * 8
+
+    def _fold_target(self) -> np.ndarray:
+        """The state to fold into, newly allocated at the first fold."""
+        if self._rdp is None:
+            return np.empty((self.n, self.config.orders.size))
+        return self._rdp
 
     def _fold(self) -> None:
-        """Add the held charges into the state, allocated at the first fold."""
-        if not self._held:
-            return
-        state = self._rdp
-        if state is None:
-            state = np.empty((self.n, self.config.orders.size))
-        scratch = np.empty((_BLOCK, self.config.orders.size))
+        """Add the held charges into the state, if a fold is due."""
+        if self._fold_due():
+            state = self._fold_target()
+            for _ in self._blocks(state):
+                pass
+            self._rdp, self._held = state, []
+
+    def _blocks(self, into: Optional[np.ndarray] = None):
+        """Yield (lo, rows): the accumulated RDP of examples lo:lo + len(rows),
+        in blocks of _BLOCK rows, so the gathered curves stay in cache.  The
+        rows are ``into``'s when given (the state itself, to fold the held
+        charges into it), else those of one reused buffer."""
+        orders = self.config.orders.size
+        buf = np.empty((_BLOCK, orders)) if into is None else None
+        scratch = np.empty((_BLOCK, orders))
         for lo in range(0, self.n, _BLOCK):
-            self._sum_rows(lo, state[lo:lo + _BLOCK], scratch)
-        self._rdp = state
-        self._held = []
+            hi = min(lo + _BLOCK, self.n)
+            rows = buf[:hi - lo] if into is None else into[lo:hi]
+            self._sum_rows(lo, rows, scratch)
+            yield lo, rows
 
     def _sum_rows(self, lo: int, out: np.ndarray, scratch: np.ndarray) -> None:
         """Rows lo:lo + len(out) of the accumulated RDP, written to ``out``:
@@ -309,6 +341,7 @@ class IndividualLedger:
                 f"frequency={self.config.frequency}, got step {step}")
         # charge the old assignments before exactness mode replaces their curves
         self._close()
+        self._fold()
         z = np.minimum(norms, self.config.max_clip)
         if self.config.rounding > 0:
             z = _round_array(z, self.config.rounding, self.config.max_clip)
@@ -334,21 +367,25 @@ class IndividualLedger:
         return self.cache.bucket_values[self._assign]
 
     def counts(self) -> np.ndarray:
-        """The (n, orders) accumulated-RDP state, every step charged: folds
-        the held charges first, allocating the state if no fold has yet.
-        Only the benchmark's ledger-size probe reads it, under this name; it
-        stays until a benchmark-only change renames that probe."""
+        """The (n, orders) accumulated RDP, every step charged: the folded
+        state itself when no charge is held, else a new array, so reading
+        it folds nothing.  Only the benchmark's ledger-size probe reads it,
+        under this name; it stays until a benchmark-only change renames
+        that probe."""
         self._close()
-        self._fold()
-        if self._rdp is None:
-            self._rdp = np.zeros((self.n, self.config.orders.size))
-        return self._rdp
+        if self._rdp is not None and not self._held:
+            return self._rdp
+        out = np.empty((self.n, self.config.orders.size))
+        for _ in self._blocks(out):
+            pass
+        return out
 
     def accumulated_rdp(self, i: int) -> RdpCurve:
         """Sum of the charged single-step curves of example i."""
         if not 0 <= i < self.n:
             raise IndexError(f"example index {i} out of range [0, {self.n})")
         self._close()
+        self._fold()
         row = np.empty((1, self.config.orders.size))
         self._sum_rows(i, row, np.empty_like(row))
         return RdpCurve(self.config.orders, row[0])
@@ -360,18 +397,22 @@ class IndividualLedger:
     def epsilons(self, delta: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
         """(epsilon, best order) for all examples, summed and converted in
         blocks of rows so the extra memory is O(block x orders), not
-        O(n x orders)."""
+        O(n x orders).  When a fold is due, the same pass folds."""
         delta = self.config.delta if delta is None else delta
+        # checked before the pass, which may add the held charges into the
+        # state in place: a failure half-way would charge them twice
+        if not 0.0 < delta < 1.0:
+            raise ValueError(f"delta must be in (0, 1), got {delta}")
         self._close()
+        state = self._fold_target() if self._fold_due() else None
         eps = np.empty(self.n)
         best = np.empty(self.n, dtype=np.int64)
-        summed = np.empty((_BLOCK, self.config.orders.size))
-        scratch = np.empty_like(summed)
-        for lo in range(0, self.n, _BLOCK):
-            block = slice(lo, lo + _BLOCK)
-            rdp = summed[:min(_BLOCK, self.n - lo)]
-            self._sum_rows(lo, rdp, scratch)
+        for lo, rdp in self._blocks(state):
+            block = slice(lo, lo + rdp.shape[0])
             eps[block], best[block] = _eps_from_rdp(rdp, self.config.orders, delta)
+        if state is not None:
+            self._rdp, self._held = state, []
+        self._queried = True
         return eps, best
 
     def report(self, delta: Optional[float] = None,

@@ -402,6 +402,12 @@ def test_lazy_charges_equal_refresh_order_sum(rounding, refreshes, folded):
     n = 3_000 if rounding else 600
     ledger, want = _ledger_and_reference(n, refreshes, rounding)
     assert (ledger._rdp is not None) == folded
+    assert not folded or ledger._held == []      # past the fold, refreshes fold
+    # the benchmark's probe reads counts(): it closes the pending steps
+    # into one more held charge and folds nothing
+    state, held = ledger._rdp, len(ledger._held)
+    assert np.array_equal(ledger.counts(), want)
+    assert ledger._rdp is state and len(ledger._held) == held + 1
     eps, best = ledger.epsilons()
     want_eps, want_best = _eps_from_rdp(want, ledger.config.orders, ledger.config.delta)
     assert np.array_equal(eps, want_eps)
@@ -410,11 +416,51 @@ def test_lazy_charges_equal_refresh_order_sum(rounding, refreshes, folded):
         assert np.array_equal(ledger.accumulated_rdp(i).values, want[i])
 
 
-def test_ledger_memory_bounded_by_fold_point():
-    n = 50_000
-    cfg = _config(frequency=2)
+def test_repeated_queries_fold_held_charges_once():
+    # a ledger queried again is watched during training: its second full
+    # query folds, and from then on refreshes and queries fold at once, so
+    # no query sums more than the one charge closed since the last fold
+    n, frequency = 3_000, 3
+    ledger, want = _ledger_and_reference(n, 5, 0.01, frequency=frequency)
+    orders, delta = ledger.config.orders, ledger.config.delta
+    summed = []
+    sum_rows = ledger._sum_rows
+    ledger._sum_rows = lambda lo, out, scratch: (
+        summed.append(len(ledger._held) if lo == 0 else None), sum_rows(lo, out, scratch))
+
+    def query():
+        summed.clear()
+        eps, best = ledger.epsilons()
+        want_eps, want_best = _eps_from_rdp(want, orders, delta)
+        assert np.array_equal(eps, want_eps) and np.array_equal(best, want_best)
+        return summed[0]
+
+    assert query() == 5 and ledger._rdp is None       # one query: charges held
+    assert query() == 5 and ledger._held == []        # the second folds them
+    assert query() == 0                               # and the third sums none
+    rng = np.random.default_rng(8)
+    for r in range(5, 8):
+        ledger.update_assignments(rng.uniform(0.0, 1.5, n), step=r * frequency)
+        assert ledger._held == []                     # the refresh folded
+        rows = ledger.cache.rows.copy()
+        idx = np.searchsorted(ledger.cache.bucket_values, ledger.assigned_buckets())
+        for t in range(r * frequency, (r + 1) * frequency):
+            ledger.record_step(t)
+        want += frequency * rows[idx]
+        # a bad delta is refused before the pass that folds in place
+        with pytest.raises(ValueError, match="delta"):
+            ledger.epsilons(1.5)
+        assert query() == 1 and ledger._held == []    # the steps since the refresh
+
+
+@pytest.mark.parametrize("rounding, n, refreshes", [(0.01, 50_000, 70), (0.0, 4_000, 6)],
+                         ids=["grid", "exactness"])
+def test_ledger_memory_bounded_by_fold_point(rounding, n, refreshes):
+    cfg = _config(rounding=rounding, frequency=2)
     state = n * cfg.orders.size * 8
-    norms = np.random.default_rng(7).uniform(0.0, 1.5, (70, n))
+    norms = np.random.default_rng(7).uniform(0.0, 1.5, (refreshes, n))
+    if not rounding:
+        assert np.unique(norms).size == norms.size        # all distinct
 
     def peak_bytes(refreshes):
         ledger = IndividualLedger(n, cfg)
@@ -430,10 +476,17 @@ def test_ledger_memory_bounded_by_fold_point():
             tracemalloc.stop()
 
     one, _ = peak_bytes(1)
-    short, folded = peak_bytes(10)
-    assert not folded and short < state          # no (n, orders) array at all
-    long, folded = peak_bytes(70)
-    assert folded and long <= 1.25 * state + one
+    if rounding:
+        short, folded = peak_bytes(10)
+        assert not folded and short < state      # no (n, orders) array at all
+        long, folded = peak_bytes(refreshes)
+        assert folded and long <= 1.25 * state + one
+    else:
+        # a charge is about the state's size, so every refresh folds: past
+        # one refresh's peak, only the state and the curve table the refresh
+        # replaces remain, where each charge left held would add another
+        long, folded = peak_bytes(refreshes)
+        assert folded and long <= 2 * state + one
 
 
 # ------------------------------------------------------------ epsilon ---

@@ -170,10 +170,8 @@ def write_scatter_csv(path: str, report: PrivacyReport, losses: Sequence[float],
         raise ValueError("report has no per-example epsilon values")
     loss = np.asarray(losses, dtype=np.float64)
     log_loss = np.log(np.maximum(loss, LOSS_FLOOR))
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["example_id", "epsilon", "log_loss", "group"])
-    for i in range(report.n):
-        g = "" if groups is None else int(groups[i])
-        w.writerow([i, repr(float(report.epsilons[i])), repr(float(log_loss[i])), g])
-    atomic_write(path, buf.getvalue())
+    gs = [""] * report.n if groups is None else np.asarray(groups, dtype=np.int64).tolist()
+    # the rows csv.writer writes: float repr, CRLF, no field needs quoting
+    rows = zip(range(report.n), report.epsilons.tolist(), log_loss.tolist(), gs, strict=True)
+    atomic_write(path, "example_id,epsilon,log_loss,group\r\n"
+                 + "".join([f"{i},{e!r},{x!r},{g}\r\n" for i, e, x, g in rows]))

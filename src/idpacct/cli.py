@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation failure, 2 runtime failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -40,17 +41,23 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationFailure(message)
 
 
-def _read_input(read, path: str):
-    """``read(path)``, with a missing file or malformed JSON or trace
-    reported as a validation failure that names the path."""
+@contextlib.contextmanager
+def _input_errors(path: str):
+    """Report a missing file or malformed JSON or trace read inside the
+    block as a validation failure that names the path."""
     try:
-        return read(path)
+        yield
     except FileNotFoundError:
         raise ValidationFailure(f"{path}: no such file")
     except json.JSONDecodeError as exc:
         raise ValidationFailure(f"{path}:{exc.lineno}: {exc.msg}")
     except traceio.TraceFormatError as exc:
         raise ValidationFailure(f"{path}: {exc}")
+
+
+def _read_input(read, path: str):
+    with _input_errors(path):
+        return read(path)
 
 
 def _json_file(path: str) -> dict:
@@ -125,7 +132,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_account(args) -> int:
-    header, norms = _read_input(traceio.read_any_trace, args.trace)
+    header, rows = _read_input(traceio.open_trace, args.trace)
     labels = None
     if args.losses:
         losses, labels = _read_input(traceio.read_losses_csv, args.losses)
@@ -133,8 +140,10 @@ def cmd_account(args) -> int:
             raise ValidationFailure(
                 f"{args.losses}: losses file has {losses.size} rows but the "
                 f"trace covers {header.n} examples")
-    ledger = traceio.replay_trace(header, norms,
-                                  delta=args.delta if args.delta is not None else 1e-5)
+    # the rows are read during the replay, so a bad one fails it
+    with _input_errors(args.trace):
+        ledger = traceio.replay_trace(header, rows,
+                                      delta=args.delta if args.delta is not None else 1e-5)
     report = ledger.report(group_labels=labels)
     report.to_json(_out_path(args, "report.json"),
                    unsafe_export_per_example=args.unsafe_export_per_example)
@@ -154,7 +163,8 @@ def cmd_report(args) -> int:
     losses, groups = _read_input(traceio.read_losses_csv, args.losses)
     if losses.size != report.n:
         raise ValidationFailure(
-            f"losses file has {losses.size} rows but the report covers {report.n}")
+            f"{args.losses}: losses file has {losses.size} rows but the report "
+            f"covers {report.n}")
     if groups is None and report.group_labels is not None:
         groups = report.group_labels
     _write_analysis_outputs(args, report, losses, groups)

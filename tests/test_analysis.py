@@ -4,6 +4,7 @@ epsilon histogram with quantile/worst-case markers."""
 from __future__ import annotations
 
 import csv
+import io
 import json
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from idpacct.accountant import PrivacyReport
 from idpacct.analysis import (
+    LOSS_FLOOR,
     DegenerateVarianceError,
     eps_loss_correlation,
     group_summary,
@@ -203,3 +205,27 @@ def test_analysis_writers(tmp_path):
     rows = list(csv.DictReader(spath.read_text().splitlines()))
     assert len(rows) == 60
     assert float(rows[0]["epsilon"]) == eps[0]
+
+
+def _scatter_csv_by_row(report, losses, groups=None) -> str:
+    # the csv.writer loop that write_scatter_csv replaced
+    log_loss = np.log(np.maximum(np.asarray(losses, dtype=np.float64), LOSS_FLOOR))
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["example_id", "epsilon", "log_loss", "group"])
+    for i in range(report.n):
+        g = "" if groups is None else int(groups[i])
+        w.writerow([i, repr(float(report.epsilons[i])), repr(float(log_loss[i])), g])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("with_groups", [False, True], ids=["no_groups", "groups"])
+def test_scatter_csv_matches_csv_writer(tmp_path, with_groups):
+    rng = np.random.default_rng(13)
+    losses = np.concatenate([rng.exponential(size=300), [0.0, 1e-320, 1e300]])
+    eps = np.concatenate([rng.gamma(2.0, 3.0, size=300), [0.0, 5e-324, 1e17]])
+    groups = rng.integers(0, 5, eps.size) if with_groups else None
+    report = _report(eps)
+    path = tmp_path / "scatter.csv"
+    write_scatter_csv(str(path), report, losses, groups)
+    assert path.read_bytes() == _scatter_csv_by_row(report, losses, groups).encode()

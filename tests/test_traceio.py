@@ -3,8 +3,10 @@ validation with line numbers, the binary variant, and replay equivalence."""
 
 from __future__ import annotations
 
+import io
 import json
 import re
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from idpacct.traceio import (
     TRACE_VERSION,
     TraceFormatError,
     TraceHeader,
+    open_trace,
     read_any_trace,
     read_losses_csv,
     read_trace,
@@ -51,7 +54,7 @@ def test_jsonl_round_trip_exact(tmp_path):
     assert got_header.to_dict() == header.to_dict()
     assert np.array_equal(got_norms, norms)      # bit-exact float round trip
     # the header line, then one array of n norms per refresh step
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert len(lines) == 1 + len(header.refresh_steps())
     assert [len(json.loads(line)) for line in lines[1:]] == [header.n] * len(norms)
 
@@ -67,6 +70,69 @@ def test_npz_round_trip_exact(tmp_path):
     with np.load(path) as z:                  # the header implies every step and id
         assert sorted(z.files) == ["header", "norm"]
         assert z["norm"].shape == norms.shape
+
+
+def test_npz_writer_stores_c_order_members_uncompressed(tmp_path):
+    header = _header(n=5, steps=9, frequency=3)
+    norms = np.asfortranarray(_norms(header, seed=1))
+    path = str(tmp_path / "t.npz")
+    write_trace_npz(path, header, norms)
+    with zipfile.ZipFile(path) as zf:
+        assert [m.compress_type for m in zf.infolist()] == [zipfile.ZIP_STORED] * 2
+    with np.load(path) as z:
+        assert z["norm"].flags.c_contiguous
+    assert np.array_equal(read_trace_npz(path)[1], norms)
+
+
+@pytest.mark.parametrize("save, layout", [
+    (np.savez_compressed, lambda a: a),               # the earlier writer
+    (np.savez, np.asfortranarray),
+    (np.savez_compressed, np.asfortranarray),
+    (np.savez, lambda a: a.astype(">f8")),
+], ids=["compressed", "fortran", "compressed_fortran", "big_endian"])
+def test_npz_other_member_layouts_read_back(tmp_path, save, layout):
+    # the collector and the stream accept every archive np.load reads
+    header = _header(n=5, steps=9, frequency=3)
+    norms = _norms(header, seed=3)
+    path = str(tmp_path / "t.npz")
+    save(path, header=np.frombuffer(json.dumps(header.to_dict()).encode(), dtype=np.uint8),
+         norm=layout(norms))
+    got_header, got = read_trace_npz(path)
+    assert got_header.to_dict() == header.to_dict()
+    assert np.array_equal(got, norms)
+    _, rows = open_trace(path)
+    assert np.array_equal(np.array(list(rows)), norms)
+
+
+def test_open_trace_streams_both_formats(tmp_path):
+    header = _header(n=4, steps=10, frequency=3)
+    norms = _norms(header, seed=4)
+    for name, writer in (("t.jsonl", write_trace), ("t.npz", write_trace_npz)):
+        path = str(tmp_path / name)
+        writer(path, header, norms)
+        got_header, rows = open_trace(path)
+        assert got_header.to_dict() == header.to_dict()
+        got = list(rows)
+        assert len(got) == len(norms)
+        assert all(np.array_equal(a, b) for a, b in zip(got, norms))
+
+
+def test_open_trace_checks_header_before_any_row(tmp_path):
+    # a bad header fails at open, while a bad row fails only when reached
+    header = _header()
+    path = str(tmp_path / "t.jsonl")
+    write_trace(path, header, _norms(header))
+    lines = Path(path).read_text().splitlines()
+    Path(path).write_text("\n".join([lines[0], lines[1], "[0.5, 0.5, -1]", lines[3]]) + "\n")
+    _, rows = open_trace(path)
+    next(rows)
+    with pytest.raises(TraceFormatError, match="example 2") as err:
+        next(rows)
+    assert err.value.line == 3
+    Path(path).write_text("\n".join(["{}", *lines[1:]]) + "\n")
+    with pytest.raises(TraceFormatError) as err:
+        open_trace(path)
+    assert err.value.line == 1
 
 
 def test_readme_example_trace_reads(tmp_path):
@@ -114,11 +180,11 @@ def test_future_version_rejected(tmp_path):
     header = _header()
     path = str(tmp_path / "t.jsonl")
     write_trace(path, header, _norms(header))
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     doc = json.loads(lines[0])
     doc["version"] = TRACE_VERSION + 1
     lines[0] = json.dumps(doc)
-    open(path, "w").write("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n")
     with pytest.raises(TraceFormatError, match="version"):
         read_trace(path)
 
@@ -142,11 +208,11 @@ def test_unknown_header_field_rejected(tmp_path):
     header = _header()
     path = str(tmp_path / "t.jsonl")
     write_trace(path, header, _norms(header))
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     doc = json.loads(lines[0])
     doc["surprise"] = 1
     lines[0] = json.dumps(doc)
-    open(path, "w").write("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n")
     with pytest.raises(TraceFormatError):
         read_trace(path)
 
@@ -160,11 +226,11 @@ def test_non_integer_header_count_rejected(tmp_path, field, value, message):
     header = _header()
     path = str(tmp_path / "t.jsonl")
     write_trace(path, header, _norms(header))
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     doc = json.loads(lines[0])
     doc[field] = value
     lines[0] = json.dumps(doc)
-    open(path, "w").write("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n")
     with pytest.raises(TraceFormatError, match=message) as err:
         read_trace(path)
     assert err.value.line == 1
@@ -175,14 +241,14 @@ def _tamper(tmp_path, line_index, new_line):
     header = _header()
     path = str(tmp_path / "t.jsonl")
     write_trace(path, header, _norms(header))
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     if new_line is None:
         del lines[line_index]
     elif line_index == len(lines):
         lines.append(new_line)
     else:
         lines[line_index] = new_line
-    open(path, "w").write("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n")
     return path
 
 
@@ -302,6 +368,23 @@ def test_npz_column_of_wrong_length_rejected(tmp_path, column):
     assert main(["account", path]) == EXIT_VALIDATION
 
 
+def test_npz_short_norm_member_rejected(tmp_path):
+    # a .npy header that promises one row more than the member holds
+    header = _header()
+    norms = _norms(header)
+    npy = io.BytesIO()
+    np.lib.format.write_array_header_1_0(npy, {"descr": "<f8", "fortran_order": False,
+                                               "shape": norms.shape})
+    npy.write(norms[:-1].tobytes())
+    path = str(tmp_path / "t.npz")
+    np.savez(path, header=np.frombuffer(json.dumps(header.to_dict()).encode(), dtype=np.uint8))
+    with zipfile.ZipFile(path, "a") as zf:
+        zf.writestr("norm.npy", npy.getvalue())
+    with pytest.raises(TraceFormatError, match="norm data ends early"):
+        read_trace_npz(path)
+    assert main(["account", path]) == EXIT_VALIDATION
+
+
 def test_npz_old_layout_rejected(tmp_path):
     # the earlier layout: flat step/id/norm columns next to the header
     header = _header()
@@ -344,6 +427,15 @@ def test_replay_matches_direct_ledger():
     assert np.array_equal(a, b)
 
 
+def test_replay_rejects_rows_short_or_long():
+    header = _header(n=4, steps=10, frequency=3)
+    norms = _norms(header, seed=2)
+    with pytest.raises(TraceFormatError, match="missing refresh row for step 9"):
+        replay_trace(header, iter(norms[:-1]))
+    with pytest.raises(TraceFormatError, match="more rows than the header's 4"):
+        replay_trace(header, iter([*norms, norms[0]]))
+
+
 def test_hand_written_trace_matches_manual_composition(tmp_path):
     # 3 examples, 4 steps, refresh every step, no rounding: epsilon must
     # equal composing the per-step curves for each example's clipped norm
@@ -371,6 +463,26 @@ def test_hand_written_trace_matches_manual_composition(tmp_path):
 
 
 # --------------------------------------------------------------- losses ---
+
+def _losses_csv_by_row(losses, groups=None) -> str:
+    # the row-at-a-time writer that write_losses_csv replaced
+    losses = np.asarray(losses, dtype=np.float64)
+    out = "example_id,group,final_loss\n"
+    for i in range(losses.size):
+        g = "" if groups is None else int(groups[i])
+        out += f"{i},{g},{repr(float(losses[i]))}\n"
+    return out
+
+
+@pytest.mark.parametrize("with_groups", [False, True], ids=["no_groups", "groups"])
+def test_losses_csv_matches_row_writer(tmp_path, with_groups):
+    rng = np.random.default_rng(5)
+    losses = np.concatenate([rng.exponential(size=200), [0.0, 1e-300, 5e-324, 1e300]])
+    groups = rng.integers(0, 7, losses.size) if with_groups else None
+    path = tmp_path / "l.csv"
+    write_losses_csv(str(path), losses, groups)
+    assert path.read_bytes() == _losses_csv_by_row(losses, groups).encode()
+
 
 def test_losses_csv_round_trip(tmp_path):
     losses = np.asarray([0.25, 0.5, 0.125])

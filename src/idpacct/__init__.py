@@ -61,7 +61,6 @@ from .release import (
     release_all,
     release_orders,
 )
-from .traceio import (TraceFormatError, TraceHeader, open_trace, read_trace, replay_trace,
-                      write_trace)
+from .traceio import TraceFormatError, TraceHeader, read_trace, replay_trace, write_trace
 
 __version__ = "0.1.0"

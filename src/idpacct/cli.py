@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 validation failure, 2 runtime failure,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import os
@@ -41,23 +40,17 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationFailure(message)
 
 
-@contextlib.contextmanager
-def _input_errors(path: str):
-    """Report a missing file or malformed JSON or trace read inside the
-    block as a validation failure that names the path."""
+def _read_input(read, path: str):
+    """``read(path)``, with a missing file or malformed JSON or trace
+    reported as a validation failure that names the path."""
     try:
-        yield
+        return read(path)
     except FileNotFoundError:
         raise ValidationFailure(f"{path}: no such file")
     except json.JSONDecodeError as exc:
         raise ValidationFailure(f"{path}:{exc.lineno}: {exc.msg}")
     except traceio.TraceFormatError as exc:
         raise ValidationFailure(f"{path}: {exc}")
-
-
-def _read_input(read, path: str):
-    with _input_errors(path):
-        return read(path)
 
 
 def _json_file(path: str) -> dict:
@@ -132,7 +125,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_account(args) -> int:
-    header, rows = _read_input(traceio.open_trace, args.trace)
+    header, norms = _read_input(traceio.read_any_trace, args.trace)
     labels = None
     if args.losses:
         losses, labels = _read_input(traceio.read_losses_csv, args.losses)
@@ -140,10 +133,8 @@ def cmd_account(args) -> int:
             raise ValidationFailure(
                 f"{args.losses}: losses file has {losses.size} rows but the "
                 f"trace covers {header.n} examples")
-    # the rows are read during the replay, so a bad one fails it
-    with _input_errors(args.trace):
-        ledger = traceio.replay_trace(header, rows,
-                                      delta=args.delta if args.delta is not None else 1e-5)
+    ledger = traceio.replay_trace(header, norms,
+                                  delta=args.delta if args.delta is not None else 1e-5)
     report = ledger.report(group_labels=labels)
     report.to_json(_out_path(args, "report.json"),
                    unsafe_export_per_example=args.unsafe_export_per_example)

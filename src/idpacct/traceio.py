@@ -12,32 +12,20 @@ fixes every value's step and id.
 The binary ``.npz`` variant holds exactly two members: ``header``, the same
 header JSON as bytes, and ``norm``, the (refresh steps x n) float64 matrix
 with the same rows and columns.  The writer stores both uncompressed, with
-``norm`` in C order, so each row is n x 8 contiguous bytes; archives written
-compressed by earlier versions still load.  An archive with any other
-members (such as an older layout with flat ``step``/``id``/``norm`` columns)
-is rejected; re-create it with ``idpacct simulate --binary-trace``.  Both
-formats share the header's version: a trace written under another version
-is rejected, and is re-created with ``idpacct simulate``.
-
-``open_trace`` reads either format as a stream: it parses and checks the
-header at once and returns it with an iterator over the norm rows, so a
-replay holds one row at a time, not the matrix.  The iterator opens the
-file when it is started and closes it when it ends, and raises
-TraceFormatError on a malformed row when it reaches it; an npz stream reads
-its ``norm`` member to the end, so that zipfile checks the member's CRC-32.
-``read_trace``, ``read_trace_npz`` and ``read_any_trace`` collect the rows
-into the matrix.
+``norm`` in C order; archives written compressed by earlier versions still
+load.  An archive with any other members (such as an older layout with flat
+``step``/``id``/``norm`` columns) is rejected; re-create it with
+``idpacct simulate --binary-trace``.  Both formats share the header's
+version: a trace written under another version is rejected, and is
+re-created with ``idpacct simulate``.
 """
 
 from __future__ import annotations
 
-import contextlib
 import io
 import json
 import zipfile
-import zlib
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -166,36 +154,6 @@ def _parse_row(raw: str, n: int, lineno: int) -> np.ndarray:
     return values
 
 
-def _read_jsonl_header(path: str) -> TraceHeader:
-    with open(path) as f:
-        first = f.readline()
-    if not first.strip():
-        raise TraceFormatError("empty trace file", line=1)
-    return _parse_header(first)
-
-
-def _jsonl_rows(path: str, header: TraceHeader) -> Iterator[np.ndarray]:
-    refresh = header.refresh_steps()
-    with open(path) as f:
-        f.readline()
-        rows = 0
-        for rows, raw in enumerate(f, start=1):
-            if rows > len(refresh):
-                raise TraceFormatError(f"more rows than the header's {len(refresh)} "
-                                       "refresh steps", line=rows + 1)
-            yield _parse_row(raw, header.n, rows + 1)
-    if rows < len(refresh):
-        raise TraceFormatError(f"missing refresh row for step {int(refresh[rows])}")
-
-
-def _collect(header: TraceHeader, rows: Iterable[np.ndarray]) -> np.ndarray:
-    # the row iterators yield exactly the header's row count
-    norms = np.empty((len(header.refresh_steps()), header.n))
-    for i, row in enumerate(rows):
-        norms[i] = row
-    return norms
-
-
 def read_trace(path: str) -> tuple[TraceHeader, np.ndarray]:
     """Parse and validate a JSON-Lines trace.
 
@@ -204,8 +162,22 @@ def read_trace(path: str) -> tuple[TraceHeader, np.ndarray]:
     TraceFormatError with its line number; a missing row raises it with
     the row's step.
     """
-    header = _read_jsonl_header(path)
-    return header, _collect(header, _jsonl_rows(path, header))
+    with open(path) as f:
+        first = f.readline()
+        if not first.strip():
+            raise TraceFormatError("empty trace file", line=1)
+        header = _parse_header(first)
+        refresh = header.refresh_steps()
+        norms = np.empty((len(refresh), header.n))
+        rows = 0
+        for rows, raw in enumerate(f, start=1):
+            if rows > len(refresh):
+                raise TraceFormatError(f"more rows than the header's {len(refresh)} "
+                                       "refresh steps", line=rows + 1)
+            norms[rows - 1] = _parse_row(raw, header.n, rows + 1)
+    if rows < len(refresh):
+        raise TraceFormatError(f"missing refresh row for step {int(refresh[rows])}")
+    return header, norms
 
 
 def write_trace_npz(path: str, header: TraceHeader, norms: np.ndarray) -> None:
@@ -218,86 +190,28 @@ def write_trace_npz(path: str, header: TraceHeader, norms: np.ndarray) -> None:
     atomic_write(path, buf.getbuffer())
 
 
-@contextlib.contextmanager
-def _member_errors():
-    """Report a damaged npz member as TraceFormatError: numpy's ValueError on
-    a bad .npy header or short data, zipfile's errors on a bad CRC-32 or
-    deflate stream."""
+def read_trace_npz(path: str) -> tuple[TraceHeader, np.ndarray]:
     try:
-        yield
-    except (ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
-        raise TraceFormatError(f"unreadable array in binary trace: {exc}")
-
-
-def _npy_layout(f) -> tuple[tuple, bool, np.dtype]:
-    """(shape, fortran_order, dtype) from the .npy header at f's position."""
-    version = np.lib.format.read_magic(f)
-    # version 3.0 differs from 2.0 only in allowing UTF-8 field names
-    if version == (1, 0):
-        return np.lib.format.read_array_header_1_0(f)
-    return np.lib.format.read_array_header_2_0(f)
-
-
-def _read_npz_header(path: str) -> tuple[TraceHeader, bool]:
-    """The header of an npz trace, and whether its ``norm`` member can be
-    read row by row (C-order ``<f8``)."""
-    try:
-        zf = zipfile.ZipFile(path)
+        z = np.load(path)
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise TraceFormatError(f"not an .npz archive: {exc}")
-    with zf:
-        names = sorted(zf.namelist())
-        if names != ["header.npy", "norm.npy"]:
-            members = [name.removesuffix(".npy") for name in names]
+    if not isinstance(z, np.lib.npyio.NpzFile):
+        raise TraceFormatError("not an .npz archive")
+    with z:
+        members = sorted(z.files)
+        if members != ["header", "norm"]:
             raise TraceFormatError(
                 f"binary trace holds arrays {members}, expected exactly "
                 "['header', 'norm']; re-create it with `idpacct simulate --binary-trace`")
-        with _member_errors(), zf.open("header.npy") as f:
-            header_col = np.lib.format.read_array(f, allow_pickle=False)
-        with _member_errors(), zf.open("norm.npy") as f:
-            shape, fortran, dtype = _npy_layout(f)
+        try:
+            header_col, norms = z["header"], z["norm"]
+        except (ValueError, zipfile.BadZipFile) as exc:
+            raise TraceFormatError(f"unreadable array in binary trace: {exc}")
     header = _parse_header(bytes(header_col).decode())
-    expected = (len(header.refresh_steps()), header.n)
-    if shape != expected:
-        raise TraceFormatError(
-            f"binary trace column 'norm' has shape {shape}, header implies {expected}")
-    return header, not fortran and dtype == np.dtype("<f8")
-
-
-def _checked_npz_row(row: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(row)) or np.any(row < 0):
-        raise TraceFormatError("binary trace norms must be finite and >= 0")
-    return row
-
-
-def _npz_rows(path: str, header: TraceHeader, by_row: bool) -> Iterator[np.ndarray]:
-    """The ``norm`` rows: n x 8 bytes at a time when ``by_row``, else from
-    the whole member (Fortran order or another dtype)."""
-    nbytes = header.n * 8
-    with zipfile.ZipFile(path) as zf, zf.open("norm.npy") as f:
-        if by_row:
-            with _member_errors():
-                _npy_layout(f)
-            for _ in range(len(header.refresh_steps())):
-                with _member_errors():
-                    buf = f.read(nbytes)
-                if len(buf) < nbytes:
-                    raise TraceFormatError("binary trace norm data ends early")
-                yield _checked_npz_row(np.frombuffer(buf, dtype="<f8"))
-        else:
-            with _member_errors():
-                norms = np.asarray(np.lib.format.read_array(f, allow_pickle=False),
-                                   dtype=np.float64)
-            for row in norms:
-                yield _checked_npz_row(row)
-        with _member_errors():
-            while f.read(1 << 20):      # to the member's end, where zipfile checks its CRC-32
-                pass
-
-
-def read_trace_npz(path: str) -> tuple[TraceHeader, np.ndarray]:
-    header, by_row = _read_npz_header(path)
-    return header, _collect(header, _npz_rows(path, header, by_row))
+    try:
+        return header, _check_matrix(header, norms)
+    except ValueError as exc:
+        raise TraceFormatError(f"binary trace {exc}")
 
 
 def read_any_trace(path: str) -> tuple[TraceHeader, np.ndarray]:
@@ -306,41 +220,16 @@ def read_any_trace(path: str) -> tuple[TraceHeader, np.ndarray]:
     return read_trace(path)
 
 
-def open_trace(path: str) -> tuple[TraceHeader, Iterator[np.ndarray]]:
-    """Stream a trace of either format, chosen by the extension as in
-    ``read_any_trace``: the header, parsed and checked now, and an iterator
-    over the refresh rows, which opens the file only when started.  A bad
-    row, a missing or extra row, or a damaged npz member raises
-    TraceFormatError when the iterator reaches it."""
-    if path.endswith(".npz"):
-        header, by_row = _read_npz_header(path)
-        return header, _npz_rows(path, header, by_row)
-    header = _read_jsonl_header(path)
-    return header, _jsonl_rows(path, header)
-
-
-_NO_ROW = object()
-
-
-def replay_trace(header: TraceHeader, norms: Iterable, delta: float = 1e-5,
+def replay_trace(header: TraceHeader, norms: np.ndarray, delta: float = 1e-5,
                  orders=None) -> IndividualLedger:
     """Drive a fresh ledger through the recorded run: an assignment refresh
-    at every row's step, one charged step per training step.  ``norms`` is
-    the (refresh steps x n) matrix or any iterable of its rows, such as the
-    iterator of ``open_trace``; TraceFormatError if it holds fewer or more
-    rows than the header's refresh steps."""
-    refresh = header.refresh_steps().tolist()
+    at every row's step, one charged step per training step."""
+    norms = _check_matrix(header, norms)
     ledger = IndividualLedger(header.n, header.to_config(delta=delta, orders=orders))
-    rows = iter(norms)
-    for start in refresh:
-        row = next(rows, _NO_ROW)
-        if row is _NO_ROW:
-            raise TraceFormatError(f"missing refresh row for step {start}")
+    for row, start in zip(norms, header.refresh_steps().tolist()):
         ledger.update_assignments(row, step=start)
         for t in range(start, min(start + header.frequency, header.steps)):
             ledger.record_step(t)
-    if next(rows, _NO_ROW) is not _NO_ROW:
-        raise TraceFormatError(f"more rows than the header's {len(refresh)} refresh steps")
     return ledger
 
 

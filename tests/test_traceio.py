@@ -19,7 +19,6 @@ from idpacct.traceio import (
     TRACE_VERSION,
     TraceFormatError,
     TraceHeader,
-    open_trace,
     read_any_trace,
     read_losses_csv,
     read_trace,
@@ -91,7 +90,7 @@ def test_npz_writer_stores_c_order_members_uncompressed(tmp_path):
     (np.savez, lambda a: a.astype(">f8")),
 ], ids=["compressed", "fortran", "compressed_fortran", "big_endian"])
 def test_npz_other_member_layouts_read_back(tmp_path, save, layout):
-    # the collector and the stream accept every archive np.load reads
+    # the reader accepts every archive np.load reads, as earlier versions wrote them
     header = _header(n=5, steps=9, frequency=3)
     norms = _norms(header, seed=3)
     path = str(tmp_path / "t.npz")
@@ -100,39 +99,6 @@ def test_npz_other_member_layouts_read_back(tmp_path, save, layout):
     got_header, got = read_trace_npz(path)
     assert got_header.to_dict() == header.to_dict()
     assert np.array_equal(got, norms)
-    _, rows = open_trace(path)
-    assert np.array_equal(np.array(list(rows)), norms)
-
-
-def test_open_trace_streams_both_formats(tmp_path):
-    header = _header(n=4, steps=10, frequency=3)
-    norms = _norms(header, seed=4)
-    for name, writer in (("t.jsonl", write_trace), ("t.npz", write_trace_npz)):
-        path = str(tmp_path / name)
-        writer(path, header, norms)
-        got_header, rows = open_trace(path)
-        assert got_header.to_dict() == header.to_dict()
-        got = list(rows)
-        assert len(got) == len(norms)
-        assert all(np.array_equal(a, b) for a, b in zip(got, norms))
-
-
-def test_open_trace_checks_header_before_any_row(tmp_path):
-    # a bad header fails at open, while a bad row fails only when reached
-    header = _header()
-    path = str(tmp_path / "t.jsonl")
-    write_trace(path, header, _norms(header))
-    lines = Path(path).read_text().splitlines()
-    Path(path).write_text("\n".join([lines[0], lines[1], "[0.5, 0.5, -1]", lines[3]]) + "\n")
-    _, rows = open_trace(path)
-    next(rows)
-    with pytest.raises(TraceFormatError, match="example 2") as err:
-        next(rows)
-    assert err.value.line == 3
-    Path(path).write_text("\n".join(["{}", *lines[1:]]) + "\n")
-    with pytest.raises(TraceFormatError) as err:
-        open_trace(path)
-    assert err.value.line == 1
 
 
 def test_readme_example_trace_reads(tmp_path):
@@ -380,7 +346,7 @@ def test_npz_short_norm_member_rejected(tmp_path):
     np.savez(path, header=np.frombuffer(json.dumps(header.to_dict()).encode(), dtype=np.uint8))
     with zipfile.ZipFile(path, "a") as zf:
         zf.writestr("norm.npy", npy.getvalue())
-    with pytest.raises(TraceFormatError, match="norm data ends early"):
+    with pytest.raises(TraceFormatError, match="unreadable array in binary trace"):
         read_trace_npz(path)
     assert main(["account", path]) == EXIT_VALIDATION
 
@@ -425,15 +391,6 @@ def test_replay_matches_direct_ledger():
     a, _ = replayed.epsilons()
     b, _ = direct.epsilons()
     assert np.array_equal(a, b)
-
-
-def test_replay_rejects_rows_short_or_long():
-    header = _header(n=4, steps=10, frequency=3)
-    norms = _norms(header, seed=2)
-    with pytest.raises(TraceFormatError, match="missing refresh row for step 9"):
-        replay_trace(header, iter(norms[:-1]))
-    with pytest.raises(TraceFormatError, match="more rows than the header's 4"):
-        replay_trace(header, iter([*norms, norms[0]]))
 
 
 def test_hand_written_trace_matches_manual_composition(tmp_path):

@@ -116,18 +116,21 @@ class HistogramResult:
 def histogram(report: PrivacyReport, bins: int = 30,
               marker_fractions: Sequence[float] = (0.3, 0.5, 0.7)) -> HistogramResult:
     """Counts of per-example epsilon over [0, worst-case epsilon], with
-    empirical quantile markers and the worst-case position."""
+    empirical quantile markers and the worst-case position.  Values a few
+    ulps above the worst case (summed charges of a saturated example) count
+    in the last bin."""
     if report.epsilons is None:
         raise ValueError("report has no per-example epsilon values")
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    counts, edges = np.histogram(report.epsilons, bins=bins,
-                                 range=(0.0, report.worst_epsilon))
+    worst = report.worst_epsilon
+    counts, edges = np.histogram(np.minimum(report.epsilons, worst), bins=bins,
+                                 range=(0.0, worst))
     markers = {float(f): float(np.quantile(report.epsilons, f))
                for f in marker_fractions}
     return HistogramResult(edges=edges, counts=counts,
                            quantile_markers=markers,
-                           worst_marker=report.worst_epsilon)
+                           worst_marker=worst)
 
 
 def write_analysis_json(path: str, corr: Optional[CorrelationResult],

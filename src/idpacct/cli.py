@@ -133,8 +133,7 @@ def cmd_account(args) -> int:
             raise ValidationFailure(
                 f"{args.losses}: losses file has {losses.size} rows but the "
                 f"trace covers {header.n} examples")
-    ledger = traceio.replay_trace(header, norms,
-                                  delta=args.delta if args.delta is not None else 1e-5)
+    ledger = traceio.replay_trace(header, norms, delta=args.delta)
     report = ledger.report(group_labels=labels)
     report.to_json(_out_path(args, "report.json"),
                    unsafe_export_per_example=args.unsafe_export_per_example)
@@ -226,6 +225,9 @@ _SUITES = {"oracle": _suite_oracle, "adaptive": _suite_adaptive, "sim": _suite_s
 
 def cmd_verify(args) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
+    if args.corrupt_cache and "sim" not in names:
+        raise ValidationFailure(
+            f"--corrupt-cache applies only to the sim suite, not --suite {args.suite}")
     results = {}
     t0 = time.perf_counter()
     for name in names:
@@ -249,20 +251,22 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Per-example DP-SGD accounting pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, zero_noise=False):
-        p.add_argument("--config", metavar="PATH", help="JSON config file")
-        p.add_argument("--seed", type=int, metavar="U64")
-        p.add_argument("--delta", type=float, metavar="REAL")
-        p.add_argument("--out", metavar="DIR", default=".",
-                       help="output directory (default: current)")
-        p.add_argument("--unsafe-export-per-example", action="store_true",
-                       help="include per-example epsilon values in outputs")
-        if zero_noise:
-            p.add_argument("--zero-noise", action="store_true",
-                           help="skip noise injection (debugging only; not private)")
+    shared = {
+        "--config": dict(metavar="PATH", help="JSON config file"),
+        "--seed": dict(type=int, metavar="U64"),
+        "--delta": dict(type=float, metavar="REAL"),
+        "--out": dict(metavar="DIR", default=".",
+                      help="output directory (default: current)"),
+        "--unsafe-export-per-example": dict(
+            action="store_true", help="include per-example epsilon values in outputs"),
+    }
+
+    def common(p, *flags):
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
 
     p = sub.add_parser("simulate", help="train on synthetic data with accounting")
-    common(p)
+    common(p, "--config", "--seed", "--delta", "--out", "--unsafe-export-per-example")
     p.add_argument("--clipping", choices=["max", "individual"])
     p.add_argument("--rounding", type=float, metavar="REAL",
                    help="sensitivity grid spacing r (0 disables rounding)")
@@ -274,29 +278,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("account", help="build a privacy report from a norm trace")
-    common(p)
+    common(p, "--out", "--unsafe-export-per-example")
     p.add_argument("trace", help="trace file (.jsonl or .npz)")
+    p.add_argument("--delta", type=float, metavar="REAL", default=1e-5,
+                   help="target delta (default: 1e-5); a trace holds no delta, "
+                        "so a simulate run at another delta needs the same "
+                        "--delta here to reproduce its report")
     p.add_argument("--losses", metavar="PATH",
                    help="optional losses CSV supplying group labels")
     p.set_defaults(func=cmd_account)
 
     p = sub.add_parser("report", help="regenerate analysis outputs from a report")
-    common(p)
+    common(p, "--out", "--unsafe-export-per-example")
     p.add_argument("report", help="report JSON (with per-example values)")
     p.add_argument("--losses", metavar="PATH", required=True)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("release", help="differentially private epsilon statistics")
-    common(p, zero_noise=True)
+    common(p, "--config", "--seed", "--delta", "--out")
+    p.add_argument("--zero-noise", action="store_true",
+                   help="skip noise injection (debugging only; not private)")
     p.add_argument("report", help="report JSON (with per-example values)")
     p.set_defaults(func=cmd_release)
 
     p = sub.add_parser("verify", help="run the numerical oracle suites")
-    common(p)
     p.add_argument("--suite", choices=["all"] + sorted(_SUITES), default="all")
     p.add_argument("--corrupt-cache", action="store_true",
                    help="negative-control test hook: corrupt a cached curve "
-                        "and confirm the mismatch is detected")
+                        "and confirm the mismatch is detected (sim suite only)")
     p.set_defaults(func=cmd_verify)
     return parser
 

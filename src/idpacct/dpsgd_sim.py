@@ -61,7 +61,6 @@ class SimConfig:
     delta: float = 1e-5
     seed: int = 0
     track_ids: Optional[Sequence[int]] = None
-    holdout: int = 0
     orders: np.ndarray = field(default_factory=default_orders)
 
     def __post_init__(self):
@@ -72,7 +71,7 @@ class SimConfig:
                                      "delta") + optional,
                       finite=("separation", "lr", "noise_std")
                       + (("rounding",) if self.rounding is not None else ()),
-                      integers=("n", "d", "hidden", "epochs", "gamma", "seed", "holdout"))
+                      integers=("n", "d", "hidden", "epochs", "gamma", "seed"))
         if self.n < 1 or self.d < 1:
             raise ValueError("n and d must be >= 1")
         props = np.asarray(self.group_proportions, dtype=np.float64)
@@ -104,8 +103,6 @@ class SimConfig:
             raise ValueError(f"unknown clipping mode {self.clipping!r}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
-        if self.holdout < 0:
-            raise ValueError("holdout must be >= 0")
         if self.track_ids is not None:
             ids = tuple(self.track_ids) if isinstance(self.track_ids, Iterable) else None
             if ids is None or not all(isinstance(i, (int, np.integer))

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import zipfile
 from dataclasses import dataclass
 
@@ -242,11 +243,14 @@ def write_losses_csv(path: str, losses, groups=None) -> None:
 
 
 def read_losses_csv(path: str) -> tuple[np.ndarray, np.ndarray | None]:
-    """Losses and group labels (None when no row has one) from a file as
-    written by ``write_losses_csv``: row i must carry example_id i."""
+    """Losses and group labels (None when every group cell is blank) from a
+    file as written by ``write_losses_csv``: row i must carry example_id i,
+    every loss must be finite, and the group column is all blank or all
+    labelled."""
     import csv
 
     losses, groups = [], []
+    blank = False                # some row has a blank group cell
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         if reader.fieldnames != ["example_id", "group", "final_loss"]:
@@ -257,13 +261,21 @@ def read_losses_csv(path: str) -> tuple[np.ndarray, np.ndarray | None]:
                 raise ValueError(f"{where}: example_id {row['example_id']!r}, expected {i} "
                                  "(rows must be in example order)")
             try:
-                losses.append(float(row["final_loss"]))
+                loss = float(row["final_loss"])
             except (TypeError, ValueError):
                 raise ValueError(f"{where}: final_loss {row['final_loss']!r} is not a number")
-            try:
-                groups.append(int(row["group"]) if row["group"] != "" else -1)
-            except (TypeError, ValueError):
-                raise ValueError(f"{where}: group {row['group']!r} is not an integer")
-    groups_arr = np.asarray(groups, dtype=np.int64)
+            if not math.isfinite(loss):
+                raise ValueError(f"{where}: final_loss {row['final_loss']!r} is not finite")
+            losses.append(loss)
+            if row["group"] == "":
+                blank = True
+            else:
+                try:
+                    groups.append(int(row["group"]))
+                except (TypeError, ValueError):
+                    raise ValueError(f"{where}: group {row['group']!r} is not an integer")
+            if blank and groups:
+                raise ValueError(f"{where}: group column mixes blank and labelled cells; "
+                                 "label every row or none")
     return (np.asarray(losses, dtype=np.float64),
-            None if np.all(groups_arr == -1) else groups_arr)
+            np.asarray(groups, dtype=np.int64) if groups else None)

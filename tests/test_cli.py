@@ -98,6 +98,15 @@ def test_simulate_rejects_unknown_config_keys(tmp_path, capsys):
     assert "not_a_knob" in capsys.readouterr().err
 
 
+def test_simulate_rejects_holdout_key(tmp_path, capsys):
+    # holdout was range-checked and then never read: no example was held out
+    cfg = _sim_config(tmp_path, holdout=20)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+    assert "unknown config keys ['holdout']" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_rejects_invalid_values(tmp_path):
     cfg = _write_config(tmp_path, n=-10)
     assert main(["simulate", "--config", cfg]) == EXIT_VALIDATION
@@ -145,6 +154,26 @@ def test_account_round_trip_reproduces_report(tmp_path, trace, flags):
                  "--out", str(acct_out), "--unsafe-export-per-example"]) == EXIT_OK
     assert (json.loads((sim_out / "report.json").read_text())
             == json.loads((acct_out / "report.json").read_text()))
+
+
+def test_account_reproduces_report_at_simulate_delta(tmp_path):
+    # a trace holds no delta: account reproduces a run at delta 1e-6 only
+    # when given the same --delta
+    cfg = _sim_config(tmp_path, delta=1e-6)
+    sim_out = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(sim_out),
+                 "--unsafe-export-per-example"]) == EXIT_OK
+    expected = json.loads((sim_out / "report.json").read_text())
+    reports = {}
+    for name, flags in (("same", ["--delta", "1e-6"]), ("default", [])):
+        out = tmp_path / name
+        assert main(["account", str(sim_out / "trace.jsonl"),
+                     "--losses", str(sim_out / "losses.csv"), "--out", str(out),
+                     "--unsafe-export-per-example", *flags]) == EXIT_OK
+        reports[name] = json.loads((out / "report.json").read_text())
+    assert reports["same"] == expected
+    assert reports["default"]["delta"] == 1e-5
+    assert reports["default"]["worst_case"]["epsilon"] < expected["worst_case"]["epsilon"]
 
 
 def test_account_saturated_trace_hits_worst_case(tmp_path):
@@ -397,10 +426,58 @@ def test_verify_detects_corrupted_cache(tmp_path, capsys):
     assert summary["pass"] is False
 
 
+@pytest.mark.parametrize("suite", ["oracle", "adaptive"])
+def test_verify_rejects_corrupt_cache_without_sim_suite(capsys, suite):
+    # the hook corrupts the sim suite's ledger; elsewhere it used to be ignored
+    assert main(["verify", "--suite", suite, "--corrupt-cache"]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert "--corrupt-cache applies only to the sim suite" in captured.err
+    assert captured.out == ""
+
+
 # ------------------------------------------------------------ interface ---
 
 def test_unknown_subcommand_is_validation_failure():
     assert main(["frobnicate"]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["account", "{sim}/trace.jsonl", "--config", "{cfg}"], "--config"),
+    (["account", "{sim}/trace.jsonl", "--seed", "3"], "--seed"),
+    (["report", "{sim}/report.json", "--losses", "{sim}/losses.csv",
+      "--config", "{cfg}"], "--config"),
+    (["report", "{sim}/report.json", "--losses", "{sim}/losses.csv",
+      "--seed", "3"], "--seed"),
+    (["report", "{sim}/report.json", "--losses", "{sim}/losses.csv",
+      "--delta", "1e-6"], "--delta"),
+    (["verify", "--suite", "oracle", "--config", "{cfg}"], "--config"),
+    (["verify", "--suite", "oracle", "--seed", "3"], "--seed"),
+    (["verify", "--suite", "oracle", "--delta", "1e-6"], "--delta"),
+    (["verify", "--suite", "oracle", "--out", "{out}"], "--out"),
+    (["verify", "--suite", "oracle", "--unsafe-export-per-example"],
+     "--unsafe-export-per-example"),
+    (["release", "{sim}/report.json", "--config", "{rel}", "--zero-noise",
+      "--unsafe-export-per-example"], "--unsafe-export-per-example"),
+], ids=["account_config", "account_seed", "report_config", "report_seed",
+        "report_delta", "verify_config", "verify_seed", "verify_delta", "verify_out",
+        "verify_unsafe_export", "release_unsafe_export"])
+def test_flag_a_subcommand_does_not_read_is_rejected(tmp_path, capsys, argv, flag):
+    # each of these flags used to be accepted and never read (exit 0)
+    sim_out = tmp_path / "sim"
+    assert main(["simulate", "--config", _sim_config(tmp_path), "--out", str(sim_out),
+                 "--unsafe-export-per-example"]) == EXIT_OK
+    cfg = _sim_config(tmp_path, name="other.json", delta=1e-6)
+    rel = _write_config(tmp_path, name="rel.json", epsilon=1.0, bound=40.0)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = [a.format(sim=sim_out, cfg=cfg, rel=rel, out=out) for a in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(out)]
+    assert main(argv) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: " + flag in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_console_entry_point_runs():

@@ -463,10 +463,25 @@ def test_losses_csv_without_groups(tmp_path):
     ("1,0,0.25\n0,1,0.5\n", "line 2: example_id '1', expected 0"),   # sorted by loss
     ("0,x,0.25\n", "line 2: group 'x' is not an integer"),
     ("0,0,0.25\n1,0,low\n", "line 3: final_loss 'low' is not a number"),
-], ids=["example_order", "group", "loss"])
+    # a mixed group column used to read as a fake group -1
+    ("0,0,0.25\n1,,0.5\n2,1,0.75\n", "line 3: group column mixes blank and labelled"),
+    ("0,,0.25\n1,1,0.5\n", "line 3: group column mixes blank and labelled"),
+    # -inf used to reach analysis.json as -Infinity; nan failed in a least-squares fit
+    ("0,0,0.25\n1,0,-inf\n", "line 3: final_loss '-inf' is not finite"),
+    ("0,0,nan\n", "line 2: final_loss 'nan' is not finite"),
+], ids=["example_order", "group", "loss", "blank_among_labels", "label_after_blank",
+        "loss_minus_inf", "loss_nan"])
 def test_losses_csv_rejects_bad_rows(tmp_path, rows, message):
     path = tmp_path / "l.csv"
     path.write_text("example_id,group,final_loss\n" + rows)
     with pytest.raises(ValueError, match=message) as err:
         read_losses_csv(str(path))
     assert str(path) in str(err.value)
+
+
+def test_losses_csv_keeps_group_minus_one(tmp_path):
+    # -1 is a label like any other; it used to read as "no groups"
+    path = str(tmp_path / "l.csv")
+    write_losses_csv(path, [0.5, 0.75], [-1, -1])
+    _, groups = read_losses_csv(path)
+    assert np.array_equal(groups, [-1, -1])

@@ -24,8 +24,26 @@ row; rows are sorted by 1/s^2, so within a chunk the rows with a large term
 at k = a form a prefix.  The log-space pass runs once per group, over one
 (rows x orders x columns) slab of e_k + log w_k, where the -inf weights cut
 each order off at k = a.  Any finite multiplier is handled without
-overflow.  Weights below about 1e-308 flush to zero; the lost mass is
-bounded by 1e-292 absolute, far below anything the accountant can observe.
+overflow.
+
+Each (row, order) sum of large terms is shifted by its largest term, which
+then contributes exactly 1, and every shifted term below -700 is raised to
+-700 before exp: numpy's exp is several times slower on -inf and on
+results that underflow, and about 120 times slower on subnormal results.
+A raised term adds at most e^-700 < 1e-304, so even the 2^22 columns the
+table cap allows add under 1e-297 to a sum >= 1, far below one ulp.  A
+(row, order) pair with no large term keeps l_big = -inf; the raised cells
+would otherwise be log-added onto its small-term sum.
+
+The weights w_k = exp(log w_k) keep subnormal values down to 5e-324 (q =
+0.01 has 7 of them in the default table) and flush smaller ones to zero.
+Either way a weight is off by at most 2.5e-324 absolute, so a small term
+is off by under 2.5e-324 * e^36 < 1.1e-308, far below anything the
+accountant can observe.
+
+A table holds orders x (largest order - 1) cells per (q, orders).  A grid
+over 2^22 cells (32 MB per table) is rejected with ValueError; q = 0 and
+q = 1 need no table and take any grid.
 """
 
 from __future__ import annotations
@@ -39,7 +57,9 @@ from scipy.special import gammaln
 BACKEND = "numpy"
 
 _EXPM1_CUTOFF = 36.0
+_LOG_FLOOR = -700.0      # shifted log-space terms are raised to this before exp
 _CHUNK_CELLS = 1 << 17
+_MAX_TABLE_CELLS = 1 << 22   # orders x (largest order - 1), per (q, orders) table
 _GROUP_SPAN = 8          # orders per group, and the span of their k = a columns
 
 
@@ -107,6 +127,12 @@ def sgm_rdp_matrix(q: float, noise_multipliers, orders) -> np.ndarray:
         x = 1.0 / (sig * sig)           # s = inf -> x = 0 -> rho = 0; tiny s -> x = inf
     if q == 1.0:
         return 0.5 * x[:, None] * alphas[None, :].astype(np.float64)
+    n_cols = int(alphas.max()) - 1
+    if alphas.shape[0] * n_cols > _MAX_TABLE_CELLS:
+        raise ValueError(
+            f"order grid too large: {alphas.shape[0]} orders x {n_cols} binomial terms "
+            f"(largest order {n_cols + 1}) = {alphas.shape[0] * n_cols} table cells, "
+            f"over the limit of {_MAX_TABLE_CELLS}")
     live = np.flatnonzero(x > 0.0)
     if live.size == 0:
         return out
@@ -123,10 +149,10 @@ def sgm_rdp_matrix(q: float, noise_multipliers, orders) -> np.ndarray:
             e = x[idx, None] * kk
             small = e <= _EXPM1_CUTOFF
             n_small = np.count_nonzero(small, axis=1)   # e rises with k
-            em = np.expm1(np.where(small, e, 0.0))
-            e_big = np.where(small, -np.inf, e)
+            em = np.expm1(e, out=np.zeros_like(e), where=small)
             k0 = int(n_small[0])
             has_inf = e[0, -1] == np.inf                # the chunk's largest term
+            np.copyto(e, -np.inf, where=small)          # e now holds the large terms only
             res = np.empty((idx.shape[0], denom.shape[0]))
             for j0, j1, c_hi in groups:
                 r = res[:, j0:j1]
@@ -136,17 +162,21 @@ def sgm_rdp_matrix(q: float, noise_multipliers, orders) -> np.ndarray:
                 if nb == 0:
                     continue
                 # e = +inf past k = a gives inf + (-inf) = nan: no term there
-                log_t = e_big[:nb, None, k0:c_hi + 1] + log_w[j0:j1, k0:c_hi + 1]
+                log_t = e[:nb, None, k0:c_hi + 1] + log_w[j0:j1, k0:c_hi + 1]
                 if has_inf:
                     log_t[np.isnan(log_t)] = -np.inf
                 # the max is -inf for an order with no large term in the row,
                 # or +inf where e overflowed; shifting by 0 there instead
-                # gives l_big = log(0) = -inf, or log(inf) = +inf
+                # gives l_big = -inf (set below), or log(inf) = +inf
                 m = np.max(log_t, axis=2, keepdims=True)
+                no_large = m[:, :, 0] == -np.inf
                 m[~np.isfinite(m)] = 0.0
                 log_t -= m
+                # keep exp on its fast path (module docstring)
+                np.maximum(log_t, _LOG_FLOOR, out=log_t)
                 np.exp(log_t, out=log_t)
                 l_big = m[:, :, 0] + np.log(np.sum(log_t, axis=2))
+                l_big[no_large] = -np.inf
                 r[:nb] = np.logaddexp(r[:nb], l_big)
             out[idx] = res / denom
     return out

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +105,22 @@ def test_simulate_rejects_holdout_key(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
     assert "unknown config keys ['holdout']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_rejects_oversized_order_grid(tmp_path, capsys):
+    # the kernel's tables for orders [2, 1e8] would take about 9 GB
+    cfg = _sim_config(tmp_path, orders=[2, 100_000_000])
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--config", cfg, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_VALIDATION
+    assert "order grid too large: 2 orders x 99999999 binomial terms" in capsys.readouterr().err
+    assert peak < 16 << 20
     assert not out.exists()
 
 

@@ -4,6 +4,8 @@ cases."""
 
 from __future__ import annotations
 
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -44,7 +46,7 @@ _REFERENCE_RHO = [
 @pytest.mark.parametrize("q,sigma,alpha,expected", _REFERENCE_RHO)
 def test_reference_values_default_backend(q, sigma, alpha, expected):
     got = sgm_rdp_matrix(q, np.asarray([sigma]), np.asarray([alpha]))[0, 0]
-    assert got == pytest.approx(expected, rel=1e-13)
+    assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("q,sigma,alpha,expected", _REFERENCE_RHO)
@@ -55,7 +57,7 @@ def test_reference_values_numpy_backend(q, sigma, alpha, expected):
     sigmas = np.asarray([np.inf, sigma, 2.0 * sigma])
     orders = np.asarray([2, alpha, alpha + 1], dtype=np.int64)
     got = sgm_rdp_matrix(q, sigmas, orders)
-    assert got[1, 1] == pytest.approx(expected, rel=1e-13)
+    assert got[1, 1] == pytest.approx(expected, rel=1e-13, abs=0.0)
     assert np.all(got[0] == 0.0)
 
 
@@ -187,6 +189,58 @@ def test_tiny_multiplier_gives_infinite_curve_quietly(q):
         warnings.simplefilter("error")
         out = sgm_rdp_matrix(q, np.asarray([1e-160, 1e-200]), np.asarray([2, 17]))
     assert np.all(out == np.inf)
+
+
+def test_order_without_large_term_keeps_small_sum():
+    # s^2 = 1/2 gives e_k = k(k-1), first above 36 at k = 7: orders 7..9
+    # share a log-space pass in which order 2 has no large term at all.
+    # rho_2 = log1p(q^2 expm1(2)) is about 6.4e-300, so a log-space term of
+    # e^-700 wrongly added there would show at 4.6e-5 relative.
+    q = 1e-150
+    got = sgm_rdp_matrix(q, [2 ** -0.5], np.arange(2, 10))
+    assert got[0, 0] == pytest.approx(math.log1p(q * q * math.expm1(2.0)), rel=1e-13, abs=0.0)
+
+
+def _log_sum_exp_rho(q, sigma, alpha):
+    """rho_alpha from every binomial term k = 0..alpha in log space, with
+    math.lgamma and math.fsum; also returns the terms and their maximum."""
+    t = [math.lgamma(alpha + 1) - math.lgamma(k + 1) - math.lgamma(alpha - k + 1)
+         + (alpha - k) * math.log1p(-q) + k * math.log(q) + k * (k - 1) / (2 * sigma ** 2)
+         for k in range(alpha + 1)]
+    m = max(t)
+    return (m + math.log(math.fsum(math.exp(v - m) for v in t))) / (alpha - 1), t, m
+
+
+@pytest.mark.parametrize("q,sigma,alpha", [(0.1, 0.3, 256), (0.9, 0.5, 128)])
+def test_terms_far_below_the_maximum_do_not_move_rho(q, sigma, alpha):
+    # nearly every large term lies more than 700 nats below the maximum,
+    # where the log-space pass raises it to -700 before exp
+    expected, t, m = _log_sum_exp_rho(q, sigma, alpha)
+    large = [k for k in range(2, alpha + 1) if k * (k - 1) / (2 * sigma ** 2) > 36]
+    assert sum(t[k] < m - 700 for k in large) >= len(large) - 2
+    got = sgm_rdp_matrix(q, [sigma], [alpha])[0, 0]
+    # the reference itself is within 1.1e-16 of a 60-digit evaluation here
+    assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+def test_oversized_order_grid_rejected_before_allocating():
+    # the per-(q, orders) tables hold orders x (largest order - 1) cells
+    cap = kernel._MAX_TABLE_CELLS
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"2 orders x 100000001 binomial terms"):
+            sgm_rdp_matrix(0.01, [1.0], [2, 100_000_002])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(ValueError, match=rf"2 orders x {cap // 2 + 1} binomial terms"):
+        sgm_rdp_matrix(0.01, [1.0], [2, cap // 2 + 2])
+    with pytest.raises(ValueError, match=r"2999 orders x 2999 binomial terms"):
+        sgm_rdp_matrix(0.5, [1.0], np.arange(2, 3001))
+    # q = 0 and q = 1 build no table
+    assert np.all(sgm_rdp_matrix(0.0, [1.0], [2, 100_000_002]) == 0.0)
+    assert sgm_rdp_matrix(1.0, [1.0], [2, 100_000_002])[0, 1] == 50_000_001.0
 
 
 def test_full_sampling_reduces_to_gaussian():

@@ -7,6 +7,18 @@ the divergence at integer order a is
 
 cancellation-free because the k<2 terms fold into the leading 1.
 
+log C(a, k) is lf[a] - lf[k] - lf[a - k], indexed from one vector of
+log-factorials lf[m] = log m! for m = 0..largest order, so the kernel needs
+numpy alone.  lf starts from math.lgamma, which is up to 3 ulp off (at
+log 2!).  Each step lf[m] - lf[m-1] should be log m and is computed exactly
+for m >= 4, so the running sum of the steps' misses is lgamma's own error;
+taking it off leaves every lf[m] within 1 ulp of log m! (checked against
+60-digit values up to m = 2^21 + 1).  Against math.log(math.comb(a, k)) the
+log-binomials are then off by at most 2.1e-13 on the default grid and
+1.4e-12 on 2..1024, where scipy's gammaln, used before, was off by 4.1e-13
+and 2.4e-12.  Against the gammaln table the output moves by at most
+1.06e-12 relative on the 14,978,700-cell sweep in CHANGES.md.
+
 Everything that depends only on (q, orders) is built once per (q, orders)
 and cached read-only: the half-products k(k-1)/2, the (orders x K)
 log-weight table, which is -inf where k > a, its exponent and the groups
@@ -49,10 +61,10 @@ q = 1 need no table and take any grid.
 from __future__ import annotations
 
 import functools
+import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 BACKEND = "numpy"
 
@@ -74,11 +86,16 @@ class _OrderTables(NamedTuple):
 @functools.lru_cache(maxsize=32)
 def _order_tables(q: float, orders: tuple) -> _OrderTables:
     alphas = np.asarray(orders, dtype=np.int64)
-    k = np.arange(2, alphas.max() + 1, dtype=np.float64)
-    a = alphas[:, None].astype(np.float64)
-    log_w = (gammaln(a + 1.0) - gammaln(k + 1.0) - gammaln(a - k + 1.0)
+    a_max = int(alphas.max())
+    lf = np.fromiter(map(math.lgamma, range(1, a_max + 2)), np.float64, a_max + 1)
+    # lf[m] = log m!.  Each step lf[m] - lf[m-1] should be log m, so the
+    # running sum of the steps' misses is lgamma's own error (module docstring)
+    lf[1:] -= np.cumsum(np.diff(lf) - np.log(np.arange(1, a_max + 1)))
+    k = np.arange(2, a_max + 1)
+    a = alphas[:, None]
+    log_w = (lf[a] - lf[k] - lf[np.maximum(a - k, 0)]
              + (a - k) * np.log1p(-q) + k * np.log(q))
-    log_w[k[None, :] > a] = -np.inf
+    log_w[k > a] = -np.inf
     last = alphas - 2                       # column of k = a
     groups = []
     j0 = 0

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .kernel import sgm_rdp_matrix
 
@@ -225,6 +224,8 @@ def sgm_rdp_quadrature_oracle(
     quadrature runs on an O(1) integrand. The upper integration limit
     grows with alpha because the mixture-vs-base integrand has a mode
     near x = alpha."""
+    from scipy.integrate import quad    # imported here so that only the oracle loads scipy
+
     if alpha <= 1.0:
         raise ValueError(f"order must be > 1, got {alpha}")
     if noise_multiplier <= 0.0:

@@ -524,7 +524,7 @@ def test_toy_epsilon_matches_hand_composition():
         ledger.record_step(t)
     hand = sgm_rdp_curve(0.1, 1.0, cfg.orders).scaled(10)
     expected, _ = rdp_to_dp(hand, 1e-5)
-    assert ledger.epsilon_of(0)[0] == pytest.approx(expected, rel=1e-14)
+    assert ledger.epsilon_of(0)[0] == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 def test_worst_case_strictly_increasing_in_steps():
@@ -570,7 +570,7 @@ def test_epsilons_blocks_match_epsilon_of(rounding):
     eps, orders = ledger.epsilons()
     for i in (0, block - 1, block, 2 * block - 1, 2 * block, n - 1):
         want_eps, want_order = ledger.epsilon_of(i)
-        assert eps[i] == pytest.approx(want_eps, rel=1e-12)
+        assert eps[i] == pytest.approx(want_eps, rel=1e-12, abs=0.0)
         assert orders[i] == want_order
 
 

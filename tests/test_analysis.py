@@ -22,7 +22,6 @@ from idpacct.analysis import (
     write_histogram_csv,
     write_scatter_csv,
 )
-from idpacct.traceio import TraceHeader, replay_trace
 
 
 def _report(epsilons, worst=None) -> PrivacyReport:
@@ -163,11 +162,10 @@ def test_histogram_counts_sum_to_n():
 
 
 def test_histogram_counts_saturated_examples_above_worst_case():
-    # each example's summed charges land a few ulps above rows x steps,
-    # which the histogram over [0, worst] used to drop
-    header = TraceHeader(n=4, clip=1.0, noise_std=1.0, sampling_prob=0.1,
-                         frequency=3, rounding=0.01, steps=30)
-    report = replay_trace(header, np.full((10, 4), 7.0)).report()
+    # a saturated example's summed charges can land a few ulps above the
+    # worst case, which the histogram over [0, worst] used to drop
+    worst = 4.2
+    report = _report(worst + np.spacing(worst) * np.arange(1.0, 5.0), worst=worst)
     assert np.all(report.epsilons > report.worst_epsilon)
     hist = histogram(report)
     assert hist.counts.tolist() == [0] * 29 + [4]

@@ -497,12 +497,49 @@ def test_flag_a_subcommand_does_not_read_is_rejected(tmp_path, capsys, argv, fla
     assert not out.exists()
 
 
-def test_console_entry_point_runs():
+def _run_child(argv, cwd=None):
     # the child imports the same package as this process, installed or not
     src = os.path.dirname(os.path.dirname(idpacct.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-m", "idpacct.cli", "--help"],
-                         capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          cwd=cwd, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_console_entry_point_runs():
+    out = _run_child(["-m", "idpacct.cli", "--help"])
     assert out.returncode == 0
     assert "simulate" in out.stdout and "verify" in out.stdout
+
+
+_SCIPY_PROBE = """
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import idpacct
+from idpacct.cli import main
+seen = {"import": scipy_modules()}
+for argv in [
+    ["simulate", "--config", "cfg.json", "--out", "sim", "--unsafe-export-per-example"],
+    ["account", "sim/trace.jsonl", "--losses", "sim/losses.csv", "--out", "acct",
+     "--unsafe-export-per-example"],
+    ["report", "acct/report.json", "--losses", "sim/losses.csv", "--out", "rep"],
+    ["release", "acct/report.json", "--config", "rel.json", "--out", "rel"],
+]:
+    seen[argv[0]] = [main(argv), scipy_modules()]
+seen["verify"] = main(["verify", "--suite", "oracle"])
+print(json.dumps(seen))
+"""
+
+
+def test_pipeline_loads_no_scipy_until_the_quadrature_oracle(tmp_path):
+    # scipy's import takes most of a fresh process's start-up; only the
+    # quadrature oracle behind `verify` needs it
+    _sim_config(tmp_path, n=400)
+    _write_config(tmp_path, name="rel.json", epsilon=2.0, bound=40.0)
+    out = _run_child(["-c", _SCIPY_PROBE], cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    seen = json.loads(out.stdout.splitlines()[-1])
+    assert seen.pop("import") == []
+    assert seen.pop("verify") == EXIT_OK
+    assert seen == {cmd: [EXIT_OK, []]
+                    for cmd in ("simulate", "account", "report", "release")}

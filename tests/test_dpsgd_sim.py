@@ -132,7 +132,7 @@ def test_clip_below_threshold_unchanged():
 def test_clip_scales_to_threshold_same_direction():
     g = np.asarray([0.0, 4.0])
     c = clip(g, 1.0)
-    assert np.linalg.norm(c) == pytest.approx(1.0, rel=1e-15)
+    assert np.linalg.norm(c) == pytest.approx(1.0, rel=1e-15, abs=0.0)
     assert c[0] == 0.0 and c[1] > 0
 
 
@@ -255,7 +255,7 @@ def test_exact_reference_equals_composed_per_step_curves():
         for z in np.minimum(norms[:, i], cfg.max_clip):
             mult = math.inf if z == 0.0 else cfg.noise_std / z
             total = compose(total, sgm_rdp_curve(cfg.sampling_prob, mult, cfg.orders))
-        assert eps[i] == pytest.approx(rdp_to_dp(total, cfg.delta)[0], rel=1e-12)
+        assert eps[i] == pytest.approx(rdp_to_dp(total, cfg.delta)[0], rel=1e-12, abs=0.0)
 
 
 def test_exact_reference_saturated_norms_equal_worst_case(rng):

@@ -4,6 +4,7 @@ cases."""
 
 from __future__ import annotations
 
+import functools
 import math
 import tracemalloc
 import warnings
@@ -170,6 +171,37 @@ def test_order_tables_are_cached_read_only():
     for table in (tables.kk, tables.log_w, tables.w_t, tables.denom):
         with pytest.raises(ValueError):
             table[0] = 1.0
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_log_binomials(a_max):
+    # out[a, k] = math.log(math.comb(a, k)), with each exact C(a, k) built
+    # from C(a, k - 1) (many times faster than math.comb per cell)
+    out = np.full((a_max + 1, a_max + 1), -np.inf)
+    for a in range(2, a_max + 1):
+        c = a
+        for k in range(2, a + 1):
+            c = c * (a - k + 1) // k
+            out[a, k] = math.log(c)
+    return out
+
+
+# bounds: the largest error of the scipy-gammaln log-binomials these tables
+# replaced, on the default grid and at a = 1024 (2.44e-12 over 2..1024).
+# At smaller q the k log q term dominates, and one ulp of it already
+# exceeds the default grid's bound.
+@pytest.mark.parametrize("q", [0.01, 0.1, 0.5, 0.9])
+@pytest.mark.parametrize("orders, bound", [(tuple(default_orders().tolist()), 4.12e-13),
+                                           (tuple(range(2, 1025)), 1.83e-12)],
+                         ids=["default", "2..1024"])
+def test_order_table_log_weights_match_exact_binomials(q, orders, bound):
+    log_w = kernel._order_tables(q, orders).log_w
+    log_c = _exact_log_binomials(max(orders))
+    k = np.arange(2, max(orders) + 1)
+    for row, a in zip(log_w, orders):
+        ref = log_c[a, 2:a + 1] + (a - k[:a - 1]) * math.log1p(-q) + k[:a - 1] * math.log(q)
+        assert np.max(np.abs(row[:a - 1] - ref)) <= bound, a
+        assert np.all(row[a - 1:] == -np.inf), a
 
 
 def test_zero_sampling_rate_gives_zero_curve():

@@ -35,7 +35,7 @@ from conftest import max_rel_diff
 def test_gaussian_rdp_examples():
     assert gaussian_rdp(2.0, 3) == pytest.approx(0.375, abs=0)
     assert gaussian_rdp(1.0, 2) == pytest.approx(1.0, abs=0)
-    assert gaussian_rdp(10.0, 2) == pytest.approx(0.01, rel=1e-15)
+    assert gaussian_rdp(10.0, 2) == pytest.approx(0.01, rel=1e-15, abs=0.0)
 
 
 def test_gaussian_rdp_rejects_bad_inputs():
@@ -52,15 +52,16 @@ def test_sgm_rdp_int_zero_sampling():
 
 
 def test_sgm_rdp_int_full_sampling_is_gaussian():
-    assert sgm_rdp_int(1.0, 2.0, 3) == pytest.approx(0.375, rel=1e-15)
+    assert sgm_rdp_int(1.0, 2.0, 3) == pytest.approx(0.375, rel=1e-15, abs=0.0)
 
 
 def test_sgm_rdp_int_hand_evaluated_three_term_sum():
-    # alpha=2: A = (1-q)^2 + 2(1-q)q + q^2 e^{1/sigma^2}, rho = ln A
+    # alpha=2: A = (1-q)^2 + 2(1-q)q + q^2 e^{1/sigma^2} = 1 + q^2 (e - 1),
+    # rho = ln A, taken through log1p because ln of a sum near 1 cancels
     q = 0.01
-    expected = math.log((1 - q) ** 2 + 2 * (1 - q) * q + q * q * math.e)
-    assert sgm_rdp_int(q, 1.0, 2) == pytest.approx(expected, rel=1e-13)
-    assert expected == pytest.approx(1.718e-4, rel=1e-3)
+    expected = math.log1p(q * q * math.expm1(1.0))
+    assert sgm_rdp_int(q, 1.0, 2) == pytest.approx(expected, rel=1e-13, abs=0.0)
+    assert expected == pytest.approx(1.718e-4, rel=1e-3, abs=0.0)
 
 
 def test_sgm_rdp_curve_zero_sampling_all_zero():
@@ -70,7 +71,7 @@ def test_sgm_rdp_curve_zero_sampling_all_zero():
 
 def test_sgm_rdp_curve_full_sampling_matches_gaussian_curve():
     curve = sgm_rdp_curve(1.0, 1.0, np.asarray([2, 4]))
-    assert curve.values == pytest.approx([1.0, 2.0], rel=1e-15)
+    assert curve.values == pytest.approx([1.0, 2.0], rel=1e-15, abs=0.0)
     gauss = gaussian_rdp_curve(1.0, np.asarray([2, 4]))
     assert np.array_equal(curve.values, gauss.values)
 
@@ -81,7 +82,7 @@ def test_sgm_rdp_curve_matches_quadrature_on_default_grid():
         if alpha > 40:       # oracle integrand underflows usefully far out
             continue
         oracle = sgm_rdp_quadrature_oracle(0.01, 0.5, int(alpha))
-        assert rho == pytest.approx(oracle, rel=1e-6)
+        assert rho == pytest.approx(oracle, rel=1e-6, abs=0.0)
 
 
 # ------------------------------------------------------------- curves ---
@@ -135,13 +136,13 @@ def test_scaled_matches_repeated_compose():
 def test_rdp_to_dp_single_order():
     eps, order = rdp_to_dp(RdpCurve(np.asarray([2]), np.asarray([0.1])), 1e-5)
     assert order == 2
-    assert eps == pytest.approx(0.1 + math.log(1e5), rel=1e-12)
+    assert eps == pytest.approx(0.1 + math.log(1e5), rel=1e-12, abs=0.0)
     assert eps == pytest.approx(11.6129, abs=5e-5)
 
 
 def test_rdp_to_dp_order_33():
     eps, order = rdp_to_dp(RdpCurve(np.asarray([33]), np.asarray([1.0])), 1e-5)
-    assert eps == pytest.approx(1.0 + math.log(1e5) / 32, rel=1e-12)
+    assert eps == pytest.approx(1.0 + math.log(1e5) / 32, rel=1e-12, abs=0.0)
     assert eps == pytest.approx(1.3598, abs=5e-5)
 
 
@@ -149,7 +150,7 @@ def test_rdp_to_dp_zero_curve_minimized_at_largest_order():
     orders = default_orders()
     eps, order = rdp_to_dp(RdpCurve.zero(orders), 1e-5)
     assert order == orders[-1]
-    assert eps == pytest.approx(math.log(1e5) / (orders[-1] - 1), rel=1e-12)
+    assert eps == pytest.approx(math.log(1e5) / (orders[-1] - 1), rel=1e-12, abs=0.0)
 
 
 def test_rdp_to_dp_tie_prefers_smallest_order():
@@ -160,7 +161,7 @@ def test_rdp_to_dp_tie_prefers_smallest_order():
     rho = k - math.log(1 / delta) / (orders - 1.0)
     eps, order = rdp_to_dp(RdpCurve(orders, rho), delta)
     assert order == 2
-    assert eps == pytest.approx(k, rel=1e-12)
+    assert eps == pytest.approx(k, rel=1e-12, abs=0.0)
 
 
 def test_rdp_to_dp_rejects_bad_delta():
@@ -241,7 +242,7 @@ def test_calibration_rejects_bad_inputs():
 def test_quadrature_gaussian_edge_both_directions():
     for direction in ("mixture_vs_base", "base_vs_mixture"):
         val = sgm_rdp_quadrature_oracle(1.0, 1.0, 2, direction=direction)
-        assert val == pytest.approx(1.0, rel=1e-9)
+        assert val == pytest.approx(1.0, rel=1e-9, abs=0.0)
 
 
 def test_quadrature_zero_sampling_both_directions():
@@ -251,7 +252,7 @@ def test_quadrature_zero_sampling_both_directions():
 
 def test_quadrature_matches_closed_form():
     got = sgm_rdp_quadrature_oracle(0.01, 1.0, 2, direction="mixture_vs_base")
-    assert got == pytest.approx(sgm_rdp_int(0.01, 1.0, 2), rel=1e-6)
+    assert got == pytest.approx(sgm_rdp_int(0.01, 1.0, 2), rel=1e-6, abs=0.0)
 
 
 def test_quadrature_rejects_unknown_direction():

@@ -111,7 +111,7 @@ def test_gaussian_scale_monotone_in_budget():
 def test_gaussian_scale_proportional_to_sensitivity():
     a = calibrate_gaussian_scale(1.0, 0.3, 1e-5)
     b = calibrate_gaussian_scale(2.5, 0.3, 1e-5)
-    assert b == pytest.approx(2.5 * a, rel=1e-12)
+    assert b == pytest.approx(2.5 * a, rel=1e-12, abs=0.0)
 
 
 def test_gaussian_scale_grows_with_query_count():
@@ -178,8 +178,9 @@ def test_release_all_splits_one_multiplier_evenly():
     shares, steps = 1 + len(cfg.quantiles), cfg.quantile_steps
     m = calibrate_gaussian_scale(1.0, 1.0, cfg.delta)
     assert budget["mean_noise_scale"] == pytest.approx(
-        m * math.sqrt(shares) * 8.0 / v.size, rel=1e-12)
-    assert budget["count_noise_scale"] == pytest.approx(m * math.sqrt(shares * steps), rel=1e-12)
+        m * math.sqrt(shares) * 8.0 / v.size, rel=1e-12, abs=0.0)
+    assert budget["count_noise_scale"] == pytest.approx(
+        m * math.sqrt(shares * steps), rel=1e-12, abs=0.0)
     assert "per_release_epsilon" not in budget
 
 

@@ -416,7 +416,7 @@ def test_hand_written_trace_matches_manual_composition(tmp_path):
             z = min(norms[t, i], 1.0)
             total = compose(total, sgm_rdp_curve(0.1, 1.0 / z, cfg.orders))
         expected, _ = rdp_to_dp(total, 1e-5)
-        assert eps[i] == pytest.approx(expected, rel=1e-12)
+        assert eps[i] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 # --------------------------------------------------------------- losses ---

@@ -2,17 +2,19 @@
 
 from .accountant import (
     AccountantConfig,
-    AdaptiveSpec,
     BucketCache,
     IndividualLedger,
     LedgerError,
     PrivacyReport,
+    round_to_bucket,
+    worst_case_epsilon,
+)
+from .adaptive_oracle import (
+    AdaptiveSpec,
     coin_chain_spec,
     deterministic_spec,
     enumerate_adaptive_vs_fixed,
     random_spec,
-    round_to_bucket,
-    worst_case_epsilon,
 )
 from .analysis import (
     CorrelationResult,

@@ -21,10 +21,8 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass, field
-from itertools import product as _iter_product
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -40,10 +38,6 @@ _BLOCK = 512              # rows per summing block: keeps the gathered curves in
 
 class LedgerError(RuntimeError):
     """Ledger used out of protocol (uninitialized, bad step, ...)."""
-
-
-class NonStochasticSpecError(ValueError):
-    """A toy mechanism's outcome probabilities do not sum to one."""
 
 
 @dataclass
@@ -108,22 +102,6 @@ class AccountantConfig:
             "delta": self.delta,
             "orders": [int(a) for a in self.orders],
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AccountantConfig":
-        d = dict(d)
-        if "orders" in d:
-            d["orders"] = np.asarray(d["orders"])
-        return cls(**d)
-
-
-def clip_sensitivity(norm: float, max_clip: float) -> float:
-    """min(norm, C)."""
-    if norm < 0:
-        raise ValueError(f"norm must be >= 0, got {norm}")
-    if max_clip <= 0:
-        raise ValueError(f"max_clip must be > 0, got {max_clip}")
-    return min(float(norm), float(max_clip))
 
 
 def _round_array(z: np.ndarray, rounding: float, max_clip: float) -> np.ndarray:
@@ -421,15 +399,10 @@ class IndividualLedger:
         eps, orders = self.epsilons(delta)
         worst_eps, worst_order = worst_case_epsilon(self.config, self.steps, delta,
                                                    with_order=True)
-        labels = None
-        if group_labels is not None:
-            labels = np.asarray(group_labels, dtype=np.int64)
-            if labels.shape != (self.n,):
-                raise ValueError(f"expected {self.n} group labels, got shape {labels.shape}")
         return PrivacyReport(
             epsilons=eps, best_orders=orders, worst_epsilon=worst_eps,
             worst_order=worst_order, delta=delta, steps=self.steps, n=self.n,
-            config=self.config.to_dict(), group_labels=labels)
+            config=self.config.to_dict(), group_labels=group_labels)
 
 
 def worst_case_epsilon(config: AccountantConfig, steps: int,
@@ -449,13 +422,15 @@ def worst_case_epsilon(config: AccountantConfig, steps: int,
 class PrivacyReport:
     """Per-example (epsilon, delta) guarantees plus the worst-case bound.
 
-    ``epsilons`` may be None for a report loaded from a redacted file (one
-    written without the per-example export flag); aggregate fields remain
-    available.
+    ``epsilons`` and ``best_orders`` are required, one value per example.
+    ``summary`` (mean, min and max epsilon) and ``group_means`` (mean
+    epsilon per group label, None without labels) are always derived from
+    them; ``to_json`` writes both, and ``from_json`` recomputes them rather
+    than reading them back.
     """
 
-    epsilons: Optional[np.ndarray]
-    best_orders: Optional[np.ndarray]
+    epsilons: np.ndarray
+    best_orders: np.ndarray
     worst_epsilon: float
     worst_order: int
     delta: float
@@ -463,37 +438,33 @@ class PrivacyReport:
     n: int
     config: dict
     group_labels: Optional[np.ndarray] = None
-    summary: Optional[dict] = None
-    group_means: Optional[dict] = None
+    summary: dict = field(init=False)
+    group_means: Optional[dict] = field(init=False)
 
     def __post_init__(self):
-        if self.epsilons is not None:
-            self.epsilons = np.asarray(self.epsilons, dtype=np.float64)
-            if self.epsilons.shape != (self.n,):
-                raise ValueError("epsilons length disagrees with n")
-            if np.any(self.epsilons < 0):
-                raise ValueError("negative per-example epsilon")
-            if np.any(self.epsilons > self.worst_epsilon + 1e-9):
-                raise ValueError("per-example epsilon exceeds the worst-case bound")
-            if self.best_orders is not None:
-                self.best_orders = np.asarray(self.best_orders, dtype=np.int64)
-            if self.summary is None:
-                self.summary = {
-                    "mean": float(np.mean(self.epsilons)),
-                    "min": float(np.min(self.epsilons)),
-                    "max": float(np.max(self.epsilons)),
-                }
-            if self.group_labels is not None and self.group_means is None:
-                self.group_labels = np.asarray(self.group_labels, dtype=np.int64)
-                self.group_means = {
-                    int(g): float(np.mean(self.epsilons[self.group_labels == g]))
-                    for g in np.unique(self.group_labels)
-                }
-
-    def epsilon_for(self, i: int) -> float:
-        if self.epsilons is None:
-            raise LedgerError("report has no per-example values (redacted export)")
-        return float(self.epsilons[i])
+        self.epsilons = np.asarray(self.epsilons, dtype=np.float64)
+        if self.epsilons.shape != (self.n,):
+            raise ValueError("epsilons length disagrees with n")
+        if not np.all(self.epsilons >= 0):          # NaN fails too
+            raise ValueError("per-example epsilon must be a number >= 0")
+        if np.any(self.epsilons > self.worst_epsilon + 1e-9):
+            raise ValueError("per-example epsilon exceeds the worst-case bound")
+        self.best_orders = np.asarray(self.best_orders, dtype=np.int64)
+        self.summary = {
+            "mean": float(np.mean(self.epsilons)),
+            "min": float(np.min(self.epsilons)),
+            "max": float(np.max(self.epsilons)),
+        }
+        self.group_means = None
+        if self.group_labels is not None:
+            self.group_labels = np.asarray(self.group_labels, dtype=np.int64)
+            if self.group_labels.shape != (self.n,):
+                raise ValueError(f"expected {self.n} group labels, "
+                                 f"got shape {self.group_labels.shape}")
+            self.group_means = {
+                int(g): float(np.mean(self.epsilons[self.group_labels == g]))
+                for g in np.unique(self.group_labels)
+            }
 
     def to_json(self, path: str, unsafe_export_per_example: bool = False) -> None:
         """Write the report.  Per-example epsilon values (and labels) are
@@ -520,6 +491,8 @@ class PrivacyReport:
 
     @classmethod
     def from_json(cls, path: str) -> "PrivacyReport":
+        """Load a report written with ``unsafe_export_per_example``; a
+        report without per-example values is refused."""
         with open(path) as f:
             doc = json.load(f)
         if not isinstance(doc, dict) or doc.get("format") != "idpacct-report":
@@ -531,176 +504,11 @@ class PrivacyReport:
         missing += [f"worst_case.{k}" for k in ("epsilon", "order") if k not in worst]
         if missing:
             raise ValueError(f"{path}: report is missing {', '.join(missing)}")
-        eps = doc.get("epsilons")
-        gm = doc.get("group_means")
-        if gm is not None and not (isinstance(gm, dict) and all(
-                re.fullmatch(r"-?[0-9]+", k) and _finite_number(v)
-                for k, v in gm.items())):
-            raise ValueError(f"{path}: group_means must be null or an object "
-                             "mapping integer keys to finite numbers")
-        summary = doc.get("summary")
-        if summary is not None and not (isinstance(summary, dict) and all(
-                _finite_number(summary.get(k)) for k in ("mean", "min", "max"))):
-            raise ValueError(f"{path}: summary must be null or an object with "
-                             "finite numeric mean, min and max")
+        if doc.get("epsilons") is None or doc.get("best_orders") is None:
+            raise ValueError(f"{path}: report was exported without per-example values; "
+                             "re-export it with --unsafe-export-per-example")
         return cls(
-            epsilons=None if eps is None else np.asarray(eps),
-            best_orders=(None if doc.get("best_orders") is None
-                         else np.asarray(doc["best_orders"])),
+            epsilons=doc["epsilons"], best_orders=doc["best_orders"],
             worst_epsilon=worst["epsilon"], worst_order=worst["order"],
             delta=doc["delta"], steps=doc["steps"], n=doc["n"],
-            config=doc["config"],
-            group_labels=(None if doc.get("group_labels") is None
-                          else np.asarray(doc["group_labels"])),
-            summary=summary,
-            group_means=None if gm is None else {int(k): v for k, v in gm.items()})
-
-
-def _finite_number(v) -> bool:
-    """A JSON number other than NaN or +-Infinity (booleans excluded)."""
-    if isinstance(v, bool):
-        return False
-    return isinstance(v, int) or (isinstance(v, float) and math.isfinite(v))
-
-
-# --- adaptive-vs-fixed enumeration oracle ---------------------------------
-
-@dataclass
-class AdaptiveSpec:
-    """Finite adaptive mechanism chain for exhaustive enumeration.
-
-    ``n_outcomes[t]`` is the outcome-space size of step t; ``kernels[t]`` maps
-    (prefix tuple of earlier outcomes, dataset bit d) to that step's outcome
-    probabilities.  Dataset bit 0/1 stands for the two neighboring datasets.
-    """
-
-    n_outcomes: Sequence[int]
-    kernels: Sequence[Callable[[tuple, int], Sequence[float]]]
-
-    def __post_init__(self):
-        if len(self.n_outcomes) != len(self.kernels):
-            raise ValueError("one kernel per step required")
-        if not 1 <= len(self.n_outcomes):
-            raise ValueError("at least one step required")
-        for m in self.n_outcomes:
-            if not 1 <= m <= 8:
-                raise ValueError("outcome spaces must have 1..8 outcomes")
-        self.validate()
-
-    def validate(self) -> None:
-        for t in range(len(self.kernels)):
-            for prefix in _iter_product(*(range(m) for m in self.n_outcomes[:t])):
-                for d in (0, 1):
-                    p = np.asarray(self.kernels[t](prefix, d), dtype=np.float64)
-                    if p.shape != (self.n_outcomes[t],):
-                        raise NonStochasticSpecError(
-                            f"step {t}, prefix {prefix}, d={d}: wrong arity")
-                    if np.any(p < 0) or abs(float(np.sum(p)) - 1.0) > 1e-9:
-                        raise NonStochasticSpecError(
-                            f"step {t}, prefix {prefix}, d={d}: probabilities "
-                            f"must be non-negative and sum to 1")
-
-    def trajectories(self):
-        return _iter_product(*(range(m) for m in self.n_outcomes))
-
-
-def _joint_adaptive(spec: AdaptiveSpec, d: int) -> dict[tuple, float]:
-    """P[trajectory] by running the adaptive chain forward: depth-first over
-    the outcome tree, multiplying conditional probabilities as they arise."""
-    out: dict[tuple, float] = {}
-
-    def walk(prefix: tuple, prob: float):
-        t = len(prefix)
-        if t == len(spec.kernels):
-            out[prefix] = prob
-            return
-        p = spec.kernels[t](prefix, d)
-        for theta in range(spec.n_outcomes[t]):
-            walk(prefix + (theta,), prob * float(p[theta]))
-
-    walk((), 1.0)
-    return out
-
-
-def _joint_fixed_prefix(spec: AdaptiveSpec, d: int) -> dict[tuple, float]:
-    """P[trajectory] assembled from per-step mechanisms with the prefix held
-    fixed at the trajectory's own outcomes, multiplied in reverse step order
-    so float rounding is exercised differently from the adaptive walk."""
-    out: dict[tuple, float] = {}
-    for traj in spec.trajectories():
-        prob = 1.0
-        for t in reversed(range(len(spec.kernels))):
-            prob *= float(spec.kernels[t](traj[:t], d)[traj[t]])
-        out[traj] = prob
-    return out
-
-
-def enumerate_adaptive_vs_fixed(spec: AdaptiveSpec) -> float:
-    """Max |P_adaptive - P_fixed-prefix| over all trajectories and both
-    datasets.  The two factorizations are the same product, so the result
-    must be 0 up to float round-off."""
-    worst = 0.0
-    for d in (0, 1):
-        a = _joint_adaptive(spec, d)
-        b = _joint_fixed_prefix(spec, d)
-        for traj in spec.trajectories():
-            worst = max(worst, abs(a[traj] - b[traj]))
-        for dist in (a, b):
-            total = math.fsum(dist.values())
-            if abs(total - 1.0) > 1e-9:
-                raise NonStochasticSpecError(f"trajectory masses sum to {total}")
-    return worst
-
-
-def coin_chain_spec() -> AdaptiveSpec:
-    """2-step, 2-outcome chain: the second flip's bias depends on the first
-    outcome and the dataset bit."""
-    def step0(prefix, d):
-        return (0.5, 0.5) if d == 0 else (0.625, 0.375)
-
-    def step1(prefix, d):
-        base = 0.25 if prefix[0] == 0 else 0.75
-        if d == 1:
-            base = min(base + 0.125, 1.0)
-        return (base, 1.0 - base)
-
-    return AdaptiveSpec([2, 2], [step0, step1])
-
-
-def deterministic_spec() -> AdaptiveSpec:
-    """Each step deterministically echoes a function of the prefix."""
-    def step0(prefix, d):
-        return (1.0, 0.0) if d == 0 else (0.0, 1.0)
-
-    def step1(prefix, d):
-        out = [0.0, 0.0, 0.0]
-        out[(prefix[0] + d) % 3] = 1.0
-        return out
-
-    def step2(prefix, d):
-        out = [0.0, 0.0]
-        out[(prefix[0] + prefix[1]) % 2] = 1.0
-        return out
-
-    return AdaptiveSpec([2, 3, 2], [step0, step1, step2])
-
-
-def random_spec(seed: int, steps: int = 3, max_outcomes: int = 8) -> AdaptiveSpec:
-    """Randomized spec: every (step, prefix, dataset) row is an independent
-    Dirichlet draw, materialized so lookups are pure."""
-    rng = np.random.default_rng(seed)
-    sizes = [int(rng.integers(2, max_outcomes + 1)) for _ in range(steps)]
-    tables: list[dict[tuple, np.ndarray]] = []
-    for t in range(steps):
-        table = {}
-        for prefix in _iter_product(*(range(m) for m in sizes[:t])):
-            for d in (0, 1):
-                table[(prefix, d)] = rng.dirichlet(np.ones(sizes[t]))
-        tables.append(table)
-
-    def make_kernel(t):
-        def kernel(prefix, d):
-            return tables[t][(tuple(prefix), d)]
-        return kernel
-
-    return AdaptiveSpec(sizes, [make_kernel(t) for t in range(steps)])
+            config=doc["config"], group_labels=doc.get("group_labels"))

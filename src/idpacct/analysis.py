@@ -49,8 +49,6 @@ class CorrelationResult:
 def eps_loss_correlation(report: PrivacyReport, losses: Sequence[float]) -> CorrelationResult:
     """Pearson between per-example epsilon and log final loss, plus the
     least-squares line of epsilon on log-loss."""
-    if report.epsilons is None:
-        raise ValueError("report has no per-example epsilon values")
     loss = np.asarray(losses, dtype=np.float64)
     if loss.shape != report.epsilons.shape:
         raise ValueError("losses are not aligned with the report's examples")
@@ -78,8 +76,6 @@ class GroupSummary:
 def group_summary(report: PrivacyReport, losses: Sequence[float],
                   groups: Sequence[int],
                   accuracies: Optional[dict] = None) -> GroupSummary:
-    if report.epsilons is None:
-        raise ValueError("report has no per-example epsilon values")
     loss = np.asarray(losses, dtype=np.float64)
     gid = np.asarray(groups, dtype=np.int64)
     if loss.shape != report.epsilons.shape or gid.shape != report.epsilons.shape:
@@ -119,8 +115,6 @@ def histogram(report: PrivacyReport, bins: int = 30,
     empirical quantile markers and the worst-case position.  Values a few
     ulps above the worst case (summed charges of a saturated example) count
     in the last bin."""
-    if report.epsilons is None:
-        raise ValueError("report has no per-example epsilon values")
     if bins < 1:
         raise ValueError("bins must be >= 1")
     worst = report.worst_epsilon
@@ -169,8 +163,6 @@ def write_scatter_csv(path: str, report: PrivacyReport, losses: Sequence[float],
                       groups: Optional[Sequence[int]] = None) -> None:
     """Per-example (epsilon, log-loss, group) table — sensitive output,
     export-gated by callers."""
-    if report.epsilons is None:
-        raise ValueError("report has no per-example epsilon values")
     loss = np.asarray(losses, dtype=np.float64)
     log_loss = np.log(np.maximum(loss, LOSS_FLOOR))
     gs = [""] * report.n if groups is None else np.asarray(groups, dtype=np.int64).tolist()

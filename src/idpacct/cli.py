@@ -17,8 +17,8 @@ from typing import Optional
 import numpy as np
 
 from . import analysis, dpsgd_sim, release, traceio
-from .accountant import (PrivacyReport, coin_chain_spec,
-                         enumerate_adaptive_vs_fixed, random_spec)
+from .accountant import PrivacyReport
+from .adaptive_oracle import coin_chain_spec, enumerate_adaptive_vs_fixed, random_spec
 from .dpsgd_sim import SimConfig, exact_reference_accounting
 from .rdp_math import sgm_rdp_int, sgm_rdp_quadrature_oracle
 from .release import ReleaseConfig
@@ -59,7 +59,8 @@ def _json_file(path: str) -> dict:
 
 
 def _build_config(cls, doc: dict, overrides: dict, path: str):
-    known = {f.name for f in dataclasses.fields(cls)}
+    fields = dataclasses.fields(cls)
+    known = {f.name for f in fields}
     unknown = set(doc) - known
     if unknown:
         raise ValidationFailure(
@@ -67,6 +68,10 @@ def _build_config(cls, doc: dict, overrides: dict, path: str):
             f"(known: {sorted(known)})")
     merged = dict(doc)
     merged.update({k: v for k, v in overrides.items() if v is not None})
+    missing = {f.name for f in fields if f.default is dataclasses.MISSING
+               and f.default_factory is dataclasses.MISSING} - set(merged)
+    if missing:
+        raise ValidationFailure(f"{path}: missing config keys {sorted(missing)}")
     if "orders" in merged:
         merged["orders"] = np.asarray(merged["orders"])
     try:
@@ -146,10 +151,6 @@ def cmd_account(args) -> int:
 
 def cmd_report(args) -> int:
     report = _read_input(PrivacyReport.from_json, args.report)
-    if report.epsilons is None:
-        raise ValidationFailure(
-            f"{args.report}: report was exported without per-example values; "
-            "re-export with --unsafe-export-per-example to analyze it")
     losses, groups = _read_input(traceio.read_losses_csv, args.losses)
     if losses.size != report.n:
         raise ValidationFailure(
@@ -164,10 +165,6 @@ def cmd_report(args) -> int:
 
 def cmd_release(args) -> int:
     report = _read_input(PrivacyReport.from_json, args.report)
-    if report.epsilons is None:
-        raise ValidationFailure(
-            f"{args.report}: cannot release statistics of a report exported "
-            "without per-example values")
     doc = _read_input(_json_file, args.config) if args.config else {}
     overrides = {"seed": args.seed, "delta": args.delta}
     if args.zero_noise:

@@ -267,31 +267,6 @@ def make_model(config: SimConfig, rng: np.random.Generator):
     return MlpModel(config.d, config.hidden, rng)
 
 
-def per_example_gradients(model, dataset: Dataset,
-                          indices: Optional[Sequence[int]] = None) -> np.ndarray:
-    """(m, n_params) analytic gradients for the selected examples."""
-    if indices is None:
-        x, y = dataset.x, dataset.y
-    else:
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= dataset.n):
-            raise IndexError("example index out of range")
-        x, y = dataset.x[idx], dataset.y[idx]
-    if x.shape[1] != (model.d if hasattr(model, "d") else model.theta.shape[0]):
-        raise ValueError("dataset dimension disagrees with model")
-    return model.per_example_grads(x, y)
-
-
-def clip(g: np.ndarray, threshold: float) -> np.ndarray:
-    """g * min(1, threshold / ||g||); zero vectors pass through."""
-    if threshold <= 0:
-        raise ValueError("clip threshold must be > 0")
-    norm = float(np.linalg.norm(g))
-    if norm == 0.0 or norm <= threshold:
-        return np.asarray(g, dtype=np.float64).copy()
-    return np.asarray(g) * (threshold / norm)
-
-
 def _clip_rows(g: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(g, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -311,8 +286,7 @@ class TrainOutput:
     model: object
     ledger: Optional[IndividualLedger]
     losses: np.ndarray                    # final per-example training loss
-    update_steps: list
-    trace_norms: np.ndarray               # (len(update_steps), n) full-batch norms
+    trace_norms: np.ndarray               # (refreshes, n) norms at steps 0, K, 2K, ...
     steps: int
     clip_resolved: float
     rounding_resolved: float
@@ -356,7 +330,6 @@ def train(config: SimConfig, dataset: Optional[Dataset] = None) -> TrainOutput:
     tr_buckets = (np.zeros((big_t, tracked.size))
                   if tracked is not None and ledger is not None else None)
 
-    update_steps: list = []
     trace_rows: list = []
     current_z = np.full(n, c)
 
@@ -364,7 +337,6 @@ def train(config: SimConfig, dataset: Optional[Dataset] = None) -> TrainOutput:
         full_norms = None
         if t % k_freq == 0:
             full_norms = np.linalg.norm(model.per_example_grads(x, y), axis=1)
-            update_steps.append(t)
             trace_rows.append(full_norms)
             if ledger is not None:
                 ledger.update_assignments(full_norms, t)
@@ -398,7 +370,7 @@ def train(config: SimConfig, dataset: Optional[Dataset] = None) -> TrainOutput:
 
     return TrainOutput(
         model=model, ledger=ledger, losses=model.losses(x, y),
-        update_steps=update_steps, trace_norms=np.asarray(trace_rows),
+        trace_norms=np.asarray(trace_rows),
         steps=big_t, clip_resolved=c, rounding_resolved=r, frequency=k_freq,
         tracked_ids=tracked, tracked_norms=tr_norms, tracked_buckets=tr_buckets)
 

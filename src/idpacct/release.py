@@ -175,18 +175,6 @@ class ReleasedStats:
         }
         atomic_write(path, json.dumps(doc, indent=1) + "\n")
 
-    @classmethod
-    def from_json(cls, path: str) -> "ReleasedStats":
-        with open(path) as f:
-            doc = json.load(f)
-        if doc.get("format") != "idpacct-release":
-            raise ValueError(f"{path}: not a release file")
-        if doc.get("version") != 2:
-            raise ValueError(f"{path}: unsupported release version {doc.get('version')!r}")
-        return cls(mean=doc["mean"],
-                   quantiles={float(k): v for k, v in doc["quantiles"].items()},
-                   budget=doc["budget"], zero_noise=doc["zero_noise"])
-
 
 def release_all(values: Sequence[float], config: ReleaseConfig) -> ReleasedStats:
     """Release the clamped mean and the configured quantiles as one

@@ -3,6 +3,7 @@ invariants, and the adaptive-vs-fixed enumeration oracle."""
 
 from __future__ import annotations
 
+import json
 import math
 import tracemalloc
 
@@ -19,13 +20,16 @@ from idpacct.accountant import (
     LedgerError,
     PrivacyReport,
     _round_array,
-    clip_sensitivity,
+    round_to_bucket,
+    worst_case_epsilon,
+)
+from idpacct.adaptive_oracle import (
+    AdaptiveSpec,
+    NonStochasticSpecError,
     coin_chain_spec,
     deterministic_spec,
     enumerate_adaptive_vs_fixed,
     random_spec,
-    round_to_bucket,
-    worst_case_epsilon,
 )
 from idpacct.dpsgd_sim import exact_reference_accounting
 from idpacct.kernel import sgm_rdp_matrix
@@ -57,19 +61,6 @@ def _assert_matches_stepwise(ledger, buckets):
     want = curves[inverse.reshape(np.shape(buckets))].sum(axis=0)
     got = np.stack([ledger.accumulated_rdp(i).values for i in range(ledger.n)])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-
-
-# ----------------------------------------------------------- clipping ---
-
-def test_clip_sensitivity_examples():
-    assert clip_sensitivity(0.3, 1.0) == 0.3
-    assert clip_sensitivity(2.5, 1.0) == 1.0
-    assert clip_sensitivity(0.0, 1.0) == 0.0
-
-
-def test_clip_sensitivity_rejects_negative():
-    with pytest.raises(ValueError):
-        clip_sensitivity(-0.1, 1.0)
 
 
 # ----------------------------------------------------------- rounding ---
@@ -166,7 +157,7 @@ def test_config_validation():
 
 def test_config_dict_round_trip():
     cfg = _config(frequency=7, delta=1e-6)
-    again = AccountantConfig.from_dict(cfg.to_dict())
+    again = AccountantConfig(**cfg.to_dict())
     assert again.to_dict() == cfg.to_dict()
 
 
@@ -606,11 +597,11 @@ def test_report_json_redacts_by_default(tmp_path):
     report = _small_report([0.1, 0.5, 0.9])
     path = tmp_path / "report.json"
     report.to_json(str(path))
-    again = PrivacyReport.from_json(str(path))
-    assert again.epsilons is None
-    assert again.summary == report.summary       # aggregates survive
-    with pytest.raises(LedgerError):
-        again.epsilon_for(0)
+    doc = json.loads(path.read_text())
+    assert doc["summary"] == report.summary      # aggregates are written
+    assert "epsilons" not in doc and "best_orders" not in doc
+    with pytest.raises(ValueError, match="report was exported without per-example values"):
+        PrivacyReport.from_json(str(path))
 
 
 def test_report_rejects_future_version(tmp_path):
@@ -674,8 +665,6 @@ def test_adaptive_random_spec_bounded():
 
 
 def test_adaptive_rejects_non_stochastic_kernel():
-    from idpacct.accountant import AdaptiveSpec, NonStochasticSpecError
-
     with pytest.raises(NonStochasticSpecError):
         AdaptiveSpec(n_outcomes=[2],
                      kernels=[lambda prefix, d: [0.7, 0.7]])

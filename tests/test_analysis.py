@@ -85,13 +85,6 @@ def test_correlation_uniform_epsilons_signals_degeneracy():
         eps_loss_correlation(report, losses)
 
 
-def test_correlation_requires_per_example_values():
-    report = _report([1.0, 2.0])
-    report.epsilons = None
-    with pytest.raises(ValueError):
-        eps_loss_correlation(report, [0.5, 0.5])
-
-
 def test_correlation_floors_zero_losses():
     report = _report([1.0, 2.0, 3.0])
     result = eps_loss_correlation(report, [0.0, 0.5, 1.0])   # log(0) floored

@@ -288,12 +288,14 @@ def test_account_missing_file(tmp_path):
      "losses.csv:1: Expecting value"),                  # not a JSON report
     (["release", "{tmp}/list.json"], "list.json: not a privacy report file"),
     (["release", "{tmp}/no_steps.json"], "no_steps.json: report is missing steps"),
-    (["release", "{tmp}/group_means_list.json"],
-     "group_means_list.json: group_means must be null or an object"),
-    (["release", "{tmp}/summary_string.json"],
-     "summary_string.json: summary must be null or an object"),
+    (["report", "{sim}/report.json", "--losses", "{sim}/losses.csv"],
+     "report.json: report was exported without per-example values"),
+    (["release", "{sim}/report.json"],
+     "report.json: report was exported without per-example values"),
+    (["release", "{tmp}/null_epsilon.json"],           # used to release a NaN mean
+     "per-example epsilon must be a number >= 0"),
 ], ids=["account_losses", "report", "release", "report_not_json", "release_list",
-        "release_no_steps", "release_group_means_list", "release_summary_string"])
+        "release_no_steps", "report_redacted", "release_redacted", "release_null_epsilon"])
 def test_missing_or_malformed_input_is_validation_failure(tmp_path, capsys, argv, message):
     sim_out = tmp_path / "sim"
     assert main(["simulate", "--config", _sim_config(tmp_path),
@@ -301,10 +303,8 @@ def test_missing_or_malformed_input_is_validation_failure(tmp_path, capsys, argv
     capsys.readouterr()
     (tmp_path / "list.json").write_text("[]")             # used to exit 2
     doc = json.loads((sim_out / "report.json").read_text())
-    (tmp_path / "group_means_list.json").write_text(     # used to exit 2
-        json.dumps(dict(doc, group_means=[0.5, 0.7])))
-    (tmp_path / "summary_string.json").write_text(
-        json.dumps(dict(doc, summary={"mean": "0.5", "min": 0.1, "max": 0.9})))
+    (tmp_path / "null_epsilon.json").write_text(json.dumps(
+        dict(doc, epsilons=[None] * doc["n"], best_orders=[2] * doc["n"])))
     del doc["steps"]                                      # used to exit 2
     (tmp_path / "no_steps.json").write_text(json.dumps(doc))
     argv = [a.format(sim=sim_out, tmp=tmp_path) for a in argv]
@@ -352,6 +352,24 @@ def test_report_rejects_losses_out_of_example_order(tmp_path, capsys):
                  "--out", str(tmp_path / "rep")])
     assert code == EXIT_VALIDATION
     assert "example_id" in capsys.readouterr().err
+
+
+def test_report_aggregates_derived_not_read_back(tmp_path):
+    sim_out = tmp_path / "sim"
+    assert main(["simulate", "--config", _sim_config(tmp_path), "--out", str(sim_out),
+                 "--unsafe-export-per-example"]) == EXIT_OK
+    path = sim_out / "report.json"
+    doc = json.loads(path.read_text())
+    written = doc["summary"], doc["group_means"]
+    path.write_text(json.dumps(dict(doc, summary={"mean": "x", "min": -1.0, "max": 0.0},
+                                    group_means={"0": 99.0, "7": 1.0})))
+    report = PrivacyReport.from_json(str(path))
+    eps, labels = np.asarray(doc["epsilons"]), np.asarray(doc["group_labels"])
+    assert report.summary == {"mean": float(np.mean(eps)), "min": float(np.min(eps)),
+                              "max": float(np.max(eps))}
+    assert report.group_means == {int(g): float(np.mean(eps[labels == g]))
+                                  for g in np.unique(labels)}
+    assert (report.summary, {str(g): m for g, m in report.group_means.items()}) == written
 
 
 def test_report_requires_per_example_values(tmp_path, capsys):
@@ -416,6 +434,19 @@ def test_release_rejects_bad_config_values(tmp_path, capsys, sim_report, fields,
                  "--out", str(tmp_path / "rel")]) == EXIT_VALIDATION
     assert message in capsys.readouterr().err
     assert not (tmp_path / "rel" / "release.json").exists()
+
+
+@pytest.mark.parametrize("fields, missing", [
+    (None, "<defaults>: missing config keys ['bound', 'epsilon']"),
+    ({"epsilon": 1.0}, "rel.json: missing config keys ['bound']"),
+], ids=["no_config", "no_bound"])
+def test_release_names_missing_config_keys(tmp_path, capsys, sim_report, fields, missing):
+    flags = [] if fields is None else ["--config",
+                                       _write_config(tmp_path, name="rel.json", **fields)]
+    assert main(["release", str(sim_report), *flags,
+                 "--out", str(tmp_path / "rel")]) == EXIT_VALIDATION
+    assert missing in capsys.readouterr().err
+    assert not (tmp_path / "rel").exists()
 
 
 def test_release_requires_per_example_values(tmp_path):

@@ -17,12 +17,11 @@ from idpacct.dpsgd_sim import (
     MlpModel,
     NanAbortError,
     SimConfig,
+    _clip_rows,
     accuracy,
-    clip,
     exact_reference_accounting,
     generate_synthetic,
     make_model,
-    per_example_gradients,
     poisson_sample,
     train,
 )
@@ -86,7 +85,7 @@ def test_generate_synthetic_rejects_empty_group():
 def test_logistic_gradient_at_zero_params():
     ds = generate_synthetic(SimConfig(n=20, d=4, seed=0))
     model = LogisticModel(4)
-    grads = per_example_gradients(model, ds)
+    grads = model.per_example_grads(ds.x, ds.y)
     expected = (0.5 - ds.y)[:, None] * ds.x
     assert np.allclose(grads, expected, rtol=0, atol=0)
 
@@ -98,7 +97,7 @@ def test_gradients_match_central_differences(model_name):
     rng = np.random.default_rng(4)
     model = make_model(cfg, rng)
     model.set_params(model.params + 0.3 * rng.standard_normal(model.params.shape))
-    grads = per_example_gradients(model, ds)
+    grads = model.per_example_grads(ds.x, ds.y)
     h = 1e-5
     theta = model.params.copy()
     for j in range(theta.size):
@@ -118,33 +117,53 @@ def test_duplicate_examples_get_identical_gradients():
     ds = Dataset(x, np.asarray([1, 1, 1]), np.asarray([0, 0, 0]))
     cfg = SimConfig(n=3, d=3, model="mlp", hidden=5, seed=7)
     model = make_model(cfg, np.random.default_rng(7))
-    grads = per_example_gradients(model, ds)
+    grads = model.per_example_grads(ds.x, ds.y)
     assert np.array_equal(grads[0], grads[1]) and np.array_equal(grads[1], grads[2])
 
 
 # ------------------------------------------------------------- clipping ---
 
+def _clip(g, threshold):
+    """One gradient clipped the way ``train`` clips each sampled row."""
+    return _clip_rows(np.asarray([g], dtype=np.float64), np.asarray([threshold]))[0]
+
+
 def test_clip_below_threshold_unchanged():
     g = np.asarray([0.3, 0.4])                 # norm 0.5
-    assert np.array_equal(clip(g, 1.0), g)
+    assert np.array_equal(_clip(g, 1.0), g)
 
 
 def test_clip_scales_to_threshold_same_direction():
     g = np.asarray([0.0, 4.0])
-    c = clip(g, 1.0)
+    c = _clip(g, 1.0)
     assert np.linalg.norm(c) == pytest.approx(1.0, rel=1e-15, abs=0.0)
     assert c[0] == 0.0 and c[1] > 0
 
 
 def test_clip_boundary_unchanged():
     g = np.asarray([3.0, 4.0])                 # norm 5
-    assert np.array_equal(clip(g, 5.0), g)
+    assert np.array_equal(_clip(g, 5.0), g)
 
 
 def test_clip_zero_vector_and_bad_threshold():
-    assert np.array_equal(clip(np.zeros(3), 1.0), np.zeros(3))
-    with pytest.raises(ValueError):
-        clip(np.ones(3), 0.0)
+    # a zero row passes through unchanged, with no 0/0 warning
+    assert np.array_equal(_clip(np.zeros(3), 1.0), np.zeros(3))
+    assert np.array_equal(_clip(np.zeros(3), 0.0), np.zeros(3))
+
+
+def test_clip_rows_per_row_thresholds():
+    # individual clipping: each sampled row is clipped to its own bucket
+    g = np.asarray([[3.0, 4.0], [0.3, 0.4], [0.0, 0.0], [6.0, 8.0], [-3.0, 4.0]])
+    thresholds = np.asarray([1.0, 1.0, 0.5, 10.0, 2.5])
+    out = _clip_rows(g, thresholds)
+    assert out.shape == g.shape
+    norms = np.linalg.norm(out, axis=1)
+    want = np.minimum(np.linalg.norm(g, axis=1), thresholds)
+    np.testing.assert_allclose(norms, want, rtol=1e-15, atol=0)
+    for row, thr, clipped in zip(g, thresholds, out):
+        assert np.array_equal(clipped, _clip(row, thr))
+        assert np.all(np.sign(clipped) == np.sign(row))     # same direction
+    assert np.array_equal(out[[1, 2, 3]], g[[1, 2, 3]])     # at or under threshold
 
 
 # ------------------------------------------------------------- sampling ---
@@ -201,8 +220,8 @@ def test_trace_and_ledger_coupling():
     out = train(cfg)
     assert out.steps == cfg.total_steps
     assert out.ledger.steps == out.steps
-    assert out.trace_norms.shape == (len(out.update_steps), cfg.n)
-    assert out.update_steps == list(range(0, out.steps, out.frequency))
+    refresh_steps = range(0, out.steps, out.frequency)
+    assert out.trace_norms.shape == (len(refresh_steps), cfg.n)
 
 
 def test_nan_abort_reports_step():

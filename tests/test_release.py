@@ -3,6 +3,7 @@ iterative quantiles, budget self-accounting, and the released-stats file."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from idpacct import release
 from idpacct.release import (
     BudgetInfeasibleError,
     ReleaseConfig,
-    ReleasedStats,
     calibrate_gaussian_scale,
     dp_mean,
     dp_quantile,
@@ -225,19 +225,12 @@ def test_released_stats_json_round_trip(tmp_path):
     stats = release_all(v, ReleaseConfig(epsilon=0.7, bound=8.0, seed=9))
     path = tmp_path / "release.json"
     stats.to_json(str(path))
-    again = ReleasedStats.from_json(str(path))
-    assert again.mean == stats.mean
-    assert again.quantiles == stats.quantiles
-    assert again.budget == stats.budget
-
-
-def test_released_stats_rejects_version_1(tmp_path):
-    stats = release_all(_mid_range_values(1000, 6), ReleaseConfig(epsilon=0.7, bound=8.0))
-    path = tmp_path / "release.json"
-    stats.to_json(str(path))
-    path.write_text(path.read_text().replace('"version": 2', '"version": 1'))
-    with pytest.raises(ValueError, match="unsupported release version 1"):
-        ReleasedStats.from_json(str(path))
+    doc = json.loads(path.read_text())
+    assert (doc["format"], doc["version"]) == ("idpacct-release", 2)
+    assert doc["mean"] == stats.mean
+    assert {float(k): v for k, v in doc["quantiles"].items()} == stats.quantiles
+    assert doc["budget"] == stats.budget
+    assert doc["zero_noise"] is stats.zero_noise
 
 
 def test_release_config_validation():

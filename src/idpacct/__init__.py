@@ -6,7 +6,6 @@ from .accountant import (
     IndividualLedger,
     LedgerError,
     PrivacyReport,
-    round_to_bucket,
     worst_case_epsilon,
 )
 from .adaptive_oracle import (
@@ -39,15 +38,11 @@ from .dpsgd_sim import (
 from .kernel import BACKEND, sgm_rdp_matrix
 from .rdp_math import (
     CalibrationError,
-    GridMismatchError,
     InfeasibleTargetError,
     QuadratureError,
     RdpCurve,
     calibrate_noise,
-    compose,
     default_orders,
-    gaussian_rdp,
-    gaussian_rdp_curve,
     rdp_to_dp,
     sgm_rdp_curve,
     sgm_rdp_int,
@@ -61,7 +56,6 @@ from .release import (
     dp_mean,
     dp_quantile,
     release_all,
-    release_orders,
 )
 from .traceio import TraceFormatError, TraceHeader, read_trace, replay_trace, write_trace
 

@@ -130,15 +130,6 @@ def _round_array(z: np.ndarray, rounding: float, max_clip: float) -> np.ndarray:
     return v.take(j)
 
 
-def round_to_bucket(z: float, rounding: float, max_clip: float) -> float:
-    """Nearest value in the sensitivity grid {r, 2r, ..., C}."""
-    if not 0 < rounding <= max_clip:
-        raise ValueError(f"rounding must be in (0, max_clip], got {rounding}")
-    if z < 0 or z > max_clip:
-        raise ValueError(f"sensitivity must be in [0, {max_clip}], got {z}")
-    return float(_round_array(np.asarray([float(z)]), rounding, max_clip)[0])
-
-
 class BucketCache:
     """Curve table: ``rows[j]`` is the single-step RDP curve of sensitivity
     ``bucket_values[j]``.  With rounding on, the whole grid {r, 2r, ..., C}

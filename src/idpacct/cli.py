@@ -72,8 +72,6 @@ def _build_config(cls, doc: dict, overrides: dict, path: str):
                and f.default_factory is dataclasses.MISSING} - set(merged)
     if missing:
         raise ValidationFailure(f"{path}: missing config keys {sorted(missing)}")
-    if "orders" in merged:
-        merged["orders"] = np.asarray(merged["orders"])
     try:
         return cls(**merged)
     except (TypeError, ValueError) as exc:

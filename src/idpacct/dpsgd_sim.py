@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .accountant import AccountantConfig, IndividualLedger
 from .kernel import sgm_rdp_matrix
-from .rdp_math import _check_fields, _check_orders, _eps_from_rdp, default_orders
+from .rdp_math import _check_fields, _eps_from_rdp
 
 
 class NanAbortError(RuntimeError):
@@ -61,7 +61,6 @@ class SimConfig:
     delta: float = 1e-5
     seed: int = 0
     track_ids: Optional[Sequence[int]] = None
-    orders: np.ndarray = field(default_factory=default_orders)
 
     def __post_init__(self):
         # clip and rounding may be None (resolved in train); clip may be inf
@@ -110,7 +109,6 @@ class SimConfig:
                 raise ValueError(f"track_ids must be a sequence of integers, "
                                  f"got {self.track_ids!r}")
             self.track_ids = ids
-        self.orders = _check_orders(self.orders)
 
     @property
     def steps_per_epoch(self) -> int:
@@ -319,7 +317,7 @@ def train(config: SimConfig, dataset: Optional[Dataset] = None) -> TrainOutput:
     if accounting:
         ledger = IndividualLedger(n, AccountantConfig(
             noise_std=config.noise_std, max_clip=c, sampling_prob=config.sampling_prob,
-            rounding=r, frequency=k_freq, delta=config.delta, orders=config.orders))
+            rounding=r, frequency=k_freq, delta=config.delta))
 
     tracked = None
     if config.track_ids is not None:

@@ -17,10 +17,6 @@ import numpy as np
 from .kernel import sgm_rdp_matrix
 
 
-class GridMismatchError(ValueError):
-    """Curves on different order grids cannot be combined."""
-
-
 class CalibrationError(RuntimeError):
     """Noise calibration failed to converge."""
 
@@ -85,30 +81,11 @@ class RdpCurve:
             raise ValueError("RDP values must be non-negative")
         self.values = np.maximum(vals, 0.0)
 
-    @classmethod
-    def zero(cls, orders) -> "RdpCurve":
-        orders = _check_orders(orders)
-        return cls(orders, np.zeros(orders.shape))
-
     def scaled(self, steps: int) -> "RdpCurve":
         """Curve of ``steps`` identical compositions."""
         if steps < 0:
             raise ValueError("steps must be >= 0")
         return RdpCurve(self.orders, self.values * steps)
-
-
-def gaussian_rdp(noise_multiplier: float, alpha: float) -> float:
-    """Closed-form Gaussian-mechanism RDP: alpha / (2 sigma'^2)."""
-    if alpha <= 1.0:
-        raise ValueError(f"order must be > 1, got {alpha}")
-    if noise_multiplier <= 0.0:
-        raise ValueError(f"noise multiplier must be > 0, got {noise_multiplier}")
-    return alpha / (2.0 * noise_multiplier * noise_multiplier)
-
-
-def gaussian_rdp_curve(noise_multiplier: float, orders) -> RdpCurve:
-    orders = _check_orders(orders)
-    return RdpCurve(orders, np.array([gaussian_rdp(noise_multiplier, a) for a in orders]))
 
 
 def sgm_rdp_int(q: float, noise_multiplier: float, alpha: int) -> float:
@@ -123,13 +100,6 @@ def sgm_rdp_curve(q: float, noise_multiplier: float, orders) -> RdpCurve:
     orders = _check_orders(orders)
     vals = sgm_rdp_matrix(q, np.array([noise_multiplier]), orders)[0]
     return RdpCurve(orders, vals)
-
-
-def compose(a: RdpCurve, b: RdpCurve) -> RdpCurve:
-    """Pointwise sum of two curves on identical grids."""
-    if a.orders.shape != b.orders.shape or np.any(a.orders != b.orders):
-        raise GridMismatchError("curves are on different order grids")
-    return RdpCurve(a.orders, a.values + b.values)
 
 
 def _eps_from_rdp(rdp: np.ndarray, orders: np.ndarray,

@@ -8,39 +8,39 @@ quantile runs a fixed number of noisy below-threshold counting queries
 (sensitivity 1) driving the geometric update
 Q <- Q * exp(-eta * (fraction - target)).
 
-Gaussian queries compose to one Gaussian whose multiplier m satisfies
-1/m^2 = sum_j 1/m_j^2 (Mironov 2017, "Renyi Differential Privacy").  So the
-whole release is calibrated once, as that one Gaussian, and 1/m^2 is split
-evenly between the mean and the quantiles.  The realized budget is then
-recomputed from the noise scales actually used, so the reported guarantee
-is measured, not assumed.
-
-Small budgets minimize at Renyi orders far beyond the accountant's default
-grid, hence the wider grid here.
+Gaussian queries, adaptively chosen or not, compose exactly to one Gaussian
+whose multiplier m satisfies 1/m^2 = sum_j 1/m_j^2 (Dong, Roth & Su 2019,
+"Gaussian Differential Privacy", arXiv:1905.02383).  So the whole release
+is calibrated once, as that one Gaussian, from its exact privacy profile
+(Balle & Wang 2018, "Improving the Gaussian Mechanism for Differential
+Privacy", arXiv:1805.06530), and 1/m^2 is split evenly between the mean and
+the quantiles.  The realized budget is then recomputed from the noise
+scales actually used, so the reported guarantee is measured, not assumed.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ._fileio import atomic_write
-from .rdp_math import (_check_fields, _check_orders, calibrate_noise,
-                       gaussian_rdp_curve, rdp_to_dp)
+from .rdp_math import _SIGMA_CAP, _check_fields
+# unused here, but perfbench/spans.py wraps these two names in this module
+from .rdp_math import calibrate_noise, rdp_to_dp  # noqa: F401
+
+_ULP = 2.0 ** -52
+_SQRT_HALF = math.sqrt(0.5)
+# calibration aims this far (relative) below delta, far above the last-bit
+# change in m when release_all recomposes the scales it derived from m
+_AIM = 1e-8
 
 
 class BudgetInfeasibleError(RuntimeError):
     """The requested budget cannot be met with usable noise levels."""
-
-
-def release_orders() -> np.ndarray:
-    """Order grid for release accounting: {2..64} plus powers of two up to
-    16384 (tiny budgets minimize at orders in the thousands)."""
-    return np.concatenate([np.arange(2, 65), 2 ** np.arange(7, 15)])
 
 
 @dataclass
@@ -53,7 +53,6 @@ class ReleaseConfig:
     quantile_lr: float = 0.2
     zero_noise: bool = False
     seed: int = 0
-    orders: np.ndarray = field(default_factory=release_orders)
 
     def __post_init__(self):
         _check_fields(self, numbers=("epsilon", "bound", "delta", "quantile_steps",
@@ -78,19 +77,61 @@ class ReleaseConfig:
             raise ValueError("quantile_steps must be >= 1")
         if self.quantile_lr <= 0:
             raise ValueError("quantile_lr must be > 0")
-        self.orders = _check_orders(self.orders)
+
+
+def gaussian_delta(epsilon: float, multiplier: float) -> float:
+    """Exact privacy profile of a Gaussian mechanism with noise multiplier
+    m (noise std over sensitivity),
+    delta(eps) = Phi(1/(2m) - eps m) - e^eps Phi(-1/(2m) - eps m),
+    plus a bound on its own rounding error, so the value never falls below
+    the exact delta.  The two terms cancel, more so as eps falls, and erfc
+    turns the rounding of its argument x into a relative error of about
+    2 x^2 ulp.  For eps in [0.01, 10] and delta in [1e-12, 1e-3] the value
+    exceeds the exact delta by at most 1e-9 relative."""
+    h, u = 0.5 / multiplier, epsilon * multiplier
+    a, b = (u - h) * _SQRT_HALF, (u + h) * _SQRT_HALF
+    t1 = 0.5 * math.erfc(a)
+    # past b = 26, erfc(b) nears underflow and e^eps may overflow; dropping
+    # the subtracted term there only overstates delta
+    t2 = 0.5 * math.erfc(b) * math.exp(epsilon) if b < 26.0 else 0.0
+    # each term is off by at most (4 b^2 + 3 b + 7) ulp relative: the
+    # argument's 2 ulp amplified by erfc, then erfc, exp and the products
+    return t1 - t2 + 10 * _ULP * (1.0 + b * b) * (t1 + t2)
+
+
+def _least(feasible, lo: float, hi: float) -> float:
+    """Least x in (lo, hi] with feasible(x), by bisection to float
+    precision; feasible(hi) must hold and feasible rise with x."""
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if feasible(mid) else (mid, hi)
+    return hi
 
 
 def calibrate_gaussian_scale(sensitivity: float, epsilon: float, delta: float,
-                             queries: int = 1, orders=None) -> float:
+                             queries: int = 1) -> float:
     """Smallest noise std for `queries` composed Gaussian queries of the
-    given sensitivity to satisfy (epsilon, delta)-DP."""
+    given sensitivity to satisfy (epsilon, delta)-DP.  They compose to one
+    Gaussian of multiplier std / (sensitivity sqrt(queries)), whose least
+    m with gaussian_delta(epsilon, m) <= delta is found by bisection."""
     if sensitivity <= 0:
         raise ValueError("sensitivity must be > 0")
-    orders = release_orders() if orders is None else orders
-    # a Gaussian query is the q=1 edge of the subsampled mechanism
-    mult = calibrate_noise(epsilon, delta, q=1.0, steps=queries, orders=orders)
-    return mult * sensitivity
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be > 0 and finite, got {epsilon}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
+
+    def feasible(m):
+        return gaussian_delta(epsilon, m) <= delta * (1.0 - _AIM)
+
+    lo, hi = 0.0, 1.0
+    while not feasible(hi):
+        if hi >= _SIGMA_CAP:
+            raise BudgetInfeasibleError(
+                f"no noise multiplier up to {_SIGMA_CAP:g} meets "
+                f"epsilon {epsilon} at delta {delta}")
+        lo, hi = hi, 2.0 * hi
+    return _least(feasible, lo, hi) * math.sqrt(queries) * sensitivity
 
 
 def _clamped(values, bound: float) -> np.ndarray:
@@ -167,7 +208,7 @@ class ReleasedStats:
     def to_json(self, path: str) -> None:
         doc = {
             "format": "idpacct-release",
-            "version": 2,
+            "version": 3,
             "mean": self.mean,
             "quantiles": {str(k): v for k, v in self.quantiles.items()},
             "budget": self.budget,
@@ -185,22 +226,24 @@ def release_all(values: Sequence[float], config: ReleaseConfig) -> ReleasedStats
     n, steps = v.size, config.quantile_steps
     shares = 1 + len(config.quantiles)
     if config.zero_noise:
-        mean_scale = count_scale = 0.0
-        realized_eps, realized_order = 0.0, 0
+        mean_scale = count_scale = realized_eps = 0.0
     else:
-        m = calibrate_gaussian_scale(1.0, config.epsilon, config.delta,
-                                     orders=config.orders)
+        m = calibrate_gaussian_scale(1.0, config.epsilon, config.delta)
         mean_scale = m * math.sqrt(shares) * config.bound / n
         count_scale = m * math.sqrt(shares * steps)
         # recompose the scales actually used: 1/m^2 = sum_j 1/m_j^2
         inv_sq = ((config.bound / n) / mean_scale) ** 2 \
             + len(config.quantiles) * steps / count_scale ** 2
-        realized_eps, realized_order = rdp_to_dp(
-            gaussian_rdp_curve(1.0 / math.sqrt(inv_sq), config.orders), config.delta)
-        if realized_eps > config.epsilon:
+        m_used = 1.0 / math.sqrt(inv_sq)
+
+        def feasible(eps):
+            return gaussian_delta(eps, m_used) <= config.delta
+
+        if not feasible(config.epsilon):
             raise BudgetInfeasibleError(
-                f"composed budget {realized_eps:.6f} exceeds configured "
-                f"{config.epsilon:.6f}")
+                f"composed multiplier {m_used:.6g} does not meet the configured "
+                f"epsilon {config.epsilon:.6f} at delta {config.delta:g}")
+        realized_eps = _least(feasible, 0.0, config.epsilon)
 
     rng = np.random.default_rng(config.seed)
     mean = _noisy_mean(v, mean_scale, rng)
@@ -213,7 +256,6 @@ def release_all(values: Sequence[float], config: ReleaseConfig) -> ReleasedStats
         "mean_noise_scale": mean_scale,
         "count_noise_scale": count_scale,
         "realized_epsilon": realized_eps,
-        "realized_order": int(realized_order),
     }
     return ReleasedStats(mean=mean, quantiles=quantiles, budget=budget,
                          zero_noise=config.zero_noise)

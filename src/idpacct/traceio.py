@@ -57,7 +57,6 @@ class TraceHeader:
     frequency: int
     rounding: float
     steps: int
-    version: int = TRACE_VERSION
 
     def __post_init__(self):
         _check_fields(self, integers=("n", "steps", "frequency"))
@@ -68,21 +67,18 @@ class TraceHeader:
         # delegates range checks on the shared fields
         self.to_config()
 
-    def to_config(self, delta: float = 1e-5, orders=None) -> AccountantConfig:
-        kwargs = {}
-        if orders is not None:
-            kwargs["orders"] = orders
+    def to_config(self, delta: float = 1e-5) -> AccountantConfig:
         return AccountantConfig(
             noise_std=self.noise_std, max_clip=self.clip,
             sampling_prob=self.sampling_prob, rounding=self.rounding,
-            frequency=self.frequency, delta=delta, **kwargs)
+            frequency=self.frequency, delta=delta)
 
     def refresh_steps(self) -> np.ndarray:
         return np.arange(0, self.steps, self.frequency, dtype=np.int64)
 
     def to_dict(self) -> dict:
         return {
-            "version": self.version, "n": self.n, "clip": self.clip,
+            "version": TRACE_VERSION, "n": self.n, "clip": self.clip,
             "noise_std": self.noise_std, "sampling_prob": self.sampling_prob,
             "frequency": self.frequency, "rounding": self.rounding,
             "steps": self.steps,
@@ -221,12 +217,12 @@ def read_any_trace(path: str) -> tuple[TraceHeader, np.ndarray]:
     return read_trace(path)
 
 
-def replay_trace(header: TraceHeader, norms: np.ndarray, delta: float = 1e-5,
-                 orders=None) -> IndividualLedger:
+def replay_trace(header: TraceHeader, norms: np.ndarray,
+                 delta: float = 1e-5) -> IndividualLedger:
     """Drive a fresh ledger through the recorded run: an assignment refresh
     at every row's step, one charged step per training step."""
     norms = _check_matrix(header, norms)
-    ledger = IndividualLedger(header.n, header.to_config(delta=delta, orders=orders))
+    ledger = IndividualLedger(header.n, header.to_config(delta=delta))
     for row, start in zip(norms, header.refresh_steps().tolist()):
         ledger.update_assignments(row, step=start)
         for t in range(start, min(start + header.frequency, header.steps)):

@@ -20,7 +20,6 @@ from idpacct.accountant import (
     LedgerError,
     PrivacyReport,
     _round_array,
-    round_to_bucket,
     worst_case_epsilon,
 )
 from idpacct.adaptive_oracle import (
@@ -34,10 +33,8 @@ from idpacct.adaptive_oracle import (
 from idpacct.dpsgd_sim import exact_reference_accounting
 from idpacct.kernel import sgm_rdp_matrix
 from idpacct.rdp_math import (
-    RdpCurve,
     _eps_from_rdp,
     calibrate_noise,
-    compose,
     rdp_to_dp,
     sgm_rdp_curve,
 )
@@ -66,28 +63,32 @@ def _assert_matches_stepwise(ledger, buckets):
 # ----------------------------------------------------------- rounding ---
 
 def test_round_to_bucket_examples():
-    assert round_to_bucket(0.444, 0.01, 1.0) == pytest.approx(0.44, abs=1e-12)
-    assert round_to_bucket(0.445, 0.01, 1.0) == pytest.approx(0.45, abs=1e-12)
-    assert round_to_bucket(0.0, 0.01, 1.0) == pytest.approx(0.01, abs=1e-12)
+    got = _round_array(np.asarray([0.444, 0.445, 0.0]), 0.01, 1.0)
+    assert got == pytest.approx([0.44, 0.45, 0.01], abs=1e-12)
 
 
 def test_round_to_bucket_caps_at_clip():
     # grid is {r, 2r, ..., C}; values at/near C stay on the grid
-    assert round_to_bucket(1.0, 0.03, 1.0) == pytest.approx(1.0)
-    assert round_to_bucket(0.999, 0.03, 1.0) == pytest.approx(1.0)
+    assert _round_array(np.asarray([1.0, 0.999]), 0.03, 1.0) == pytest.approx([1.0, 1.0])
 
 
 def test_round_to_bucket_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        round_to_bucket(1.5, 0.01, 1.0)
-    with pytest.raises(ValueError):
-        round_to_bucket(0.5, 0.0, 1.0)
+    # the ledger keeps _round_array's inputs in its domain: the spacing must
+    # lie in (0, C] (0 turns rounding off) and norms must be >= 0; a norm
+    # above C is clipped to C before it is rounded
+    with pytest.raises(ValueError, match="rounding must be 0"):
+        _config(rounding=1.5)
+    with pytest.raises(ValueError, match="rounding must be 0"):
+        _config(rounding=-0.01)
+    ledger = IndividualLedger(2, _config())
+    with pytest.raises(ValueError, match="norms must be finite and >= 0"):
+        ledger.update_assignments([-0.5, 0.5])
 
 
 @settings(max_examples=100, deadline=None)
 @given(z=st.floats(0.0, 1.0), r=st.sampled_from([0.01, 0.05, 0.13, 1.0]))
 def test_round_to_bucket_within_half_step(z, r):
-    b = round_to_bucket(z, r, 1.0)
+    b = float(_round_array(np.asarray([z]), r, 1.0)[0])
     grid = np.arange(1, math.ceil(1.0 / r) + 1) * r
     grid = np.minimum(grid, 1.0)
     assert any(abs(b - g) < 1e-12 for g in grid)
@@ -210,7 +211,7 @@ def test_cache_bounded_by_grid_size(rng, monkeypatch):
         z = np.asarray([u * c])
         cache = caches[key]
         got = cache.bucket_values[cache.indices_for(_round_array(z, r, c))]
-        assert got[0] == round_to_bucket(z[0], r, c)
+        assert got[0] == _round_array(z, r, c)[0]
 
     index_round_trip()
     with pytest.raises(ValueError, match="grid"):
@@ -299,14 +300,14 @@ def test_accumulation_matches_stepwise_compose():
     cfg = _config(rounding=0.0, frequency=1)
     norms = [0.2, 0.9, 0.5, 1.0, 0.35]
     ledger = IndividualLedger(1, cfg)
-    oracle = RdpCurve.zero(cfg.orders)
+    oracle = np.zeros(cfg.orders.shape)
     for t, z in enumerate(norms):
         ledger.update_assignments([z], step=t)
         ledger.record_step(t)
-        oracle = compose(oracle, sgm_rdp_curve(cfg.sampling_prob,
-                                               cfg.noise_std / z, cfg.orders))
+        oracle = oracle + sgm_rdp_curve(cfg.sampling_prob, cfg.noise_std / z,
+                                        cfg.orders).values
     got = ledger.accumulated_rdp(0)
-    assert np.allclose(got.values, oracle.values, rtol=1e-12)
+    assert np.allclose(got.values, oracle, rtol=1e-12)
 
 
 def test_zero_norm_without_rounding_costs_nothing():

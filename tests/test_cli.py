@@ -109,7 +109,9 @@ def test_simulate_rejects_holdout_key(tmp_path, capsys):
 
 
 def test_simulate_rejects_oversized_order_grid(tmp_path, capsys):
-    # the kernel's tables for orders [2, 1e8] would take about 9 GB
+    # a trace records no order grid, so account replays at the default
+    # grid: a simulate config may not choose another one, however large
+    # (test_kernel covers the kernel's own cap on table size)
     cfg = _sim_config(tmp_path, orders=[2, 100_000_000])
     out = tmp_path / "out"
     tracemalloc.start()
@@ -119,7 +121,7 @@ def test_simulate_rejects_oversized_order_grid(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert code == EXIT_VALIDATION
-    assert "order grid too large: 2 orders x 99999999 binomial terms" in capsys.readouterr().err
+    assert "unknown config keys ['orders']" in capsys.readouterr().err
     assert peak < 16 << 20
     assert not out.exists()
 
@@ -290,7 +292,7 @@ def test_account_missing_file(tmp_path):
     (["release", "{tmp}/no_steps.json"], "no_steps.json: report is missing steps"),
     (["report", "{sim}/report.json", "--losses", "{sim}/losses.csv"],
      "report.json: report was exported without per-example values"),
-    (["release", "{sim}/report.json"],
+    (["release", "{sim}/report.json", "--config", "{tmp}/budget.json"],
      "report.json: report was exported without per-example values"),
     (["release", "{tmp}/null_epsilon.json"],           # used to release a NaN mean
      "per-example epsilon must be a number >= 0"),
@@ -302,6 +304,7 @@ def test_missing_or_malformed_input_is_validation_failure(tmp_path, capsys, argv
                  "--out", str(sim_out)]) == EXIT_OK
     capsys.readouterr()
     (tmp_path / "list.json").write_text("[]")             # used to exit 2
+    (tmp_path / "budget.json").write_text(json.dumps({"epsilon": 1.0, "bound": 40.0}))
     doc = json.loads((sim_out / "report.json").read_text())
     (tmp_path / "null_epsilon.json").write_text(json.dumps(
         dict(doc, epsilons=[None] * doc["n"], best_orders=[2] * doc["n"])))
@@ -372,17 +375,6 @@ def test_report_aggregates_derived_not_read_back(tmp_path):
     assert (report.summary, {str(g): m for g, m in report.group_means.items()}) == written
 
 
-def test_report_requires_per_example_values(tmp_path, capsys):
-    cfg = _sim_config(tmp_path)
-    sim_out = tmp_path / "sim"
-    assert main(["simulate", "--config", cfg, "--out", str(sim_out)]) == EXIT_OK
-    code = main(["report", str(sim_out / "report.json"),
-                 "--losses", str(sim_out / "losses.csv"),
-                 "--out", str(tmp_path / "rep")])
-    assert code == EXIT_VALIDATION
-    assert "per-example" in capsys.readouterr().err
-
-
 # -------------------------------------------------------------- release ---
 
 @pytest.fixture()
@@ -426,8 +418,9 @@ def test_release_budget_echo_and_reproducibility(tmp_path, sim_report):
     ({"bound": float("nan")}, "bound must be finite"),
     ({"epsilon": float("inf")}, "epsilon must be finite"),
     ({"quantiles": [0.5, 0.5]}, "quantiles must be distinct"),   # used to exit 0
+    ({"orders": [2, 3]}, "unknown config keys ['orders']"),     # no order grid any more
 ], ids=["epsilon_bool", "quantile_lr_nan", "quantile_steps_bool", "bound_nan", "epsilon_inf",
-        "quantiles_repeated"])
+        "quantiles_repeated", "orders"])
 def test_release_rejects_bad_config_values(tmp_path, capsys, sim_report, fields, message):
     cfg = _write_config(tmp_path, name="rel.json", **{"epsilon": 1.0, "bound": 40.0, **fields})
     assert main(["release", str(sim_report), "--config", cfg,
@@ -447,15 +440,6 @@ def test_release_names_missing_config_keys(tmp_path, capsys, sim_report, fields,
                  "--out", str(tmp_path / "rel")]) == EXIT_VALIDATION
     assert missing in capsys.readouterr().err
     assert not (tmp_path / "rel").exists()
-
-
-def test_release_requires_per_example_values(tmp_path):
-    cfg = _sim_config(tmp_path)
-    sim_out = tmp_path / "sim"
-    assert main(["simulate", "--config", cfg, "--out", str(sim_out)]) == EXIT_OK
-    rel_cfg = _write_config(tmp_path, name="rel.json", epsilon=1.0, bound=40.0)
-    assert main(["release", str(sim_out / "report.json"), "--config", rel_cfg,
-                 "--out", str(tmp_path / "rel")]) == EXIT_VALIDATION
 
 
 # --------------------------------------------------------------- verify ---

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from idpacct.accountant import AccountantConfig, IndividualLedger, worst_case_epsilon
-from idpacct.rdp_math import RdpCurve, compose, rdp_to_dp, sgm_rdp_curve
+from idpacct.rdp_math import RdpCurve, rdp_to_dp, sgm_rdp_curve
 from idpacct.dpsgd_sim import (
     Dataset,
     LogisticModel,
@@ -270,11 +270,12 @@ def test_exact_reference_equals_composed_per_step_curves():
                         [0.0, 0.0, 0.0, 0.0]])      # repeated and zero norms
     eps, _ = exact_reference_accounting(norms, cfg)
     for i in range(norms.shape[1]):
-        total = RdpCurve.zero(cfg.orders)
+        total = np.zeros(cfg.orders.shape)
         for z in np.minimum(norms[:, i], cfg.max_clip):
             mult = math.inf if z == 0.0 else cfg.noise_std / z
-            total = compose(total, sgm_rdp_curve(cfg.sampling_prob, mult, cfg.orders))
-        assert eps[i] == pytest.approx(rdp_to_dp(total, cfg.delta)[0], rel=1e-12, abs=0.0)
+            total = total + sgm_rdp_curve(cfg.sampling_prob, mult, cfg.orders).values
+        assert eps[i] == pytest.approx(rdp_to_dp(RdpCurve(cfg.orders, total), cfg.delta)[0],
+                                       rel=1e-12, abs=0.0)
 
 
 def test_exact_reference_saturated_norms_equal_worst_case(rng):

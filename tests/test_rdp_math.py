@@ -1,5 +1,5 @@
-"""Tests for RDP curves, composition, the DP conversion, noise calibration,
-and the independent quadrature oracle."""
+"""Tests for RDP curves, the DP conversion, noise calibration, and the
+independent quadrature oracle."""
 
 from __future__ import annotations
 
@@ -11,16 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idpacct import rdp_math
+from idpacct.kernel import sgm_rdp_matrix
 from idpacct.rdp_math import (
     CalibrationError,
-    GridMismatchError,
     InfeasibleTargetError,
     RdpCurve,
     calibrate_noise,
-    compose,
     default_orders,
-    gaussian_rdp,
-    gaussian_rdp_curve,
     rdp_to_dp,
     sgm_rdp_curve,
     sgm_rdp_int,
@@ -33,16 +30,19 @@ from conftest import max_rel_diff
 # ------------------------------------------------------------ gaussian ---
 
 def test_gaussian_rdp_examples():
-    assert gaussian_rdp(2.0, 3) == pytest.approx(0.375, abs=0)
-    assert gaussian_rdp(1.0, 2) == pytest.approx(1.0, abs=0)
-    assert gaussian_rdp(10.0, 2) == pytest.approx(0.01, rel=1e-15, abs=0.0)
+    # q = 1 is the plain Gaussian mechanism: rho_alpha = alpha / (2 sigma^2)
+    sigmas, alphas = np.asarray([2.0, 1.0, 10.0]), np.asarray([2, 3, 64])
+    got = sgm_rdp_matrix(1.0, sigmas, alphas)
+    want = alphas[None, :] / (2.0 * sigmas[:, None] ** 2)
+    assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert got[0, 1] == 0.375 and got[1, 0] == 1.0
 
 
 def test_gaussian_rdp_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        gaussian_rdp(0.0, 2)
+        sgm_rdp_matrix(1.0, [0.0], [2])
     with pytest.raises(ValueError):
-        gaussian_rdp(1.0, 1)
+        sgm_rdp_matrix(1.0, [1.0], [1])
 
 
 # ------------------------------------------------------- closed form ---
@@ -72,8 +72,7 @@ def test_sgm_rdp_curve_zero_sampling_all_zero():
 def test_sgm_rdp_curve_full_sampling_matches_gaussian_curve():
     curve = sgm_rdp_curve(1.0, 1.0, np.asarray([2, 4]))
     assert curve.values == pytest.approx([1.0, 2.0], rel=1e-15, abs=0.0)
-    gauss = gaussian_rdp_curve(1.0, np.asarray([2, 4]))
-    assert np.array_equal(curve.values, gauss.values)
+    assert np.array_equal(curve.values, np.asarray([2, 4]) / (2.0 * 1.0 ** 2))
 
 
 def test_sgm_rdp_curve_matches_quadrature_on_default_grid():
@@ -99,36 +98,11 @@ def test_curve_validation():
     assert c.values[0] == 0.0
 
 
-def test_compose_identity_and_doubling():
-    orders = np.asarray([2, 5, 16])
-    zero = RdpCurve.zero(orders)
-    c = RdpCurve(orders, np.asarray([0.25, 0.5, 1.5]))
-    assert np.array_equal(compose(zero, c).values, c.values)
-    assert np.array_equal(compose(c, c).values, 2 * c.values)
-
-
-def test_compose_associative_on_dyadic_values():
-    orders = np.asarray([2, 3])
-    a = RdpCurve(orders, np.asarray([0.25, 0.5]))
-    b = RdpCurve(orders, np.asarray([0.125, 1.0]))
-    c = RdpCurve(orders, np.asarray([2.0, 0.0625]))
-    left = compose(compose(a, b), c)
-    right = compose(a, compose(b, c))
-    assert np.array_equal(left.values, right.values)
-
-
-def test_compose_grid_mismatch():
-    a = RdpCurve(np.asarray([2, 3]), np.asarray([0.1, 0.1]))
-    b = RdpCurve(np.asarray([2, 4]), np.asarray([0.1, 0.1]))
-    with pytest.raises(GridMismatchError):
-        compose(a, b)
-
-
 def test_scaled_matches_repeated_compose():
+    # RDP composes by addition, so 5 compositions are a sum of 5 curves
     c = RdpCurve(np.asarray([2, 8]), np.asarray([0.3, 0.7]))
-    assert np.allclose(c.scaled(5).values, compose(compose(c, c),
-                                                   compose(c, compose(c, c))).values,
-                       rtol=1e-15)
+    v = c.values
+    assert np.allclose(c.scaled(5).values, (v + v) + (v + (v + v)), rtol=1e-15)
 
 
 # --------------------------------------------------------- conversion ---
@@ -148,7 +122,7 @@ def test_rdp_to_dp_order_33():
 
 def test_rdp_to_dp_zero_curve_minimized_at_largest_order():
     orders = default_orders()
-    eps, order = rdp_to_dp(RdpCurve.zero(orders), 1e-5)
+    eps, order = rdp_to_dp(RdpCurve(orders, np.zeros(orders.shape)), 1e-5)
     assert order == orders[-1]
     assert eps == pytest.approx(math.log(1e5) / (orders[-1] - 1), rel=1e-12, abs=0.0)
 

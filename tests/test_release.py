@@ -5,17 +5,20 @@ from __future__ import annotations
 
 import json
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
 from idpacct import release
+from idpacct.rdp_math import calibrate_noise
 from idpacct.release import (
     BudgetInfeasibleError,
     ReleaseConfig,
     calibrate_gaussian_scale,
     dp_mean,
     dp_quantile,
+    gaussian_delta,
     release_all,
 )
 
@@ -102,6 +105,69 @@ def test_dp_quantile_rejects_bad_target():
 
 # ---------------------------------------------------------- calibration ---
 
+# (epsilon, m, exact delta to 40 digits): Phi(1/(2m) - eps m)
+# - e^eps Phi(-1/(2m) - eps m) at the exact binary values of the float
+# literals, computed once with mpmath at 60 digits.  Each m is the calibrated
+# multiplier for delta 1e-3, 1e-5, 1e-9 or 1e-12, rounded to 6 digits.
+_PROFILE = [
+    (0.01, 93.9074, "1.000000580390874068174159564689204752891e-3"),
+    (0.01, 243.785, "1.000015124654842517167273503735952177709e-5"),
+    (0.01, 458.508, "1.000025828265933627313622971132106878048e-9"),
+    (0.01, 578.998, "9.999916484988341592613111706173124671521e-13"),
+    (0.1, 17.4044, "9.999988444274735070904364219000107970802e-4"),
+    (0.1, 30.7496, "9.999867116348835862207416955230831641891e-6"),
+    (0.1, 50.2098, "1.000010192072709581646485319006729957225e-9"),
+    (0.1, 61.5391, "9.999708211111286203015070157336638194089e-13"),
+    (1.0, 2.57466, "9.999894463338613001521801625441382837642e-4"),
+    (1.0, 3.73063, "1.000007275975547058569341855377070896516e-5"),
+    (1.0, 5.49527, "9.999769049367758655386640787589738959604e-10"),
+    (1.0, 6.55782, "1.000014464119385693423663660148278547958e-12"),
+    (10.0, 0.40606, "9.99980459424822016926589802299879154079e-4"),
+    (10.0, 0.499889, "9.999795241941801532221873148495060845056e-6"),
+    (10.0, 0.650247, "9.999944397179424468486095770704059543022e-10"),
+    (10.0, 0.744612, "1.000025121087133552472266626772166226345e-12"),
+]
+
+
+@pytest.mark.parametrize("eps, m, exact", _PROFILE)
+def test_gaussian_delta_matches_exact_profile(eps, m, exact):
+    # never below the exact delta, and above it by at most the 1e-9
+    # relative that the docstring states
+    got = gaussian_delta(eps, m)
+    assert Decimal(got) >= Decimal(exact)
+    assert got == pytest.approx(float(exact), rel=1e-9, abs=0.0)
+
+
+def test_gaussian_delta_large_epsilon_overstates_only():
+    # e^700 * Phi(-26.6) is past the subtracted term's cutoff: dropping it
+    # must not overflow, and may only overstate delta (exact value from
+    # mpmath as above)
+    got = gaussian_delta(700.0, 0.03)
+    assert Decimal(got) >= Decimal("6.45809486953753960398102582837744284556e-6")
+    assert got <= 1.2 * 6.458094869537540e-6
+    assert 0.0 < calibrate_gaussian_scale(1.0, 1000.0, 1e-5) < math.inf
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.1, 1.0, 10.0])
+@pytest.mark.parametrize("delta", [1e-12, 1e-5, 1e-3])
+def test_gaussian_scale_is_least_multiplier_meeting_delta(eps, delta):
+    m = calibrate_gaussian_scale(1.0, eps, delta)
+    assert gaussian_delta(eps, m) <= delta < gaussian_delta(eps, m * (1 - 1e-7))
+
+
+def test_exact_calibration_needs_no_more_noise_than_rdp():
+    # the RDP route: a Gaussian query as the q = 1 edge of the subsampled
+    # mechanism, converted over orders 2..64 and powers of two up to 16384
+    orders = np.concatenate([np.arange(2, 65), 2 ** np.arange(7, 15)])
+    for eps in np.geomspace(0.01, 10.0, 7):
+        for delta in np.geomspace(1e-12, 1e-3, 4):
+            rdp = calibrate_noise(eps, delta, q=1.0, steps=1, orders=orders,
+                                  tol=1e-4 * eps)
+            assert calibrate_gaussian_scale(1.0, eps, delta) <= rdp
+    assert calibrate_gaussian_scale(1.0, 1.0, 1e-5) == pytest.approx(3.7306, abs=1e-4)
+    assert calibrate_noise(1.0, 1e-5, q=1.0, steps=1, orders=orders) \
+        == pytest.approx(4.9016, abs=1e-4)
+
 def test_gaussian_scale_monotone_in_budget():
     tight = calibrate_gaussian_scale(1.0, 0.05, 1e-5)
     loose = calibrate_gaussian_scale(1.0, 1.0, 1e-5)
@@ -159,15 +225,24 @@ def test_release_all_spends_the_configured_budget(eps):
 
 def test_release_all_calibrates_once(monkeypatch):
     calls = []
-    calibrate = release.calibrate_noise
+    calibrate = release.calibrate_gaussian_scale
 
     def counted(*args, **kwargs):
         calls.append(args)
         return calibrate(*args, **kwargs)
 
-    monkeypatch.setattr(release, "calibrate_noise", counted)
+    monkeypatch.setattr(release, "calibrate_gaussian_scale", counted)
     release_all(_mid_range_values(2000, 3), ReleaseConfig(epsilon=1.0, bound=8.0))
     assert len(calls) == 1    # one per release, not one per statistic
+
+
+def test_release_defaults_count_noise():
+    # epsilon 1, 5 quantiles x 20 steps, n = 5,000, B = 8: the count std is
+    # m sqrt(6 x 20) with m = 3.7306 (53.7 through the RDP bound)
+    stats = release_all(_mid_range_values(5000), ReleaseConfig(epsilon=1.0, bound=8.0))
+    assert stats.budget["count_noise_scale"] == pytest.approx(40.87, abs=0.01)
+    assert stats.budget["mean_noise_scale"] == pytest.approx(
+        3.7306 * math.sqrt(6) * 8.0 / 5000, rel=1e-4)
 
 
 def test_release_all_splits_one_multiplier_evenly():
@@ -226,7 +301,7 @@ def test_released_stats_json_round_trip(tmp_path):
     path = tmp_path / "release.json"
     stats.to_json(str(path))
     doc = json.loads(path.read_text())
-    assert (doc["format"], doc["version"]) == ("idpacct-release", 2)
+    assert (doc["format"], doc["version"]) == ("idpacct-release", 3)
     assert doc["mean"] == stats.mean
     assert {float(k): v for k, v in doc["quantiles"].items()} == stats.quantiles
     assert doc["budget"] == stats.budget

@@ -14,7 +14,7 @@ import pytest
 
 from idpacct.accountant import AccountantConfig, IndividualLedger
 from idpacct.cli import EXIT_VALIDATION, main
-from idpacct.rdp_math import RdpCurve, compose, rdp_to_dp, sgm_rdp_curve
+from idpacct.rdp_math import RdpCurve, rdp_to_dp, sgm_rdp_curve
 from idpacct.traceio import (
     TRACE_VERSION,
     TraceFormatError,
@@ -411,11 +411,11 @@ def test_hand_written_trace_matches_manual_composition(tmp_path):
     eps, _ = ledger.epsilons()
     cfg = header.to_config()
     for i in range(3):
-        total = RdpCurve.zero(cfg.orders)
+        total = np.zeros(cfg.orders.shape)
         for t in range(4):
             z = min(norms[t, i], 1.0)
-            total = compose(total, sgm_rdp_curve(0.1, 1.0 / z, cfg.orders))
-        expected, _ = rdp_to_dp(total, 1e-5)
+            total = total + sgm_rdp_curve(0.1, 1.0 / z, cfg.orders).values
+        expected, _ = rdp_to_dp(RdpCurve(cfg.orders, total), 1e-5)
         assert eps[i] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 

@@ -18,11 +18,15 @@ load.  An archive with any other members (such as an older layout with flat
 ``idpacct simulate --binary-trace``.  Both formats share the header's
 version: a trace written under another version is rejected, and is
 re-created with ``idpacct simulate``.
+
+Both writers stream into ``atomic_open``'s temp file, which is renamed over
+the target only when complete.  ``write_trace`` encodes one row at a time,
+and ``write_trace_npz`` hands the file to ``np.savez``, which copies the
+matrix out in chunks of at most 16 MiB; neither builds the file in memory.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import zipfile
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fileio import atomic_write
+from ._fileio import atomic_open, atomic_write
 from .accountant import AccountantConfig, IndividualLedger
 from .rdp_math import _check_fields
 
@@ -98,8 +102,10 @@ def _check_matrix(header: TraceHeader, norms: np.ndarray) -> np.ndarray:
 def write_trace(path: str, header: TraceHeader, norms: np.ndarray) -> None:
     """``norms`` has one row per refresh step, one column per example."""
     norms = _check_matrix(header, norms)
-    lines = [json.dumps(header.to_dict())] + [json.dumps(row) for row in norms.tolist()]
-    atomic_write(path, "\n".join(lines) + "\n")
+    with atomic_open(path) as f:
+        f.write(json.dumps(header.to_dict()).encode() + b"\n")
+        for row in norms:
+            f.write(json.dumps(row.tolist()).encode() + b"\n")
 
 
 def _parse_header(line: str) -> TraceHeader:
@@ -181,10 +187,9 @@ def write_trace_npz(path: str, header: TraceHeader, norms: np.ndarray) -> None:
     """Binary variant: the header as JSON bytes plus the norm matrix, both
     stored uncompressed."""
     norms = _check_matrix(header, norms)
-    buf = io.BytesIO()
-    np.savez(buf, header=np.frombuffer(json.dumps(header.to_dict()).encode(), dtype=np.uint8),
-             norm=np.ascontiguousarray(norms))
-    atomic_write(path, buf.getbuffer())
+    with atomic_open(path) as f:
+        np.savez(f, header=np.frombuffer(json.dumps(header.to_dict()).encode(), dtype=np.uint8),
+                 norm=np.ascontiguousarray(norms))
 
 
 def read_trace_npz(path: str) -> tuple[TraceHeader, np.ndarray]:
@@ -245,33 +250,41 @@ def read_losses_csv(path: str) -> tuple[np.ndarray, np.ndarray | None]:
     labelled."""
     import csv
 
+    columns = ["example_id", "group", "final_loss"]
     losses, groups = [], []
     blank = False                # some row has a blank group cell
     with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != ["example_id", "group", "final_loss"]:
-            raise ValueError(f"{path}: unexpected losses columns {reader.fieldnames}")
-        for i, row in enumerate(reader):
-            where = f"{path}: line {reader.line_num}"
-            if row["example_id"] != str(i):
-                raise ValueError(f"{where}: example_id {row['example_id']!r}, expected {i} "
-                                 "(rows must be in example order)")
+        reader = csv.reader(f)
+        first = next(reader, None)
+        if first != columns:
+            raise ValueError(f"{path}: unexpected losses columns {first}")
+
+        def bad(message: str) -> ValueError:
+            return ValueError(f"{path}: line {reader.line_num}: {message}")
+
+        # blank lines are skipped, as csv.DictReader does
+        for i, row in enumerate(filter(None, reader)):
+            if len(row) != len(columns):
+                raise bad(f"{len(row)} fields, expected {len(columns)} ({','.join(columns)})")
+            example_id, group, final_loss = row
+            if example_id != str(i):
+                raise bad(f"example_id {example_id!r}, expected {i} "
+                          "(rows must be in example order)")
             try:
-                loss = float(row["final_loss"])
-            except (TypeError, ValueError):
-                raise ValueError(f"{where}: final_loss {row['final_loss']!r} is not a number")
+                loss = float(final_loss)
+            except ValueError:
+                raise bad(f"final_loss {final_loss!r} is not a number")
             if not math.isfinite(loss):
-                raise ValueError(f"{where}: final_loss {row['final_loss']!r} is not finite")
+                raise bad(f"final_loss {final_loss!r} is not finite")
             losses.append(loss)
-            if row["group"] == "":
+            if group == "":
                 blank = True
             else:
                 try:
-                    groups.append(int(row["group"]))
-                except (TypeError, ValueError):
-                    raise ValueError(f"{where}: group {row['group']!r} is not an integer")
+                    groups.append(int(group))
+                except ValueError:
+                    raise bad(f"group {group!r} is not an integer")
             if blank and groups:
-                raise ValueError(f"{where}: group column mixes blank and labelled cells; "
-                                 "label every row or none")
+                raise bad("group column mixes blank and labelled cells; label every row or none")
     return (np.asarray(losses, dtype=np.float64),
             np.asarray(groups, dtype=np.int64) if groups else None)

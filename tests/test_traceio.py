@@ -6,12 +6,14 @@ from __future__ import annotations
 import io
 import json
 import re
+import tracemalloc
 import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from idpacct._fileio import atomic_write
 from idpacct.accountant import AccountantConfig, IndividualLedger
 from idpacct.cli import EXIT_VALIDATION, main
 from idpacct.rdp_math import RdpCurve, rdp_to_dp, sgm_rdp_curve
@@ -123,6 +125,109 @@ def test_read_any_trace_dispatches_on_suffix(tmp_path):
         writer(path, header, norms)
         _, got = read_any_trace(path)
         assert np.array_equal(got, norms)
+
+
+# --------------------------------------------------- streaming writers ---
+
+def _old_npz_bytes(header: TraceHeader, norms: np.ndarray) -> bytes:
+    # the earlier writer: the whole archive built in memory first
+    buf = io.BytesIO()
+    np.savez(buf, header=np.frombuffer(json.dumps(header.to_dict()).encode(), dtype=np.uint8),
+             norm=np.ascontiguousarray(norms))
+    return buf.getvalue()
+
+
+def _old_jsonl_bytes(header: TraceHeader, norms: np.ndarray) -> bytes:
+    lines = [json.dumps(header.to_dict())] + [json.dumps(row) for row in norms.tolist()]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray],
+                         ids=["c_order", "fortran_order"])
+@pytest.mark.parametrize("writer, old", [(write_trace, _old_jsonl_bytes),
+                                         (write_trace_npz, _old_npz_bytes)],
+                         ids=["jsonl", "npz"])
+def test_streaming_writer_matches_in_memory_route(tmp_path, writer, old, layout):
+    header = _header(n=7, steps=11, frequency=2)
+    norms = layout(np.concatenate([_norms(header, seed=4)[:, :-2],
+                                   np.full((6, 2), [0.0, 5e-324])], axis=1))
+    path = tmp_path / "t"
+    writer(str(path), header, norms)
+    assert path.read_bytes() == old(header, norms)
+
+
+@pytest.mark.parametrize("writer, reader, n, bound", [
+    (write_trace_npz, read_trace_npz, 20_000, 1.1),
+    # tracemalloc traces every Python float, which takes 7 s at n = 20,000;
+    # the ratio is the same at any n, since the extra memory is one row's text
+    (write_trace, read_trace, 2_000, 0.5),
+], ids=["npz", "jsonl"])
+def test_trace_writer_memory_is_bounded(tmp_path, writer, reader, n, bound):
+    # traced peak above the 64-row input matrix; the earlier writers, which built
+    # the whole file in memory, peaked at 2.0x (npz) and 7.5x (JSON-Lines)
+    header = _header(n=n, steps=64, frequency=1)
+    norms = _norms(header, seed=6)
+    path = str(tmp_path / "t")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        writer(path, header, norms)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * norms.nbytes, peak / norms.nbytes
+    assert np.array_equal(reader(path)[1], norms)
+
+
+# -------------------------------------------------------- atomic writes ---
+
+def _temp_files(directory: Path) -> list[str]:
+    return sorted(p.name for p in directory.iterdir() if p.name.startswith(".tmp-"))
+
+
+def _savez_then_raise(exc):
+    def savez(file, **arrays):
+        file.write(b"PK\x03\x04 part of an archive")
+        raise exc
+    return savez
+
+
+def _dumps_then_raise(exc):
+    calls = []
+    real = json.dumps
+
+    def dumps(obj, **kwargs):
+        calls.append(obj)
+        if len(calls) == 3:               # the header and one row are written
+            raise exc
+        return real(obj, **kwargs)
+    return dumps
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("disk gone"), KeyboardInterrupt()],
+                         ids=["exception", "keyboard_interrupt"])
+@pytest.mark.parametrize("writer, target, patch", [
+    (write_trace_npz, (np, "savez"), _savez_then_raise),
+    (write_trace, (json, "dumps"), _dumps_then_raise),
+], ids=["npz", "jsonl"])
+def test_failed_write_leaves_target_and_no_temp_file(tmp_path, monkeypatch, exc,
+                                                     writer, target, patch):
+    path = tmp_path / "t"
+    path.write_bytes(b"the earlier trace")
+    monkeypatch.setattr(*target, patch(exc))
+    with pytest.raises(type(exc)):
+        writer(str(path), _header(), _norms(_header()))
+    assert path.read_bytes() == b"the earlier trace"
+    assert _temp_files(tmp_path) == []
+
+
+@pytest.mark.parametrize("data", ["caf\u00e9\n", b"\x00\xffbytes"], ids=["text", "bytes"])
+def test_atomic_write_replaces_target_and_leaves_no_temp_file(tmp_path, data):
+    path = tmp_path / "out"
+    path.write_bytes(b"the earlier file")
+    atomic_write(str(path), data)
+    assert path.read_bytes() == (data.encode("utf-8") if isinstance(data, str) else data)
+    assert _temp_files(tmp_path) == []
 
 
 # ----------------------------------------------------------- validation ---
@@ -469,14 +574,29 @@ def test_losses_csv_without_groups(tmp_path):
     # -inf used to reach analysis.json as -Infinity; nan failed in a least-squares fit
     ("0,0,0.25\n1,0,-inf\n", "line 3: final_loss '-inf' is not finite"),
     ("0,0,nan\n", "line 2: final_loss 'nan' is not finite"),
+    # a fourth field used to be dropped silently, a missing third to read as None
+    ("0,0,0.25\n1,0,0.5,9\n", "line 3: 4 fields, expected 3"),
+    ("0,0.25\n", "line 2: 2 fields, expected 3"),
 ], ids=["example_order", "group", "loss", "blank_among_labels", "label_after_blank",
-        "loss_minus_inf", "loss_nan"])
+        "loss_minus_inf", "loss_nan", "extra_field", "missing_field"])
 def test_losses_csv_rejects_bad_rows(tmp_path, rows, message):
     path = tmp_path / "l.csv"
     path.write_text("example_id,group,final_loss\n" + rows)
     with pytest.raises(ValueError, match=message) as err:
         read_losses_csv(str(path))
     assert str(path) in str(err.value)
+
+
+def test_losses_csv_skips_blank_lines(tmp_path):
+    # blank lines are skipped but still counted in the line numbers of errors
+    path = tmp_path / "l.csv"
+    path.write_text("example_id,group,final_loss\n0,0,0.25\n\n1,1,0.5\n\n")
+    losses, groups = read_losses_csv(str(path))
+    assert np.array_equal(losses, [0.25, 0.5])
+    assert np.array_equal(groups, [0, 1])
+    path.write_text("example_id,group,final_loss\n0,0,0.25\n\n1,0,low\n")
+    with pytest.raises(ValueError, match="line 4: final_loss 'low' is not a number"):
+        read_losses_csv(str(path))
 
 
 def test_losses_csv_keeps_group_minus_one(tmp_path):

@@ -14,7 +14,8 @@ assignment, and the sums are formed when queried.  Long or repeatedly
 queried runs fold the recorded charges into an (n, orders) state: first
 when they reach a quarter of its size, or at the first refresh or query
 after a full query, and from then on at every refresh and query.
-Conversion to per-example (epsilon, delta) happens at query time.
+Conversion to per-example (epsilon, delta) happens at query time.  In the
+package only ``traceio.replay_trace`` drives a ledger, for both CLI paths.
 """
 
 from __future__ import annotations
@@ -130,6 +131,16 @@ def _round_array(z: np.ndarray, rounding: float, max_clip: float) -> np.ndarray:
     return v.take(j)
 
 
+def sensitivity_buckets(norms: np.ndarray, max_clip: float, rounding: float) -> np.ndarray:
+    """Norms clipped to C, then rounded onto the grid when r > 0; with
+    rounding off a zero norm stays zero sensitivity, whose curve is zero.
+    The ledger charges these buckets; individual clipping clips to them."""
+    z = np.minimum(norms, max_clip)
+    if rounding > 0:
+        z = _round_array(z, rounding, max_clip)
+    return z
+
+
 class BucketCache:
     """Curve table: ``rows[j]`` is the single-step RDP curve of sensitivity
     ``bucket_values[j]``.  With rounding on, the whole grid {r, 2r, ..., C}
@@ -147,9 +158,10 @@ class BucketCache:
         self.misses = len(self)
 
     def _curves(self, values: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return sgm_rdp_matrix(self.config.sampling_prob,
-                                  self.config.noise_std / values, self.config.orders)
+        # a zero or subnormal sensitivity makes the multiplier inf: a zero curve
+        with np.errstate(divide="ignore", over="ignore"):
+            mult = self.config.noise_std / values
+        return sgm_rdp_matrix(self.config.sampling_prob, mult, self.config.orders)
 
     def __len__(self) -> int:
         return self.bucket_values.shape[0]
@@ -207,7 +219,7 @@ class IndividualLedger:
     refreshes with more; in exactness mode, where one charge is about the
     state's size, usually the second refresh), or at the first refresh or
     query after a full query (``epsilons``/``report``): a ledger queried
-    during training is being watched.  From the first fold on, every
+    between refreshes is being watched.  From the first fold on, every
     refresh and query folds, so a long or watched run costs what an eager
     ledger costs.
     Ledger memory stays under 1.25 x n x orders x 8 bytes plus one
@@ -262,40 +274,31 @@ class IndividualLedger:
 
     def _blocks(self, into: Optional[np.ndarray] = None):
         """Yield (lo, rows): the accumulated RDP of examples lo:lo + len(rows),
-        in blocks of _BLOCK rows, so the gathered curves stay in cache.  The
-        rows are ``into``'s when given (the state itself, to fold the held
-        charges into it), else those of one reused buffer."""
+        the held charges summed in refresh order onto the state's or the first
+        charge's rows, _BLOCK rows at a time so the gathered curves stay in
+        cache; in ``into``'s rows when given (the state, to fold into it)."""
         orders = self.config.orders.size
         buf = np.empty((_BLOCK, orders)) if into is None else None
         scratch = np.empty((_BLOCK, orders))
         for lo in range(0, self.n, _BLOCK):
             hi = min(lo + _BLOCK, self.n)
-            rows = buf[:hi - lo] if into is None else into[lo:hi]
-            self._sum_rows(lo, rows, scratch)
-            yield lo, rows
-
-    def _sum_rows(self, lo: int, out: np.ndarray, scratch: np.ndarray) -> None:
-        """Rows lo:lo + len(out) of the accumulated RDP, written to ``out``:
-        the held charges added in refresh order onto the folded state's
-        rows (``out`` may be those rows), or onto the first charge's rows
-        when no state exists.  Callers pass blocks of at most _BLOCK rows,
-        so the gathered rows stay in cache."""
-        hi = lo + out.shape[0]
-        held = self._held
-        if self._rdp is not None:
-            if not np.may_share_memory(out, self._rdp):
-                out[...] = self._rdp[lo:hi]
-        elif held:
-            table, assign = held[0]
-            np.take(table, assign[lo:hi], axis=0, out=out, mode="clip")
-            held = held[1:]
-        else:
-            out.fill(0.0)
-        # mode="clip" writes to out unbuffered; every index is in range
-        gathered = scratch[:out.shape[0]]
-        for table, assign in held:
-            np.take(table, assign[lo:hi], axis=0, out=gathered, mode="clip")
-            np.add(out, gathered, out=out)
+            out = buf[:hi - lo] if into is None else into[lo:hi]
+            held = self._held
+            if self._rdp is not None:
+                if into is not self._rdp:
+                    out[...] = self._rdp[lo:hi]
+            elif held:
+                table, assign = held[0]
+                np.take(table, assign[lo:hi], axis=0, out=out, mode="clip")
+                held = held[1:]
+            else:
+                out.fill(0.0)
+            # mode="clip" writes to out unbuffered; every index is in range
+            gathered = scratch[:hi - lo]
+            for table, assign in held:
+                np.take(table, assign[lo:hi], axis=0, out=gathered, mode="clip")
+                np.add(out, gathered, out=out)
+            yield lo, out
 
     def update_assignments(self, norms: Sequence[float], step: Optional[int] = None) -> None:
         """Re-bucket every example from fresh gradient norms."""
@@ -311,12 +314,8 @@ class IndividualLedger:
         # charge the old assignments before exactness mode replaces their curves
         self._close()
         self._fold()
-        z = np.minimum(norms, self.config.max_clip)
-        if self.config.rounding > 0:
-            z = _round_array(z, self.config.rounding, self.config.max_clip)
-        # no-rounding mode keeps exact clipped norms; a zero norm means zero
-        # sensitivity, whose multiplier is inf and whose curve is zero
-        idx = self.cache.indices_for(z)
+        idx = self.cache.indices_for(
+            sensitivity_buckets(norms, self.config.max_clip, self.config.rounding))
         # the smallest dtype that indexes the table, as held charges keep it
         self._assign = idx.astype(np.min_scalar_type(max(len(self.cache) - 1, 0)))
 
@@ -329,39 +328,19 @@ class IndividualLedger:
         self._pending += 1
         self.steps += 1
 
-    def assigned_buckets(self) -> np.ndarray:
-        """Current bucket value per example."""
-        if self._assign is None:
-            raise LedgerError("no assignments yet")
-        return self.cache.bucket_values[self._assign]
-
     def counts(self) -> np.ndarray:
-        """The (n, orders) accumulated RDP, every step charged: the folded
-        state itself when no charge is held, else a new array, so reading
-        it folds nothing.  Only the benchmark's ledger-size probe reads it,
-        under this name; it stays until a benchmark-only change renames
-        that probe."""
-        self._close()
-        if self._rdp is not None and not self._held:
+        """The (n, orders) accumulated RDP, every step charged, changing
+        nothing: the folded state itself when nothing is held or pending,
+        else a new array, with the pending steps added last, as a query adds
+        them.  Only the benchmark's ledger-size probe reads it, under this
+        name; it stays until a benchmark-only change renames that probe."""
+        if self._rdp is not None and not self._held and not self._pending:
             return self._rdp
         out = np.empty((self.n, self.config.orders.size))
-        for _ in self._blocks(out):
-            pass
+        for lo, rows in self._blocks(out):
+            if self._pending:
+                rows += self._pending * self.cache.rows[self._assign[lo:lo + rows.shape[0]]]
         return out
-
-    def accumulated_rdp(self, i: int) -> RdpCurve:
-        """Sum of the charged single-step curves of example i."""
-        if not 0 <= i < self.n:
-            raise IndexError(f"example index {i} out of range [0, {self.n})")
-        self._close()
-        self._fold()
-        row = np.empty((1, self.config.orders.size))
-        self._sum_rows(i, row, np.empty_like(row))
-        return RdpCurve(self.config.orders, row[0])
-
-    def epsilon_of(self, i: int, delta: Optional[float] = None) -> tuple[float, int]:
-        delta = self.config.delta if delta is None else delta
-        return rdp_to_dp(self.accumulated_rdp(i), delta)
 
     def epsilons(self, delta: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
         """(epsilon, best order) for all examples, summed and converted in
@@ -407,6 +386,15 @@ def worst_case_epsilon(config: AccountantConfig, steps: int,
     row = sgm_rdp_matrix(config.sampling_prob, np.asarray([mult]), config.orders)[0]
     eps, order = rdp_to_dp(RdpCurve(config.orders, row * steps), delta)
     return (eps, order) if with_order else eps
+
+
+# per-example fields of a report file: (element types, least value, rule);
+# bool is an int subclass, so types compare exactly; the report checks eps >= 0
+_PER_EXAMPLE = {
+    "epsilons": ({int, float}, None, "per-example epsilon must be a number >= 0"),
+    "best_orders": ({int}, 2, "an order must be an integer >= 2"),
+    "group_labels": ({int}, None, "a group label must be an integer"),
+}
 
 
 @dataclass
@@ -498,6 +486,16 @@ class PrivacyReport:
         if doc.get("epsilons") is None or doc.get("best_orders") is None:
             raise ValueError(f"{path}: report was exported without per-example values; "
                              "re-export it with --unsafe-export-per-example")
+        for name, (types, least, rule) in _PER_EXAMPLE.items():
+            values = doc.get(name)
+            if values is None and name == "group_labels":
+                continue
+            if type(values) is not list or len(values) != doc["n"]:
+                raise ValueError(f"{path}: {name} must be an array of n = {doc['n']} values")
+            if not set(map(type, values)) <= types or least and values and min(values) < least:
+                i = next(i for i, v in enumerate(values)
+                         if type(v) not in types or least and v < least)
+                raise ValueError(f"{path}: {name}[{i}]: {rule}, got {values[i]!r}")
         return cls(
             epsilons=doc["epsilons"], best_orders=doc["best_orders"],
             worst_epsilon=worst["epsilon"], worst_order=worst["order"],

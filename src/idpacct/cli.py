@@ -41,12 +41,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_input(read, path: str):
-    """``read(path)``, with a missing file or malformed JSON or trace
-    reported as a validation failure that names the path."""
+    """``read(path)``, with a missing, unreadable or non-UTF-8 file, or bad
+    JSON or trace, reported as a validation failure that names the path."""
     try:
         return read(path)
     except FileNotFoundError:
         raise ValidationFailure(f"{path}: no such file")
+    except (IsADirectoryError, PermissionError) as exc:
+        raise ValidationFailure(f"{path}: {exc.strerror.lower()}")
+    except UnicodeDecodeError as exc:
+        raise ValidationFailure(f"{path}: not {exc.encoding} text ({exc.reason})")
     except json.JSONDecodeError as exc:
         raise ValidationFailure(f"{path}:{exc.lineno}: {exc.msg}")
     except traceio.TraceFormatError as exc:
@@ -108,14 +112,10 @@ def cmd_simulate(args) -> int:
     if out.ledger is None:
         print("accounting disabled (no noise or no clipping); wrote losses only")
         return EXIT_OK
-    header = traceio.TraceHeader(
-        n=config.n, clip=out.clip_resolved, noise_std=config.noise_std,
-        sampling_prob=config.sampling_prob, frequency=out.frequency,
-        rounding=out.rounding_resolved, steps=out.steps)
     if args.binary_trace:
-        traceio.write_trace_npz(_out_path(args, "trace.npz"), header, out.trace_norms)
+        traceio.write_trace_npz(_out_path(args, "trace.npz"), out.header, out.trace_norms)
     else:
-        traceio.write_trace(_out_path(args, "trace.jsonl"), header, out.trace_norms)
+        traceio.write_trace(_out_path(args, "trace.jsonl"), out.header, out.trace_norms)
     report = out.ledger.report(group_labels=dataset.groups)
     report.to_json(_out_path(args, "report.json"),
                    unsafe_export_per_example=args.unsafe_export_per_example)

@@ -3,10 +3,11 @@
 Synthetic Gaussian-blob tasks, logistic regression or a one-hidden-layer
 tanh MLP, Poisson sampling, per-example clipping (to the shared threshold C
 or, in individual mode, to each example's own rounded sensitivity bucket),
-and Gaussian noise on the summed update.  Training drives an attached
-per-example ledger: full-batch norms are recomputed whenever
-t mod K == 0 and every example is charged at every step.  Everything is
-deterministic under the config seed.
+and Gaussian noise on the summed update.  Full-batch norms are recomputed
+whenever t mod K == 0 and recorded as a norm trace; after training the
+per-example ledger is ``traceio.replay_trace`` of that trace, the same
+replay that ``idpacct account`` runs, so every example is charged at every
+step.  Everything is deterministic under the config seed.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .accountant import AccountantConfig, IndividualLedger
+from .accountant import AccountantConfig, IndividualLedger, sensitivity_buckets
 from .kernel import sgm_rdp_matrix
 from .rdp_math import _check_fields, _eps_from_rdp
+from .traceio import TraceHeader, replay_trace
 
 
 class NanAbortError(RuntimeError):
@@ -282,7 +284,8 @@ def poisson_sample(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
 @dataclass
 class TrainOutput:
     model: object
-    ledger: Optional[IndividualLedger]
+    ledger: Optional[IndividualLedger]    # replay_trace(header, trace_norms)
+    header: Optional[TraceHeader]         # None with accounting disabled
     losses: np.ndarray                    # final per-example training loss
     trace_norms: np.ndarray               # (refreshes, n) norms at steps 0, K, 2K, ...
     steps: int
@@ -295,9 +298,9 @@ class TrainOutput:
 
 
 def train(config: SimConfig, dataset: Optional[Dataset] = None) -> TrainOutput:
-    """Run DP-SGD per the config; returns the populated ledger, the norm
-    trace at refresh steps, per-step norms for tracked ids, and final
-    per-example losses."""
+    """Run DP-SGD per the config; returns the norm trace at refresh steps,
+    its header and the ledger that replays it, per-step norms for tracked
+    ids, and final per-example losses."""
     rng = np.random.default_rng(config.seed)
     model = make_model(config, rng)
     if dataset is None:
@@ -313,11 +316,10 @@ def train(config: SimConfig, dataset: Optional[Dataset] = None) -> TrainOutput:
         raise ValueError("resolved clip threshold is not positive")
     accounting = config.noise_std > 0 and math.isfinite(c)
     r = config.rounding if config.rounding is not None else 0.01 * c
-    ledger = None
-    if accounting:
-        ledger = IndividualLedger(n, AccountantConfig(
-            noise_std=config.noise_std, max_clip=c, sampling_prob=config.sampling_prob,
-            rounding=r, frequency=k_freq, delta=config.delta))
+    # built before training, so a bad rounding fails first
+    header = (TraceHeader(n=n, clip=c, noise_std=config.noise_std,
+                          sampling_prob=config.sampling_prob, frequency=k_freq,
+                          rounding=r, steps=big_t) if accounting else None)
 
     tracked = None
     if config.track_ids is not None:
@@ -326,23 +328,17 @@ def train(config: SimConfig, dataset: Optional[Dataset] = None) -> TrainOutput:
             raise IndexError("tracked id out of range")
     tr_norms = np.zeros((big_t, tracked.size)) if tracked is not None else None
     tr_buckets = (np.zeros((big_t, tracked.size))
-                  if tracked is not None and ledger is not None else None)
+                  if tracked is not None and accounting else None)
 
     trace_rows: list = []
-    current_z = np.full(n, c)
 
     for t in range(big_t):
         full_norms = None
         if t % k_freq == 0:
             full_norms = np.linalg.norm(model.per_example_grads(x, y), axis=1)
             trace_rows.append(full_norms)
-            if ledger is not None:
-                ledger.update_assignments(full_norms, t)
-                current_z = ledger.assigned_buckets()
-            else:
-                current_z = np.minimum(full_norms, c)
-        if ledger is not None:
-            ledger.record_step(t)
+            # with the mechanism off there is no grid: clipped norms
+            current_z = sensitivity_buckets(full_norms, c, r if accounting else 0.0)
         if tracked is not None:
             if full_norms is not None:
                 tr_norms[t] = full_norms[tracked]
@@ -366,9 +362,11 @@ def train(config: SimConfig, dataset: Optional[Dataset] = None) -> TrainOutput:
             raise NanAbortError(t)
         model.set_params(new_params)
 
+    trace_norms = np.asarray(trace_rows)
+    ledger = None if header is None else replay_trace(header, trace_norms, config.delta)
     return TrainOutput(
-        model=model, ledger=ledger, losses=model.losses(x, y),
-        trace_norms=np.asarray(trace_rows),
+        model=model, ledger=ledger, header=header, losses=model.losses(x, y),
+        trace_norms=trace_norms,
         steps=big_t, clip_resolved=c, rounding_resolved=r, frequency=k_freq,
         tracked_ids=tracked, tracked_norms=tr_norms, tracked_buckets=tr_buckets)
 
@@ -394,7 +392,7 @@ def exact_reference_accounting(norms: np.ndarray, config: AccountantConfig,
     delta = config.delta if delta is None else delta
 
     z = np.minimum(norms, config.max_clip)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         mult = config.noise_std / z          # zero sensitivity -> inf -> zero curve
 
     uniq, inv = np.unique(mult, return_inverse=True)

@@ -20,6 +20,7 @@ from idpacct.accountant import (
     LedgerError,
     PrivacyReport,
     _round_array,
+    sensitivity_buckets,
     worst_case_epsilon,
 )
 from idpacct.adaptive_oracle import (
@@ -33,6 +34,7 @@ from idpacct.adaptive_oracle import (
 from idpacct.dpsgd_sim import exact_reference_accounting
 from idpacct.kernel import sgm_rdp_matrix
 from idpacct.rdp_math import (
+    RdpCurve,
     _eps_from_rdp,
     calibrate_noise,
     rdp_to_dp,
@@ -56,8 +58,7 @@ def _assert_matches_stepwise(ledger, buckets):
         curves = np.stack([sgm_rdp_curve(cfg.sampling_prob, cfg.noise_std / z,
                                          cfg.orders).values for z in values])
     want = curves[inverse.reshape(np.shape(buckets))].sum(axis=0)
-    got = np.stack([ledger.accumulated_rdp(i).values for i in range(ledger.n)])
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(ledger.counts(), want, rtol=1e-12, atol=0)
 
 
 # ----------------------------------------------------------- rounding ---
@@ -165,15 +166,21 @@ def test_config_dict_round_trip():
 # -------------------------------------------------------- assignments ---
 
 def test_assignments_all_above_clip_map_to_clip():
+    norms = np.asarray([1.0, 1.7, 55.0, 2.0])
+    assert np.all(sensitivity_buckets(norms, 1.0, 0.01) == 1.0)
     ledger = IndividualLedger(4, _config())
-    ledger.update_assignments([1.0, 1.7, 55.0, 2.0])
-    assert np.all(ledger.assigned_buckets() == 1.0)
+    ledger.update_assignments(norms)
+    ledger.record_step()
+    _assert_matches_stepwise(ledger, [[1.0] * 4])
 
 
 def test_assignments_exact_mode_keeps_raw_norms():
+    norms = np.asarray([0.2, 0.7])
+    assert np.array_equal(sensitivity_buckets(norms, 1.0, 0.0), [0.2, 0.7])
     ledger = IndividualLedger(2, _config(rounding=0.0))
-    ledger.update_assignments([0.2, 0.7])
-    assert np.array_equal(ledger.assigned_buckets(), [0.2, 0.7])
+    ledger.update_assignments(norms)
+    ledger.record_step()
+    _assert_matches_stepwise(ledger, [[0.2, 0.7]])
 
 
 def test_cache_bounded_by_grid_size(rng, monkeypatch):
@@ -190,8 +197,10 @@ def test_cache_bounded_by_grid_size(rng, monkeypatch):
     for t in range(6):
         if t % 2 == 0:
             # the first refresh reaches only half the grid
-            ledger.update_assignments(rng.uniform(0.0, 0.5 * (t + 1), 10_000), step=t)
-        buckets.append(ledger.assigned_buckets())
+            norms = rng.uniform(0.0, 0.5 * (t + 1), 10_000)
+            ledger.update_assignments(norms, step=t)
+            z = sensitivity_buckets(norms, cfg.max_clip, cfg.rounding)
+        buckets.append(z)
         ledger.record_step(t)
     ledger.epsilons()
     assert calls == [100]                      # the whole grid, once
@@ -238,9 +247,8 @@ def test_same_bucket_identical_curves():
     ledger.update_assignments([0.4401, 0.4399])   # both round to 0.44
     for _ in range(5):
         ledger.record_step()
-    a = ledger.accumulated_rdp(0)
-    b = ledger.accumulated_rdp(1)
-    assert np.array_equal(a.values, b.values)
+    a, b = ledger.counts()
+    assert np.array_equal(a, b)
 
 
 def test_assignment_change_splits_counts():
@@ -281,7 +289,7 @@ def test_rejects_bad_norms():
 def test_zero_steps_zero_curve():
     ledger = IndividualLedger(1, _config())
     ledger.update_assignments([0.5])
-    assert np.all(ledger.accumulated_rdp(0).values == 0.0)
+    assert np.all(ledger.counts()[0] == 0.0)
 
 
 def test_single_bucket_scales_single_step_curve():
@@ -291,8 +299,7 @@ def test_single_bucket_scales_single_step_curve():
     for _ in range(9):
         ledger.record_step()
     single = sgm_rdp_curve(cfg.sampling_prob, cfg.noise_std / 0.5, cfg.orders)
-    assert np.allclose(ledger.accumulated_rdp(0).values, 9 * single.values,
-                       rtol=1e-12)
+    assert np.allclose(ledger.counts()[0], 9 * single.values, rtol=1e-12)
 
 
 def test_accumulation_matches_stepwise_compose():
@@ -306,8 +313,8 @@ def test_accumulation_matches_stepwise_compose():
         ledger.record_step(t)
         oracle = oracle + sgm_rdp_curve(cfg.sampling_prob, cfg.noise_std / z,
                                         cfg.orders).values
-    got = ledger.accumulated_rdp(0)
-    assert np.allclose(got.values, oracle, rtol=1e-12)
+    got = ledger.counts()[0]
+    assert np.allclose(got, oracle, rtol=1e-12)
 
 
 def test_zero_norm_without_rounding_costs_nothing():
@@ -315,8 +322,9 @@ def test_zero_norm_without_rounding_costs_nothing():
     ledger.update_assignments([0.0, 1.0])
     for _ in range(3):
         ledger.record_step()
-    assert np.all(ledger.accumulated_rdp(0).values == 0.0)
-    assert np.all(ledger.accumulated_rdp(1).values > 0.0)
+    counts = ledger.counts()
+    assert np.all(counts[0] == 0.0)
+    assert np.all(counts[1] > 0.0)
 
 
 def test_exactness_mode_state_does_not_grow_with_distinct_norms():
@@ -349,10 +357,11 @@ def test_cache_corrupted_after_last_refresh_changes_epsilons(rounding):
                    for _ in range(2)]
         rng = np.random.default_rng(4)
         for t in range(3 * refreshes):
-            norms = rng.uniform(0.0, 1.5, n) if t % 3 == 0 else None
-            for ledger in ledgers:
-                if norms is not None:
+            if t % 3 == 0:
+                norms = rng.uniform(0.0, 1.5, n)
+                for ledger in ledgers:
                     ledger.update_assignments(norms, step=t)
+            for ledger in ledgers:
                 ledger.record_step(t)
         clean, corrupt = ledgers
         if (n, refreshes) == (2_000, 3):
@@ -360,7 +369,8 @@ def test_cache_corrupted_after_last_refresh_changes_epsilons(rounding):
         elif refreshes > 3:
             assert corrupt._rdp is not None     # past the fold point
         corrupt.cache.corrupt_for_testing()
-        hit = corrupt.assigned_buckets() == corrupt.cache.bucket_values[-1]
+        hit = (sensitivity_buckets(norms, 1.0, rounding)
+               == corrupt.cache.bucket_values[-1])
         eps_clean, _ = clean.epsilons()
         eps_corrupt, _ = corrupt.epsilons()
         assert hit.any()
@@ -376,9 +386,11 @@ def _ledger_and_reference(n, refreshes, rounding, frequency=3, seed=6):
     rng = np.random.default_rng(seed)
     want = np.zeros((n, cfg.orders.size))
     for r in range(refreshes):
-        ledger.update_assignments(rng.uniform(0.0, 1.5, n), step=r * frequency)
+        norms = rng.uniform(0.0, 1.5, n)
+        ledger.update_assignments(norms, step=r * frequency)
         rows = ledger.cache.rows.copy()
-        idx = np.searchsorted(ledger.cache.bucket_values, ledger.assigned_buckets())
+        idx = np.searchsorted(ledger.cache.bucket_values,
+                              sensitivity_buckets(norms, cfg.max_clip, rounding))
         for t in range(r * frequency, (r + 1) * frequency):
             ledger.record_step(t)
         want += frequency * rows[idx]
@@ -395,17 +407,19 @@ def test_lazy_charges_equal_refresh_order_sum(rounding, refreshes, folded):
     ledger, want = _ledger_and_reference(n, refreshes, rounding)
     assert (ledger._rdp is not None) == folded
     assert not folded or ledger._held == []      # past the fold, refreshes fold
-    # the benchmark's probe reads counts(): it closes the pending steps
-    # into one more held charge and folds nothing
-    state, held = ledger._rdp, len(ledger._held)
-    assert np.array_equal(ledger.counts(), want)
-    assert ledger._rdp is state and len(ledger._held) == held + 1
+    # the benchmark's probe reads counts(): it adds the pending steps
+    # without closing them, and folds nothing
+    state, held, pending = ledger._rdp, len(ledger._held), ledger._pending
+    assert pending and np.array_equal(ledger.counts(), want)
+    assert ledger._rdp is state and len(ledger._held) == held
+    assert ledger._pending == pending
     eps, best = ledger.epsilons()
     want_eps, want_best = _eps_from_rdp(want, ledger.config.orders, ledger.config.delta)
     assert np.array_equal(eps, want_eps)
     assert np.array_equal(best, want_best)
+    counts = ledger.counts()
     for i in (0, accountant._BLOCK - 1, accountant._BLOCK, n - 1):
-        assert np.array_equal(ledger.accumulated_rdp(i).values, want[i])
+        assert np.array_equal(counts[i], want[i])
 
 
 def test_repeated_queries_fold_held_charges_once():
@@ -415,10 +429,9 @@ def test_repeated_queries_fold_held_charges_once():
     n, frequency = 3_000, 3
     ledger, want = _ledger_and_reference(n, 5, 0.01, frequency=frequency)
     orders, delta = ledger.config.orders, ledger.config.delta
-    summed = []
-    sum_rows = ledger._sum_rows
-    ledger._sum_rows = lambda lo, out, scratch: (
-        summed.append(len(ledger._held) if lo == 0 else None), sum_rows(lo, out, scratch))
+    summed = []          # the held charges each summing pass adds
+    blocks = ledger._blocks
+    ledger._blocks = lambda into=None: (summed.append(len(ledger._held)), blocks(into))[1]
 
     def query():
         summed.clear()
@@ -432,10 +445,12 @@ def test_repeated_queries_fold_held_charges_once():
     assert query() == 0                               # and the third sums none
     rng = np.random.default_rng(8)
     for r in range(5, 8):
-        ledger.update_assignments(rng.uniform(0.0, 1.5, n), step=r * frequency)
+        norms = rng.uniform(0.0, 1.5, n)
+        ledger.update_assignments(norms, step=r * frequency)
         assert ledger._held == []                     # the refresh folded
         rows = ledger.cache.rows.copy()
-        idx = np.searchsorted(ledger.cache.bucket_values, ledger.assigned_buckets())
+        idx = np.searchsorted(ledger.cache.bucket_values,
+                              sensitivity_buckets(norms, 1.0, 0.01))
         for t in range(r * frequency, (r + 1) * frequency):
             ledger.record_step(t)
         want += frequency * rows[idx]
@@ -489,10 +504,10 @@ def test_all_clip_example_equals_worst_case():
     ledger.update_assignments([5.0])        # clips to C = 1.0
     for t in range(20):
         ledger.record_step(t)
-    eps, order = ledger.epsilon_of(0)
+    eps, order = ledger.epsilons()
     worst, worst_order = worst_case_epsilon(cfg, 20, with_order=True)
-    assert eps == worst
-    assert order == worst_order
+    assert eps[0] == worst
+    assert order[0] == worst_order
 
 
 def test_smaller_bucket_strictly_cheaper():
@@ -504,7 +519,7 @@ def test_smaller_bucket_strictly_cheaper():
     for _ in range(10):
         big.record_step()
         small.record_step()
-    assert small.epsilon_of(0)[0] < big.epsilon_of(0)[0]
+    assert small.epsilons()[0][0] < big.epsilons()[0][0]
 
 
 def test_toy_epsilon_matches_hand_composition():
@@ -516,7 +531,7 @@ def test_toy_epsilon_matches_hand_composition():
         ledger.record_step(t)
     hand = sgm_rdp_curve(0.1, 1.0, cfg.orders).scaled(10)
     expected, _ = rdp_to_dp(hand, 1e-5)
-    assert ledger.epsilon_of(0)[0] == pytest.approx(expected, rel=1e-14, abs=0.0)
+    assert ledger.epsilons()[0][0] == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 def test_worst_case_strictly_increasing_in_steps():
@@ -550,7 +565,7 @@ def test_report_uniform_buckets_equal_epsilons():
 
 
 @pytest.mark.parametrize("rounding", [0.01, 0.0])
-def test_epsilons_blocks_match_epsilon_of(rounding):
+def test_epsilons_blocks_match_rdp_to_dp(rounding):
     block = accountant._BLOCK
     n = 2 * block + 3
     ledger = IndividualLedger(n, _config(rounding=rounding, frequency=2))
@@ -559,9 +574,11 @@ def test_epsilons_blocks_match_epsilon_of(rounding):
         if t % 2 == 0:
             ledger.update_assignments(rng.uniform(0, 1.5, n), step=t)
         ledger.record_step(t)
+    counts = ledger.counts()
     eps, orders = ledger.epsilons()
     for i in (0, block - 1, block, 2 * block - 1, 2 * block, n - 1):
-        want_eps, want_order = ledger.epsilon_of(i)
+        want_eps, want_order = rdp_to_dp(RdpCurve(ledger.config.orders, counts[i]),
+                                         ledger.config.delta)
         assert eps[i] == pytest.approx(want_eps, rel=1e-12, abs=0.0)
         assert orders[i] == want_order
 

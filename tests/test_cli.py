@@ -3,6 +3,7 @@ exit codes, determinism, and file round trips."""
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import subprocess
@@ -18,9 +19,17 @@ from idpacct.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
     EXIT_VERIFICATION,
+    ValidationFailure,
+    _read_input,
     main,
 )
-from idpacct.traceio import TraceHeader, write_losses_csv, write_trace, write_trace_npz
+from idpacct.traceio import (
+    TraceHeader,
+    read_trace,
+    write_losses_csv,
+    write_trace,
+    write_trace_npz,
+)
 
 
 def _write_config(tmp_path, name="cfg.json", **fields):
@@ -296,8 +305,32 @@ def test_account_missing_file(tmp_path):
      "report.json: report was exported without per-example values"),
     (["release", "{tmp}/null_epsilon.json"],           # used to release a NaN mean
      "per-example epsilon must be a number >= 0"),
+    # unreadable inputs used to exit 2 (a directory) or to exit 1 with a
+    # bare "'utf-8' codec can't decode" naming neither file nor field
+    (["account", "{sim}"], "sim: is a directory"),
+    (["account", "{tmp}/npz.jsonl"], "npz.jsonl: not utf-8 text"),
+    (["report", "{tmp}/full.json", "--losses", "{tmp}/trace.npz"],
+     "trace.npz: not utf-8 text"),
+    (["simulate", "--config", "{tmp}/latin1.json"], "latin1.json: not utf-8 text"),
+    # per-example fields of the wrong type or length used to load, truncated
+    (["report", "{tmp}/label_float.json", "--losses", "{sim}/losses.csv"],
+     "label_float.json: group_labels[1]: a group label must be an integer, got 1.7"),
+    (["report", "{tmp}/label_bool.json", "--losses", "{sim}/losses.csv"],
+     "label_bool.json: group_labels[1]: a group label must be an integer, got True"),
+    (["release", "{tmp}/eps_string.json"],
+     "eps_string.json: epsilons[1]: per-example epsilon must be a number >= 0, got '4.6'"),
+    (["release", "{tmp}/orders_short.json"],
+     "orders_short.json: best_orders must be an array of n = 100 values"),
+    (["release", "{tmp}/orders_float.json"],
+     "orders_float.json: best_orders[1]: an order must be an integer >= 2, got 2.7"),
+    (["release", "{tmp}/orders_one.json"],
+     "orders_one.json: best_orders[1]: an order must be an integer >= 2, got 1"),
 ], ids=["account_losses", "report", "release", "report_not_json", "release_list",
-        "release_no_steps", "report_redacted", "release_redacted", "release_null_epsilon"])
+        "release_no_steps", "report_redacted", "release_redacted", "release_null_epsilon",
+        "account_directory", "account_npz_as_jsonl", "report_losses_npz",
+        "simulate_config_latin1", "report_label_float", "report_label_bool",
+        "release_eps_string", "release_orders_short", "release_orders_float",
+        "release_orders_one"])
 def test_missing_or_malformed_input_is_validation_failure(tmp_path, capsys, argv, message):
     sim_out = tmp_path / "sim"
     assert main(["simulate", "--config", _sim_config(tmp_path),
@@ -308,11 +341,36 @@ def test_missing_or_malformed_input_is_validation_failure(tmp_path, capsys, argv
     doc = json.loads((sim_out / "report.json").read_text())
     (tmp_path / "null_epsilon.json").write_text(json.dumps(
         dict(doc, epsilons=[None] * doc["n"], best_orders=[2] * doc["n"])))
+    full = dict(doc, epsilons=[0.0] * doc["n"], best_orders=[2] * doc["n"],
+                group_labels=[0] * doc["n"])
+    (tmp_path / "full.json").write_text(json.dumps(full))
+    for name, field, value in [("label_float", "group_labels", 1.7),
+                               ("label_bool", "group_labels", True),
+                               ("eps_string", "epsilons", "4.6"),
+                               ("orders_float", "best_orders", 2.7),
+                               ("orders_one", "best_orders", 1)]:
+        values = list(full[field])
+        values[1] = value
+        (tmp_path / f"{name}.json").write_text(json.dumps(dict(full, **{field: values})))
+    (tmp_path / "orders_short.json").write_text(json.dumps(
+        dict(full, best_orders=full["best_orders"][1:])))
+    write_trace_npz(str(tmp_path / "trace.npz"), *read_trace(str(sim_out / "trace.jsonl")))
+    (tmp_path / "npz.jsonl").write_bytes((tmp_path / "trace.npz").read_bytes())
+    (tmp_path / "latin1.json").write_bytes('{"seed": "\xe9"}'.encode("latin-1"))
     del doc["steps"]                                      # used to exit 2
     (tmp_path / "no_steps.json").write_text(json.dumps(doc))
     argv = [a.format(sim=sim_out, tmp=tmp_path) for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_VALIDATION
     assert message in capsys.readouterr().err
+
+
+def test_permission_denied_input_names_its_path():
+    # chmod does not stop a superuser from reading, so the reader raises
+    def denied(path):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+    with pytest.raises(ValidationFailure, match="^secret.json: permission denied$"):
+        _read_input(denied, "secret.json")
 
 
 # --------------------------------------------------------------- report ---

@@ -14,7 +14,10 @@ assignment, and the sums are formed when queried.  Long or repeatedly
 queried runs fold the recorded charges into an (n, orders) state: first
 when they reach a quarter of its size, or at the first refresh or query
 after a full query, and from then on at every refresh and query.
-Conversion to per-example (epsilon, delta) happens at query time.  In the
+Conversion to per-example (epsilon, delta) happens at query time.  Each
+example's row is summed and converted without reading any other row, so
+the pass that queries and folds splits large ledgers' rows across the
+cores the process may use, with the same results bit for bit.  In the
 package only ``traceio.replay_trace`` drives a ledger, for both CLI paths.
 """
 
@@ -22,6 +25,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -34,7 +39,16 @@ from .rdp_math import (RdpCurve, _check_fields, _check_orders, _eps_from_rdp,
 
 
 MAX_BUCKETS = 10_000      # ceil(C/r) bound: the grid's curves are built up front
-_BLOCK = 512              # rows per summing block: keeps the gathered curves in cache
+_BLOCK = 1_024            # rows per summing block: keeps the gathered curves in cache
+_WORKER_ROWS = 65_536     # rows per summing thread: smaller ledgers stay on one
+
+
+def _cores() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 class LedgerError(RuntimeError):
@@ -224,7 +238,10 @@ class IndividualLedger:
     ledger costs.
     Ledger memory stays under 1.25 x n x orders x 8 bytes plus one
     refresh, the extra quarter only up to the first fold.  A ledger is not
-    thread-safe: drive it from one thread.
+    thread-safe: drive it from one thread.  Its query and fold pass splits
+    a large ledger's rows across threads of its own, one per core the
+    process may use, and joins them before it returns; every result is the
+    same bit for bit as on one thread.
     """
 
     def __init__(self, n: int, config: AccountantConfig):
@@ -268,37 +285,67 @@ class IndividualLedger:
         """Add the held charges into the state, if a fold is due."""
         if self._fold_due():
             state = self._fold_target()
-            for _ in self._blocks(state):
-                pass
+            self._pass(into=state)
             self._rdp, self._held = state, []
 
-    def _blocks(self, into: Optional[np.ndarray] = None):
-        """Yield (lo, rows): the accumulated RDP of examples lo:lo + len(rows),
-        the held charges summed in refresh order onto the state's or the first
-        charge's rows, _BLOCK rows at a time so the gathered curves stay in
-        cache; in ``into``'s rows when given (the state, to fold into it)."""
+    def _pass(self, visit=None, into: Optional[np.ndarray] = None) -> None:
+        """Call ``visit(lo, rows)`` with the accumulated RDP of examples
+        lo:lo + len(rows), block by block (see ``_sum_rows``).  A ledger of
+        at least 2 x _WORKER_ROWS examples splits its blocks into contiguous
+        runs, one per core the process may use (at most one per _WORKER_ROWS
+        rows), each summed on its own thread, where ``visit`` runs too and
+        must touch only its block's rows.  Every row sees the same operations in the same order
+        either way, so the results are the same bit for bit."""
+        blocks = -(-self.n // _BLOCK)
+        workers = max(1, min(_cores(), self.n // _WORKER_ROWS, blocks))
+        cuts = [min(k * blocks // workers * _BLOCK, self.n) for k in range(workers + 1)]
+        errors: list[BaseException] = []
+
+        def run(lo: int, hi: int) -> None:
+            try:
+                self._sum_rows(lo, hi, visit, into)
+            except BaseException as err:
+                errors.append(err)
+
+        threads = [threading.Thread(target=run, args=cut) for cut in zip(cuts[1:-1], cuts[2:])]
+        for thread in threads:
+            thread.start()
+        run(cuts[0], cuts[1])
+        for thread in threads:
+            thread.join()
+        if errors:
+            raise errors[0]
+
+    def _sum_rows(self, lo: int, hi: int, visit, into: Optional[np.ndarray]) -> None:
+        """The held charges of rows lo:hi summed in refresh order onto the
+        state's or the first charge's rows, _BLOCK rows at a time so the
+        gathered curves stay in cache, each block passed to ``visit``; in
+        ``into``'s rows when given (the state, to fold into it), else in a
+        buffer of this call's own.  Besides ``visit`` only numpy's take and
+        add run here, and both release the GIL."""
         orders = self.config.orders.size
         buf = np.empty((_BLOCK, orders)) if into is None else None
         scratch = np.empty((_BLOCK, orders))
-        for lo in range(0, self.n, _BLOCK):
-            hi = min(lo + _BLOCK, self.n)
-            out = buf[:hi - lo] if into is None else into[lo:hi]
+        for start in range(lo, hi, _BLOCK):
+            stop = min(start + _BLOCK, hi)
+            out = buf[:stop - start] if into is None else into[start:stop]
             held = self._held
             if self._rdp is not None:
                 if into is not self._rdp:
-                    out[...] = self._rdp[lo:hi]
+                    out[...] = self._rdp[start:stop]
             elif held:
                 table, assign = held[0]
-                np.take(table, assign[lo:hi], axis=0, out=out, mode="clip")
+                np.take(table, assign[start:stop], axis=0, out=out, mode="clip")
                 held = held[1:]
             else:
                 out.fill(0.0)
             # mode="clip" writes to out unbuffered; every index is in range
-            gathered = scratch[:hi - lo]
+            gathered = scratch[:stop - start]
             for table, assign in held:
-                np.take(table, assign[lo:hi], axis=0, out=gathered, mode="clip")
+                np.take(table, assign[start:stop], axis=0, out=gathered, mode="clip")
                 np.add(out, gathered, out=out)
-            yield lo, out
+            if visit is not None:
+                visit(start, out)
 
     def update_assignments(self, norms: Sequence[float], step: Optional[int] = None) -> None:
         """Re-bucket every example from fresh gradient norms."""
@@ -337,9 +384,11 @@ class IndividualLedger:
         if self._rdp is not None and not self._held and not self._pending:
             return self._rdp
         out = np.empty((self.n, self.config.orders.size))
-        for lo, rows in self._blocks(out):
-            if self._pending:
-                rows += self._pending * self.cache.rows[self._assign[lo:lo + rows.shape[0]]]
+
+        def add_pending(lo: int, rows: np.ndarray) -> None:
+            rows += self._pending * self.cache.rows[self._assign[lo:lo + rows.shape[0]]]
+
+        self._pass(add_pending if self._pending else None, into=out)
         return out
 
     def epsilons(self, delta: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
@@ -355,9 +404,12 @@ class IndividualLedger:
         state = self._fold_target() if self._fold_due() else None
         eps = np.empty(self.n)
         best = np.empty(self.n, dtype=np.int64)
-        for lo, rdp in self._blocks(state):
+
+        def convert(lo: int, rdp: np.ndarray) -> None:
             block = slice(lo, lo + rdp.shape[0])
             eps[block], best[block] = _eps_from_rdp(rdp, self.config.orders, delta)
+
+        self._pass(convert, into=state)
         if state is not None:
             self._rdp, self._held = state, []
         self._queried = True

@@ -331,14 +331,18 @@ def train(config: SimConfig, dataset: Optional[Dataset] = None) -> TrainOutput:
                   if tracked is not None and accounting else None)
 
     trace_rows: list = []
+    # the buckets are read only to clip to them or to track them; the
+    # ledger that replays the trace buckets the norms itself
+    bucketing = config.clipping == "individual" or tr_buckets is not None
 
     for t in range(big_t):
         full_norms = None
         if t % k_freq == 0:
             full_norms = np.linalg.norm(model.per_example_grads(x, y), axis=1)
             trace_rows.append(full_norms)
-            # with the mechanism off there is no grid: clipped norms
-            current_z = sensitivity_buckets(full_norms, c, r if accounting else 0.0)
+            if bucketing:
+                # with the mechanism off there is no grid: clipped norms
+                current_z = sensitivity_buckets(full_norms, c, r if accounting else 0.0)
         if tracked is not None:
             if full_norms is not None:
                 tr_norms[t] = full_norms[tracked]

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
+
+from idpacct import accountant
 
 
 def max_rel_diff(a, b) -> float:
@@ -16,3 +20,21 @@ def max_rel_diff(a, b) -> float:
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    """Split every ledger summing pass that has two blocks or more across
+    two threads, whatever the machine's core count.  Returns the list of
+    runs summed since, as (lo, hi, thread id)."""
+    monkeypatch.setattr(accountant, "_WORKER_ROWS", 1)
+    monkeypatch.setattr(accountant, "_cores", lambda: 2)
+    runs = []
+    sum_rows = accountant.IndividualLedger._sum_rows
+
+    def record(ledger, lo, hi, visit, into):
+        runs.append((lo, hi, threading.get_ident()))
+        sum_rows(ledger, lo, hi, visit, into)
+
+    monkeypatch.setattr(accountant.IndividualLedger, "_sum_rows", record)
+    return runs

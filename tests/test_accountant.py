@@ -397,13 +397,18 @@ def _ledger_and_reference(n, refreshes, rounding, frequency=3, seed=6):
     return ledger, want
 
 
-@pytest.mark.parametrize("rounding, refreshes, folded", [
-    (0.01, 5, False), (0.01, 40, True), (0.0, 6, True)],
-    ids=["grid-held", "grid-folded", "exactness"])
-def test_lazy_charges_equal_refresh_order_sum(rounding, refreshes, folded):
+@pytest.mark.parametrize("rounding, refreshes, folded, split", [
+    (0.01, 5, False, False), (0.01, 40, True, False), (0.0, 6, True, False),
+    (0.01, 5, False, True), (0.01, 40, True, True), (0.0, 6, True, True)],
+    ids=["grid-held", "grid-folded", "exactness",
+         "grid-held-split", "grid-folded-split", "exactness-split"])
+def test_lazy_charges_equal_refresh_order_sum(rounding, refreshes, folded, split, request):
     # held charges are summed in refresh order, onto the folded state or the
-    # first charge, which is the order of a running sum: equal bit for bit
-    n = 3_000 if rounding else 600
+    # first charge, which is the order of a running sum: equal bit for bit,
+    # also with the rows split across two threads
+    block = accountant._BLOCK
+    n = 3_000 if rounding else 1_200
+    runs = request.getfixturevalue("two_workers") if split else None
     ledger, want = _ledger_and_reference(n, refreshes, rounding)
     assert (ledger._rdp is not None) == folded
     assert not folded or ledger._held == []      # past the fold, refreshes fold
@@ -418,8 +423,17 @@ def test_lazy_charges_equal_refresh_order_sum(rounding, refreshes, folded):
     assert np.array_equal(eps, want_eps)
     assert np.array_equal(best, want_best)
     counts = ledger.counts()
-    for i in (0, accountant._BLOCK - 1, accountant._BLOCK, n - 1):
+    rows = [0, block - 1, block, n - 1]
+    if split:
+        # every pass (fold, counts, epsilons) ran as the same two runs of
+        # whole blocks, on two threads; n is not a multiple of the block
+        cut = -(-n // block) // 2 * block
+        assert n % block and {run[:2] for run in runs} == {(0, cut), (cut, n)}
+        assert len({run[2] for run in runs}) >= 2
+        rows += [cut - 1, cut]
+    for i in rows:
         assert np.array_equal(counts[i], want[i])
+        assert eps[i] == want_eps[i] and best[i] == want_best[i]
 
 
 def test_repeated_queries_fold_held_charges_once():
@@ -430,8 +444,9 @@ def test_repeated_queries_fold_held_charges_once():
     ledger, want = _ledger_and_reference(n, 5, 0.01, frequency=frequency)
     orders, delta = ledger.config.orders, ledger.config.delta
     summed = []          # the held charges each summing pass adds
-    blocks = ledger._blocks
-    ledger._blocks = lambda into=None: (summed.append(len(ledger._held)), blocks(into))[1]
+    passes = ledger._pass
+    ledger._pass = lambda visit=None, into=None: (summed.append(len(ledger._held)),
+                                                  passes(visit, into))[1]
 
     def query():
         summed.clear()
@@ -564,10 +579,13 @@ def test_report_uniform_buckets_equal_epsilons():
     assert np.all(report.epsilons == report.epsilons[0])
 
 
-@pytest.mark.parametrize("rounding", [0.01, 0.0])
-def test_epsilons_blocks_match_rdp_to_dp(rounding):
+@pytest.mark.parametrize("rounding, split", [(0.01, False), (0.0, False),
+                                             (0.01, True), (0.0, True)],
+                         ids=["0.01", "0.0", "0.01-split", "0.0-split"])
+def test_epsilons_blocks_match_rdp_to_dp(rounding, split, request):
     block = accountant._BLOCK
     n = 2 * block + 3
+    runs = request.getfixturevalue("two_workers") if split else None
     ledger = IndividualLedger(n, _config(rounding=rounding, frequency=2))
     rng = np.random.default_rng(0)
     for t in range(6):
@@ -581,6 +599,14 @@ def test_epsilons_blocks_match_rdp_to_dp(rounding):
                                          ledger.config.delta)
         assert eps[i] == pytest.approx(want_eps, rel=1e-12, abs=0.0)
         assert orders[i] == want_order
+    if split:
+        # two runs of whole blocks; the rows either side of the cut convert
+        # as a one-row conversion does, bit for bit
+        cut = -(-n // block) // 2 * block
+        assert {run[:2] for run in runs} == {(0, cut), (cut, n)}
+        for i in (cut - 1, cut):
+            assert (eps[i], orders[i]) == rdp_to_dp(
+                RdpCurve(ledger.config.orders, counts[i]), ledger.config.delta)
 
 
 def test_report_bounded_by_worst_case():

@@ -11,7 +11,8 @@ at a quarter of the state, the fold after a full query and the fold into an
 existing state (a scripted run shows each); exactness mode (r = 0), where
 one charge can be the state's size, is drawn too.  A quiet run reads only
 ``counts()``, which changes nothing, until its teardown query, so its
-charges pile up to the quarter-size fold.
+charges pile up to the quarter-size fold.  The scripted run and a shorter
+random one are repeated with every summing pass split across two threads.
 
 The trace properties check that both file formats read back what was
 written, bit for bit, and that replaying a trace read back from disk gives
@@ -33,9 +34,10 @@ from hypothesis.stateful import (
     invariant,
     precondition,
     rule,
+    run_state_machine_as_test,
 )
 
-from idpacct import dpsgd_sim
+from idpacct import accountant, dpsgd_sim
 from idpacct.accountant import AccountantConfig, IndividualLedger, sensitivity_buckets
 from idpacct.rdp_math import _eps_from_rdp
 from idpacct.traceio import (
@@ -131,6 +133,20 @@ test_ledger_matches_eager_running_sum = LedgerMachine.TestCase
 def test_scripted_machine_reaches_every_fold_trigger():
     # random runs reach the grid's quarter-size fold only now and then, so
     # one scripted run of the same rules shows that each trigger is reached
+    _scripted_run()
+
+
+def test_machine_on_two_workers(monkeypatch, two_workers):
+    # the same rules with every summing pass split across two threads: 16-row
+    # blocks make N = 50 four blocks, cut after the second
+    monkeypatch.setattr(accountant, "_BLOCK", 16)
+    _scripted_run()
+    run_state_machine_as_test(LedgerMachine, settings=settings(
+        max_examples=20, stateful_step_count=40, deadline=None))
+    assert {run[:2] for run in two_workers} == {(0, 32), (32, N)}
+
+
+def _scripted_run():
     def run(machine, *calls):
         for call in calls:
             call()

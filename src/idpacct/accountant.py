@@ -10,15 +10,17 @@ refresh is array indexing only.  Every example is charged at every step,
 sampled or not, using its most recent bucket assignment; assignments
 refresh only when the caller supplies fresh norms.  Charging is lazy too: a
 refresh only records the steps since the previous one with that
-assignment, and the sums are formed when queried.  Long or repeatedly
-queried runs fold the recorded charges into an (n, orders) state: first
-when they reach a quarter of its size, or at the first refresh or query
-after a full query, and from then on at every refresh and query.
-Conversion to per-example (epsilon, delta) happens at query time.  Each
-example's row is summed and converted without reading any other row, so
-the pass that queries and folds splits large ledgers' rows across the
-cores the process may use, with the same results bit for bit.  In the
-package only ``traceio.replay_trace`` drives a ledger, for both CLI paths.
+assignment, and the sums are formed when queried.  A query changes
+nothing: it sums the recorded charges, then the steps since the last
+refresh, so no result depends on when or how often the ledger was
+queried.  Only a refresh folds the recorded charges into an (n, orders)
+state: once they reach a quarter of its size, after a full query, or once
+the state exists.  Conversion to per-example (epsilon, delta) happens at
+query time.  Each example's row is summed and converted without reading
+any other row, so the pass that queries and folds splits large ledgers'
+rows across the cores the process may use, with the same results bit for
+bit.  In the package only ``traceio.replay_trace`` drives a ledger, for
+both CLI paths.
 """
 
 from __future__ import annotations
@@ -205,10 +207,10 @@ class BucketCache:
 
     def corrupt_for_testing(self, factor: float = 1.02) -> None:
         """Negative-control hook: scale the last curve (bucket C in grid
-        mode, the largest norm of the last refresh in exactness mode).  The
-        ledger charges the steps since the last refresh at its next query,
-        so corrupting after training and before that query must make a
-        downstream comparison against independent re-accounting fail."""
+        mode, the largest norm of the last refresh in exactness mode).  Every
+        query charges the steps since the last refresh from this table, so
+        corrupting it after training makes each later query's comparison
+        against independent re-accounting fail."""
         if not len(self):
             raise LedgerError("nothing cached to corrupt")
         self.rows[-1] *= factor
@@ -220,31 +222,37 @@ class IndividualLedger:
     Protocol: update_assignments(norms, t) at every step t with
     t mod frequency == 0 (including t = 0), record_step(t) at every step.
     Steps since the last refresh accumulate in a single pending counter, so
-    per-step cost is O(1).  When assignments change, or at a query, the
-    pending steps close into a held charge: ``pending x`` the curve table
-    plus each example's row index into it, in the smallest unsigned dtype
-    that holds one (one or two bytes per example in grid mode).  Until the
-    first fold a refresh therefore costs rounding and indexing, O(n), and
-    a query sums the held charges in refresh order, block by block of rows.
+    per-step cost is O(1).  When assignments change, the pending steps
+    close into a held charge: ``pending x`` the curve table plus each
+    example's row index into it, in the smallest unsigned dtype that holds
+    one (one or two bytes per example in grid mode).  Until the first fold
+    a refresh therefore costs rounding and indexing, O(n).
 
-    The held charges are folded into an (n, orders) float64 state, which
-    the first fold allocates, once they reach a quarter of its size (at
-    large n, 2 x orders refreshes with up to 256 buckets and orders
-    refreshes with more; in exactness mode, where one charge is about the
-    state's size, usually the second refresh), or at the first refresh or
-    query after a full query (``epsilons``/``report``): a ledger queried
-    between refreshes is being watched.  From the first fold on, every
-    refresh and query folds, so a long or watched run costs what an eager
-    ledger costs.
-    Ledger memory stays under 1.25 x n x orders x 8 bytes plus one
-    refresh, the extra quarter only up to the first fold.  A ledger is not
-    thread-safe: drive it from one thread.  Its query and fold pass splits
-    a large ledger's rows across threads of its own, one per core the
-    process may use, and joins them before it returns; every result is the
-    same bit for bit as on one thread.
+    A query (``epsilons``, ``report``, ``counts``) changes nothing but the
+    mark that a full query has run: it sums the held charges in refresh
+    order, then the pending steps as a last charge that nothing keeps,
+    block by block of rows.  So no result depends on when, or how often,
+    the ledger was queried, bit for bit.
+
+    Only a refresh folds the held charges into an (n, orders) float64
+    state, which the first fold allocates: once they reach a quarter of its
+    size (at large n, 2 x orders refreshes with up to 256 buckets and
+    orders refreshes with more; in exactness mode, where one charge is
+    about the state's size, usually the second refresh), at the first
+    refresh after a full query (a ledger queried during training is being
+    watched), and at every refresh once the state exists.  So a long or
+    watched run costs what an eager ledger costs.  Ledger memory stays
+    under 1.25 x n x orders x 8 bytes plus one refresh, the extra quarter
+    only up to the first fold.  A ledger is not thread-safe: drive it from
+    one thread.  Its query and fold pass splits a large ledger's rows
+    across threads of its own, one per core the process may use, and joins
+    them before it returns; every result is the same bit for bit as on one
+    thread.
     """
 
     def __init__(self, n: int, config: AccountantConfig):
+        self.n = n
+        _check_fields(self, integers=("n",))
         if n < 1:
             raise ValueError(f"need at least one example, got n={n}")
         self.n = int(n)
@@ -258,44 +266,22 @@ class IndividualLedger:
         self._held: list[tuple[np.ndarray, np.ndarray]] = []
         self._queried = False                     # a full query has run
 
-    def _close(self) -> None:
-        """Turn the pending steps into a held charge."""
-        if self._pending:
-            self._held.append((self._pending * self.cache.rows, self._assign))
-            self._pending = 0
+    def _charges(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The held charges, then the pending steps as a last charge that
+        nothing keeps: what a query sums."""
+        if not self._pending:
+            return self._held
+        return self._held + [(self._pending * self.cache.rows, self._assign)]
 
-    def _fold_due(self) -> bool:
-        """Whether the held charges go into the state now: always once it
-        exists or a full query has run, else when they reach a quarter of
-        its size."""
-        if not self._held:
-            return False
-        if self._rdp is not None or self._queried:
-            return True
-        held_bytes = sum(table.nbytes + assign.nbytes for table, assign in self._held)
-        return 4 * held_bytes >= self.n * self.config.orders.size * 8
-
-    def _fold_target(self) -> np.ndarray:
-        """The state to fold into, newly allocated at the first fold."""
-        if self._rdp is None:
-            return np.empty((self.n, self.config.orders.size))
-        return self._rdp
-
-    def _fold(self) -> None:
-        """Add the held charges into the state, if a fold is due."""
-        if self._fold_due():
-            state = self._fold_target()
-            self._pass(into=state)
-            self._rdp, self._held = state, []
-
-    def _pass(self, visit=None, into: Optional[np.ndarray] = None) -> None:
-        """Call ``visit(lo, rows)`` with the accumulated RDP of examples
-        lo:lo + len(rows), block by block (see ``_sum_rows``).  A ledger of
-        at least 2 x _WORKER_ROWS examples splits its blocks into contiguous
-        runs, one per core the process may use (at most one per _WORKER_ROWS
-        rows), each summed on its own thread, where ``visit`` runs too and
-        must touch only its block's rows.  Every row sees the same operations in the same order
-        either way, so the results are the same bit for bit."""
+    def _pass(self, charges, visit=None, into: Optional[np.ndarray] = None) -> None:
+        """Call ``visit(lo, rows)`` with the state plus ``charges`` of
+        examples lo:lo + len(rows), block by block (see ``_sum_rows``).  A
+        ledger of at least 2 x _WORKER_ROWS examples splits its blocks into
+        contiguous runs, one per core the process may use (at most one per
+        _WORKER_ROWS rows), each summed on its own thread, where ``visit``
+        runs too and must touch only its block's rows.  Every row sees the
+        same operations in the same order either way, so the results are the
+        same bit for bit."""
         blocks = -(-self.n // _BLOCK)
         workers = max(1, min(_cores(), self.n // _WORKER_ROWS, blocks))
         cuts = [min(k * blocks // workers * _BLOCK, self.n) for k in range(workers + 1)]
@@ -303,7 +289,7 @@ class IndividualLedger:
 
         def run(lo: int, hi: int) -> None:
             try:
-                self._sum_rows(lo, hi, visit, into)
+                self._sum_rows(lo, hi, charges, visit, into)
             except BaseException as err:
                 errors.append(err)
 
@@ -316,11 +302,11 @@ class IndividualLedger:
         if errors:
             raise errors[0]
 
-    def _sum_rows(self, lo: int, hi: int, visit, into: Optional[np.ndarray]) -> None:
-        """The held charges of rows lo:hi summed in refresh order onto the
-        state's or the first charge's rows, _BLOCK rows at a time so the
-        gathered curves stay in cache, each block passed to ``visit``; in
-        ``into``'s rows when given (the state, to fold into it), else in a
+    def _sum_rows(self, lo: int, hi: int, charges, visit, into: Optional[np.ndarray]) -> None:
+        """``charges`` of rows lo:hi summed in order onto the state's or the
+        first charge's rows, _BLOCK rows at a time so the gathered curves
+        stay in cache, each block passed to ``visit``; in ``into``'s rows
+        when given (the state, to fold into it, or a new array), else in a
         buffer of this call's own.  Besides ``visit`` only numpy's take and
         add run here, and both release the GIL."""
         orders = self.config.orders.size
@@ -329,26 +315,27 @@ class IndividualLedger:
         for start in range(lo, hi, _BLOCK):
             stop = min(start + _BLOCK, hi)
             out = buf[:stop - start] if into is None else into[start:stop]
-            held = self._held
+            rest = charges
             if self._rdp is not None:
                 if into is not self._rdp:
                     out[...] = self._rdp[start:stop]
-            elif held:
-                table, assign = held[0]
+            elif charges:
+                table, assign = charges[0]
                 np.take(table, assign[start:stop], axis=0, out=out, mode="clip")
-                held = held[1:]
+                rest = charges[1:]
             else:
                 out.fill(0.0)
             # mode="clip" writes to out unbuffered; every index is in range
             gathered = scratch[:stop - start]
-            for table, assign in held:
+            for table, assign in rest:
                 np.take(table, assign[start:stop], axis=0, out=gathered, mode="clip")
                 np.add(out, gathered, out=out)
             if visit is not None:
                 visit(start, out)
 
     def update_assignments(self, norms: Sequence[float], step: Optional[int] = None) -> None:
-        """Re-bucket every example from fresh gradient norms."""
+        """Re-bucket every example from fresh gradient norms, closing the
+        pending steps into a held charge and folding when a fold is due."""
         norms = np.asarray(norms, dtype=np.float64)
         if norms.shape != (self.n,):
             raise ValueError(f"expected {self.n} norms, got shape {norms.shape}")
@@ -359,8 +346,15 @@ class IndividualLedger:
                 f"assignments may only change at steps divisible by "
                 f"frequency={self.config.frequency}, got step {step}")
         # charge the old assignments before exactness mode replaces their curves
-        self._close()
-        self._fold()
+        self._held, self._pending = self._charges(), 0
+        shape = (self.n, self.config.orders.size)
+        held_bytes = sum(table.nbytes + assign.nbytes for table, assign in self._held)
+        # fold once the state exists, after a full query, or at a quarter of its size
+        if self._held and (self._rdp is not None or self._queried
+                           or 4 * held_bytes >= 8 * shape[0] * shape[1]):
+            state = np.empty(shape) if self._rdp is None else self._rdp
+            self._pass(self._held, into=state)
+            self._rdp, self._held = state, []
         idx = self.cache.indices_for(
             sensitivity_buckets(norms, self.config.max_clip, self.config.rounding))
         # the smallest dtype that indexes the table, as held charges keep it
@@ -378,30 +372,22 @@ class IndividualLedger:
     def counts(self) -> np.ndarray:
         """The (n, orders) accumulated RDP, every step charged, changing
         nothing: the folded state itself when nothing is held or pending,
-        else a new array, with the pending steps added last, as a query adds
-        them.  Only the benchmark's ledger-size probe reads it, under this
-        name; it stays until a benchmark-only change renames that probe."""
+        else a new array summed as a query sums.  Only the benchmark's
+        ledger-size probe reads it, under this name; it stays until a
+        benchmark-only change renames that probe."""
         if self._rdp is not None and not self._held and not self._pending:
             return self._rdp
         out = np.empty((self.n, self.config.orders.size))
-
-        def add_pending(lo: int, rows: np.ndarray) -> None:
-            rows += self._pending * self.cache.rows[self._assign[lo:lo + rows.shape[0]]]
-
-        self._pass(add_pending if self._pending else None, into=out)
+        self._pass(self._charges(), into=out)
         return out
 
     def epsilons(self, delta: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
         """(epsilon, best order) for all examples, summed and converted in
         blocks of rows so the extra memory is O(block x orders), not
-        O(n x orders).  When a fold is due, the same pass folds."""
+        O(n x orders).  Changes nothing but marking the ledger queried."""
         delta = self.config.delta if delta is None else delta
-        # checked before the pass, which may add the held charges into the
-        # state in place: a failure half-way would charge them twice
         if not 0.0 < delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {delta}")
-        self._close()
-        state = self._fold_target() if self._fold_due() else None
         eps = np.empty(self.n)
         best = np.empty(self.n, dtype=np.int64)
 
@@ -409,9 +395,7 @@ class IndividualLedger:
             block = slice(lo, lo + rdp.shape[0])
             eps[block], best[block] = _eps_from_rdp(rdp, self.config.orders, delta)
 
-        self._pass(convert, into=state)
-        if state is not None:
-            self._rdp, self._held = state, []
+        self._pass(self._charges(), convert)
         self._queried = True
         return eps, best
 

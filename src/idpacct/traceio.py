@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import zipfile
 from dataclasses import dataclass
 
@@ -77,6 +78,11 @@ class TraceHeader:
             sampling_prob=self.sampling_prob, rounding=self.rounding,
             frequency=self.frequency, delta=delta)
 
+    @property
+    def n_refreshes(self) -> int:
+        """Rows of the norm matrix, counted without building the steps."""
+        return -(-self.steps // self.frequency)
+
     def refresh_steps(self) -> np.ndarray:
         return np.arange(0, self.steps, self.frequency, dtype=np.int64)
 
@@ -91,7 +97,7 @@ class TraceHeader:
 
 def _check_matrix(header: TraceHeader, norms: np.ndarray) -> np.ndarray:
     norms = np.asarray(norms, dtype=np.float64)
-    expected = (len(header.refresh_steps()), header.n)
+    expected = (header.n_refreshes, header.n)
     if norms.shape != expected:
         raise ValueError(f"column 'norm' has shape {norms.shape}, header implies {expected}")
     if not np.all(np.isfinite(norms)) or np.any(norms < 0):
@@ -163,23 +169,30 @@ def read_trace(path: str) -> tuple[TraceHeader, np.ndarray]:
     Returns the header and the (refresh steps x n) norm matrix.  Any
     malformed row, and any row beyond the header's count, raises
     TraceFormatError with its line number; a missing row raises it with
-    the row's step.
+    the row's step.  A header whose matrix cannot fit in the rest of the
+    file (every norm takes at least two bytes: a digit and a comma or
+    bracket) is refused before the matrix is allocated.
     """
     with open(path) as f:
         first = f.readline()
         if not first.strip():
             raise TraceFormatError("empty trace file", line=1)
         header = _parse_header(first)
-        refresh = header.refresh_steps()
-        norms = np.empty((len(refresh), header.n))
+        shape = (header.n_refreshes, header.n)
+        rest = os.fstat(f.fileno()).st_size - len(first.encode())
+        if 2 * shape[0] * shape[1] > rest:
+            raise TraceFormatError(
+                f"header implies a {shape[0]} x {shape[1]} norm matrix, which needs at "
+                f"least {2 * shape[0] * shape[1]} bytes, but {rest} follow it", line=1)
+        norms = np.empty(shape)
         rows = 0
         for rows, raw in enumerate(f, start=1):
-            if rows > len(refresh):
-                raise TraceFormatError(f"more rows than the header's {len(refresh)} "
+            if rows > shape[0]:
+                raise TraceFormatError(f"more rows than the header's {shape[0]} "
                                        "refresh steps", line=rows + 1)
             norms[rows - 1] = _parse_row(raw, header.n, rows + 1)
-    if rows < len(refresh):
-        raise TraceFormatError(f"missing refresh row for step {int(refresh[rows])}")
+    if rows < shape[0]:
+        raise TraceFormatError(f"missing refresh row for step {rows * header.frequency}")
     return header, norms
 
 

@@ -32,9 +32,9 @@ def two_workers(monkeypatch):
     runs = []
     sum_rows = accountant.IndividualLedger._sum_rows
 
-    def record(ledger, lo, hi, visit, into):
+    def record(ledger, lo, hi, *args):
         runs.append((lo, hi, threading.get_ident()))
-        sum_rows(ledger, lo, hi, visit, into)
+        sum_rows(ledger, lo, hi, *args)
 
     monkeypatch.setattr(accountant.IndividualLedger, "_sum_rows", record)
     return runs

@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,6 +266,12 @@ def test_assignment_change_splits_counts():
 
 
 def test_protocol_errors():
+    for n in (3.5, True, "3"):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            IndividualLedger(n, _config())
+    with pytest.raises(ValueError, match="n=0"):
+        IndividualLedger(0, _config())
+    assert IndividualLedger(np.int32(3), _config()).n == 3
     ledger = IndividualLedger(1, _config(frequency=2))
     with pytest.raises(LedgerError):
         ledger.record_step()
@@ -347,8 +355,8 @@ def test_exactness_mode_state_does_not_grow_with_distinct_norms():
 
 @pytest.mark.parametrize("rounding", [0.01, 0.0])
 def test_cache_corrupted_after_last_refresh_changes_epsilons(rounding):
-    # the steps since the last refresh are charged at the first query, so a
-    # fault planted in the curve table after training must reach the result,
+    # every query charges the steps since the last refresh from the curve
+    # table, so a fault planted in it after training must reach the result,
     # and only through the examples last assigned to the corrupted curve:
     # charges closed earlier, held or folded, keep their clean curves
     runs = [(50, 3), (2_000, 3), (2_000, 40)] if rounding else [(50, 3), (50, 12)]
@@ -436,43 +444,76 @@ def test_lazy_charges_equal_refresh_order_sum(rounding, refreshes, folded, split
         assert eps[i] == want_eps[i] and best[i] == want_best[i]
 
 
+@pytest.mark.parametrize("rounding", [0.01, 0.0], ids=["grid", "exactness"])
+def test_results_do_not_depend_on_when_the_ledger_was_queried(rounding, two_workers):
+    # a query changes nothing, so the same refreshes queried after any
+    # steps, or never, end in the same accumulated RDP and epsilons, bit for
+    # bit; every pass runs as two runs of whole blocks on two threads
+    n, frequency, steps = (3_000 if rounding else 1_200), 3, 60
+    norms = np.random.default_rng(9).uniform(0.0, 1.5, (steps // frequency, n))
+    results = []
+    for queried in [set(), {3}, {3, 4, 5}, {20, 50}]:
+        ledger = IndividualLedger(n, _config(rounding=rounding, frequency=frequency))
+        for t in range(steps):
+            if t % frequency == 0:
+                ledger.update_assignments(norms[t // frequency], step=t)
+            ledger.record_step(t)
+            if t in queried:
+                ledger.epsilons()
+        results.append((ledger.counts(), *ledger.epsilons()))
+    for counts, eps, best in results[1:]:
+        assert np.array_equal(counts, results[0][0])
+        assert np.array_equal(eps, results[0][1]) and np.array_equal(best, results[0][2])
+    cut = -(-n // accountant._BLOCK) // 2 * accountant._BLOCK
+    assert {run[:2] for run in two_workers} == {(0, cut), (cut, n)}
+
+
 def test_repeated_queries_fold_held_charges_once():
-    # a ledger queried again is watched during training: its second full
-    # query folds, and from then on refreshes and queries fold at once, so
-    # no query sums more than the one charge closed since the last fold
+    # a ledger queried during training is being watched: its queries change
+    # nothing, the next refresh folds the held charges once, and from then on
+    # every refresh folds, so no query sums more than the pending charge
     n, frequency = 3_000, 3
     ledger, want = _ledger_and_reference(n, 5, 0.01, frequency=frequency)
     orders, delta = ledger.config.orders, ledger.config.delta
-    summed = []          # the held charges each summing pass adds
+    summed = []          # the charges each summing pass adds
     passes = ledger._pass
-    ledger._pass = lambda visit=None, into=None: (summed.append(len(ledger._held)),
-                                                  passes(visit, into))[1]
+    ledger._pass = lambda charges, visit=None, into=None: (summed.append(len(charges)),
+                                                           passes(charges, visit, into))[1]
+
+    def state():
+        # the state, its values, the held charges and the pending steps
+        rdp = ledger._rdp
+        return (id(rdp), None if rdp is None else rdp.tobytes(),
+                [id(charge) for charge in ledger._held], ledger._pending)
 
     def query():
         summed.clear()
+        before = state()
         eps, best = ledger.epsilons()
         want_eps, want_best = _eps_from_rdp(want, orders, delta)
         assert np.array_equal(eps, want_eps) and np.array_equal(best, want_best)
+        assert state() == before and len(summed) == 1
         return summed[0]
 
-    assert query() == 5 and ledger._rdp is None       # one query: charges held
-    assert query() == 5 and ledger._held == []        # the second folds them
-    assert query() == 0                               # and the third sums none
+    assert len(ledger._held) == 4 and ledger._pending == frequency
+    assert query() == 5 and ledger._rdp is None       # four held, one pending
+    assert query() == 5 and ledger._rdp is None       # summed again, not folded
     rng = np.random.default_rng(8)
     for r in range(5, 8):
         norms = rng.uniform(0.0, 1.5, n)
         ledger.update_assignments(norms, step=r * frequency)
-        assert ledger._held == []                     # the refresh folded
+        assert ledger._rdp is not None and ledger._held == []    # the refresh folded
         rows = ledger.cache.rows.copy()
         idx = np.searchsorted(ledger.cache.bucket_values,
                               sensitivity_buckets(norms, 1.0, 0.01))
         for t in range(r * frequency, (r + 1) * frequency):
             ledger.record_step(t)
         want += frequency * rows[idx]
-        # a bad delta is refused before the pass that folds in place
+        before = state()
         with pytest.raises(ValueError, match="delta"):
             ledger.epsilons(1.5)
-        assert query() == 1 and ledger._held == []    # the steps since the refresh
+        assert state() == before
+        assert query() == 1 and query() == 1          # the steps since the refresh
 
 
 @pytest.mark.parametrize("rounding, n, refreshes", [(0.01, 50_000, 70), (0.0, 4_000, 6)],
@@ -607,6 +648,20 @@ def test_epsilons_blocks_match_rdp_to_dp(rounding, split, request):
         for i in (cut - 1, cut):
             assert (eps[i], orders[i]) == rdp_to_dp(
                 RdpCurve(ledger.config.orders, counts[i]), ledger.config.delta)
+
+
+def test_readme_library_quickstart_runs(tmp_path, monkeypatch):
+    # the documented quickstart must run as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.S | re.M)
+    assert len(blocks) == 1
+    monkeypatch.chdir(tmp_path)
+    scope = {}
+    exec(compile(blocks[0], "README.md", "exec"), scope)
+    eps, report = scope["eps"], scope["report"]
+    assert eps.shape == (10_000,) and np.array_equal(report.epsilons, eps)
+    assert set(report.group_means) == {0, 1}
+    assert "epsilons" not in json.loads((tmp_path / "report.json").read_text())
 
 
 def test_report_bounded_by_worst_case():

@@ -312,6 +312,16 @@ def test_account_missing_file(tmp_path):
     (["report", "{tmp}/full.json", "--losses", "{tmp}/trace.npz"],
      "trace.npz: not utf-8 text"),
     (["simulate", "--config", "{tmp}/latin1.json"], "latin1.json: not utf-8 text"),
+    (["account", "{tmp}/huge_steps.jsonl"],
+     "huge_steps.jsonl: line 1: header implies a 1000000000000 x 100 norm matrix"),
+    (["account", "{tmp}/huge_n.jsonl"],
+     "huge_n.jsonl: line 1: header implies a 7 x 1000000000000 norm matrix"),
+    (["account", "{tmp}/huge_steps.npz"],
+     "huge_steps.npz: binary trace column 'norm' has shape (1, 100), "
+     "header implies (1000000000000, 100)"),
+    (["account", "{tmp}/huge_n.npz"],
+     "huge_n.npz: binary trace column 'norm' has shape (1, 100), "
+     "header implies (7, 1000000000000)"),
     # per-example fields of the wrong type or length used to load, truncated
     (["report", "{tmp}/label_float.json", "--losses", "{sim}/losses.csv"],
      "label_float.json: group_labels[1]: a group label must be an integer, got 1.7"),
@@ -328,7 +338,8 @@ def test_account_missing_file(tmp_path):
 ], ids=["account_losses", "report", "release", "report_not_json", "release_list",
         "release_no_steps", "report_redacted", "release_redacted", "release_null_epsilon",
         "account_directory", "account_npz_as_jsonl", "report_losses_npz",
-        "simulate_config_latin1", "report_label_float", "report_label_bool",
+        "simulate_config_latin1", "account_huge_steps", "account_huge_n",
+        "account_huge_steps_npz", "account_huge_n_npz", "report_label_float", "report_label_bool",
         "release_eps_string", "release_orders_short", "release_orders_float",
         "release_orders_one"])
 def test_missing_or_malformed_input_is_validation_failure(tmp_path, capsys, argv, message):
@@ -354,7 +365,16 @@ def test_missing_or_malformed_input_is_validation_failure(tmp_path, capsys, argv
         (tmp_path / f"{name}.json").write_text(json.dumps(dict(full, **{field: values})))
     (tmp_path / "orders_short.json").write_text(json.dumps(
         dict(full, best_orders=full["best_orders"][1:])))
-    write_trace_npz(str(tmp_path / "trace.npz"), *read_trace(str(sim_out / "trace.jsonl")))
+    header, norms = read_trace(str(sim_out / "trace.jsonl"))
+    write_trace_npz(str(tmp_path / "trace.npz"), header, norms)
+    # headers implying 10**12 refreshes or examples, then one row; all but
+    # huge_n.npz used to exit 2 with a MemoryError of 7.28 TiB or more
+    for name, big in [("huge_steps", {"steps": 10 ** 12, "frequency": 1}),
+                      ("huge_n", {"n": 10 ** 12})]:
+        huge = json.dumps(dict(header.to_dict(), **big))
+        (tmp_path / f"{name}.jsonl").write_text(f"{huge}\n{json.dumps(norms[0].tolist())}\n")
+        np.savez(tmp_path / f"{name}.npz", norm=norms[:1],
+                 header=np.frombuffer(huge.encode(), dtype=np.uint8))
     (tmp_path / "npz.jsonl").write_bytes((tmp_path / "trace.npz").read_bytes())
     (tmp_path / "latin1.json").write_bytes('{"seed": "\xe9"}'.encode("latin-1"))
     del doc["steps"]                                      # used to exit 2

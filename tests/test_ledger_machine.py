@@ -2,16 +2,20 @@
 
 A ``hypothesis`` state machine drives an ``IndividualLedger`` through
 refreshes, steps and reads in any order, next to an eager reference: a
-float64 running sum that adds each closed charge (steps x the example's
-curve) at once, in refresh order.  Every read must equal the reference bit
-for bit, and the ledger's held bytes must stay under its documented bound.
+float64 running sum that adds each charge (steps x the example's curve) at
+the refresh that closes it, in refresh order.  A read adds the steps since
+the last refresh last and closes nothing, so the reference does not depend
+on when, or how often, the ledger was read, and every interleaving also
+checks that reads do not change later results.  Every read must equal the
+reference bit for bit, and the ledger's held bytes must stay under its
+documented bound.
 A coarse grid (r = C/2, so 2 buckets) at n = 50 makes one charge about
 1.1 KB against a 26 KB state, so runs reach several held charges, the fold
 at a quarter of the state, the fold after a full query and the fold into an
 existing state (a scripted run shows each); exactness mode (r = 0), where
 one charge can be the state's size, is drawn too.  A quiet run reads only
-``counts()``, which changes nothing, until its teardown query, so its
-charges pile up to the quarter-size fold.  The scripted run and a shorter
+``counts()`` until its teardown query, so no refresh follows a query and
+its charges pile up to the quarter-size fold.  The scripted run and a shorter
 random one are repeated with every summing pass split across two threads.
 
 The trace properties check that both file formats read back what was
@@ -67,12 +71,11 @@ class LedgerMachine(RuleBasedStateMachine):
         self.ledger = IndividualLedger(N, self.config)
         self.want = np.zeros((N, self.config.orders.size))   # closed charges
         self.rows = None          # each example's current curve
-        self.pending = 0          # steps since the last close
+        self.pending = 0          # steps since the last refresh
 
-    def _close(self):
-        if self.pending:
-            self.want += self.pending * self.rows
-            self.pending = 0
+    def _read(self):
+        # what a read sums: the closed charges, then the pending steps
+        return self.want + self.pending * self.rows if self.pending else self.want
 
     @precondition(lambda self: self.ledger.steps % self.config.frequency == 0)
     @rule(seed=st.integers(0, 2 ** 32 - 1), special=st.floats(0.0, 1.0))
@@ -83,7 +86,9 @@ class LedgerMachine(RuleBasedStateMachine):
         norms = rng.uniform(0.0, 3 * CLIP, N)
         pick = rng.random(N) < special
         norms[pick] = rng.choice(_SPECIAL, int(pick.sum()))
-        self._close()
+        if self.pending:          # only a refresh closes the pending steps
+            self.want += self.pending * self.rows
+            self.pending = 0
         self.ledger.update_assignments(norms, step=self.ledger.steps)
         cache = self.ledger.cache
         z = sensitivity_buckets(norms, CLIP, self.config.rounding)
@@ -100,17 +105,14 @@ class LedgerMachine(RuleBasedStateMachine):
     @precondition(lambda self: not self.quiet)
     @rule(delta=st.sampled_from([1e-5, 1e-3, 0.1]))
     def epsilons(self, delta):
-        self._close()
         eps, best = self.ledger.epsilons(delta)
-        want_eps, want_best = _eps_from_rdp(self.want, self.config.orders, delta)
+        want_eps, want_best = _eps_from_rdp(self._read(), self.config.orders, delta)
         assert np.array_equal(eps, want_eps)
         assert np.array_equal(best, want_best)
 
     @rule()
     def counts(self):
-        # reading counts closes nothing, so the reference closes nothing
-        want = self.want + self.pending * self.rows if self.pending else self.want
-        assert np.array_equal(self.ledger.counts(), want)
+        assert np.array_equal(self.ledger.counts(), self._read())
 
     @invariant()
     def memory_bounded(self):
@@ -168,8 +170,9 @@ def _scripted_run():
     watched.build(exact=False, frequency=2, quiet=False)
     ledger = watched.ledger
     run(watched, lambda: watched.refresh(seed=0, special=0.0), watched.step,
-        lambda: watched.epsilons(1e-5), watched.step)
-    assert ledger._rdp is None and len(ledger._held) == 1            # one query holds
+        lambda: watched.epsilons(1e-5), watched.step, lambda: watched.epsilons(0.1))
+    assert ledger._rdp is None and ledger._held == []                # queries close nothing
+    assert ledger._pending == 2
     run(watched, lambda: watched.refresh(seed=1, special=1.0))
     assert ledger._rdp is not None and ledger._held == []            # after a query
     run(watched, watched.step, watched.counts, lambda: watched.epsilons(0.1))

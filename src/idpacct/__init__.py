@@ -11,7 +11,6 @@ from .accountant import (
 from .adaptive_oracle import (
     AdaptiveSpec,
     coin_chain_spec,
-    deterministic_spec,
     enumerate_adaptive_vs_fixed,
     random_spec,
 )
@@ -54,7 +53,6 @@ from .release import (
     ReleasedStats,
     calibrate_gaussian_scale,
     dp_mean,
-    dp_quantile,
     release_all,
 )
 from .traceio import TraceFormatError, TraceHeader, read_trace, replay_trace, write_trace

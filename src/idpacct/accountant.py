@@ -371,12 +371,14 @@ class IndividualLedger:
 
     def counts(self) -> np.ndarray:
         """The (n, orders) accumulated RDP, every step charged, changing
-        nothing: the folded state itself when nothing is held or pending,
-        else a new array summed as a query sums.  Only the benchmark's
-        ledger-size probe reads it, under this name; it stays until a
-        benchmark-only change renames that probe."""
+        nothing: a read-only view of the folded state when nothing is held
+        or pending, else a new array summed as a query sums.  Only the
+        benchmark's ledger-size probe reads it, under this name; it stays
+        until a benchmark-only change renames that probe."""
         if self._rdp is not None and not self._held and not self._pending:
-            return self._rdp
+            view = self._rdp.view()
+            view.flags.writeable = False
+            return view
         out = np.empty((self.n, self.config.orders.size))
         self._pass(self._charges(), into=out)
         return out

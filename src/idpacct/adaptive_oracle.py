@@ -124,24 +124,6 @@ def coin_chain_spec() -> AdaptiveSpec:
     return AdaptiveSpec([2, 2], [step0, step1])
 
 
-def deterministic_spec() -> AdaptiveSpec:
-    """Each step deterministically echoes a function of the prefix."""
-    def step0(prefix, d):
-        return (1.0, 0.0) if d == 0 else (0.0, 1.0)
-
-    def step1(prefix, d):
-        out = [0.0, 0.0, 0.0]
-        out[(prefix[0] + d) % 3] = 1.0
-        return out
-
-    def step2(prefix, d):
-        out = [0.0, 0.0]
-        out[(prefix[0] + prefix[1]) % 2] = 1.0
-        return out
-
-    return AdaptiveSpec([2, 3, 2], [step0, step1, step2])
-
-
 def random_spec(seed: int, steps: int = 3, max_outcomes: int = 8) -> AdaptiveSpec:
     """Randomized spec: every (step, prefix, dataset) row is an independent
     Dirichlet draw, materialized so lookups are pure."""

@@ -17,6 +17,7 @@ from ._fileio import atomic_write
 from .accountant import PrivacyReport
 
 LOSS_FLOOR = 1e-12      # separable tasks drive losses to 0; log needs a floor
+MARKER_FRACTIONS = (0.3, 0.5, 0.7)      # the histogram's quantile markers
 
 
 class DegenerateVarianceError(ValueError):
@@ -109,8 +110,7 @@ class HistogramResult:
     worst_marker: float
 
 
-def histogram(report: PrivacyReport, bins: int = 30,
-              marker_fractions: Sequence[float] = (0.3, 0.5, 0.7)) -> HistogramResult:
+def histogram(report: PrivacyReport, bins: int = 30) -> HistogramResult:
     """Counts of per-example epsilon over [0, worst-case epsilon], with
     empirical quantile markers and the worst-case position.  Values a few
     ulps above the worst case (summed charges of a saturated example) count
@@ -121,7 +121,7 @@ def histogram(report: PrivacyReport, bins: int = 30,
     counts, edges = np.histogram(np.minimum(report.epsilons, worst), bins=bins,
                                  range=(0.0, worst))
     markers = {float(f): float(np.quantile(report.epsilons, f))
-               for f in marker_fractions}
+               for f in MARKER_FRACTIONS}
     return HistogramResult(edges=edges, counts=counts,
                            quantile_markers=markers,
                            worst_marker=worst)

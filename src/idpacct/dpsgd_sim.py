@@ -146,13 +146,12 @@ class Dataset:
         return self.x.shape[0]
 
 
-def generate_synthetic(config: SimConfig, seed: Optional[int] = None,
-                       n: Optional[int] = None) -> Dataset:
+def generate_synthetic(config: SimConfig, seed: Optional[int] = None) -> Dataset:
     """Gaussian blobs: group g has label g mod 2, center
     separation * (label - 1/2) * u_g with u_g a distinct coordinate axis,
     and isotropic feature noise group_noise_scales[g]."""
     rng = np.random.default_rng(config.seed if seed is None else seed)
-    n = config.n if n is None else int(n)
+    n = config.n
     props = np.asarray(config.group_proportions, dtype=np.float64)
     scales = np.asarray(config.group_noise_scales, dtype=np.float64)
     g_count = props.size
@@ -291,8 +290,6 @@ class TrainOutput:
     steps: int
     clip_resolved: float
     rounding_resolved: float
-    frequency: int
-    tracked_ids: Optional[np.ndarray] = None
     tracked_norms: Optional[np.ndarray] = None      # (steps, m): every step
     tracked_buckets: Optional[np.ndarray] = None    # (steps, m): assigned Z
 
@@ -370,13 +367,11 @@ def train(config: SimConfig, dataset: Optional[Dataset] = None) -> TrainOutput:
     ledger = None if header is None else replay_trace(header, trace_norms, config.delta)
     return TrainOutput(
         model=model, ledger=ledger, header=header, losses=model.losses(x, y),
-        trace_norms=trace_norms,
-        steps=big_t, clip_resolved=c, rounding_resolved=r, frequency=k_freq,
-        tracked_ids=tracked, tracked_norms=tr_norms, tracked_buckets=tr_buckets)
+        trace_norms=trace_norms, steps=big_t, clip_resolved=c, rounding_resolved=r,
+        tracked_norms=tr_norms, tracked_buckets=tr_buckets)
 
 
-def exact_reference_accounting(norms: np.ndarray, config: AccountantConfig,
-                               delta: Optional[float] = None):
+def exact_reference_accounting(norms: np.ndarray, config: AccountantConfig):
     """Ground-truth per-example epsilon from per-step norms (K=1, no
     rounding): clip each norm to C, compose the exact per-step curves, and
     convert.
@@ -393,7 +388,6 @@ def exact_reference_accounting(norms: np.ndarray, config: AccountantConfig,
         raise ValueError("norms must be a (steps, examples) matrix with steps >= 1")
     if not np.all(np.isfinite(norms)) or np.any(norms < 0):
         raise ValueError("norms must be finite and >= 0")
-    delta = config.delta if delta is None else delta
 
     z = np.minimum(norms, config.max_clip)
     with np.errstate(divide="ignore", over="ignore"):
@@ -404,7 +398,7 @@ def exact_reference_accounting(norms: np.ndarray, config: AccountantConfig,
     rdp = np.zeros((z.shape[1], rows.shape[1]))
     for step in inv.reshape(z.shape):
         rdp += rows[step]
-    return _eps_from_rdp(rdp, config.orders, delta)
+    return _eps_from_rdp(rdp, config.orders, config.delta)
 
 
 def accuracy(model, dataset: Dataset) -> float:

@@ -108,12 +108,10 @@ def _least(feasible, lo: float, hi: float) -> float:
     return hi
 
 
-def calibrate_gaussian_scale(sensitivity: float, epsilon: float, delta: float,
-                             queries: int = 1) -> float:
-    """Smallest noise std for `queries` composed Gaussian queries of the
-    given sensitivity to satisfy (epsilon, delta)-DP.  They compose to one
-    Gaussian of multiplier std / (sensitivity sqrt(queries)), whose least
-    m with gaussian_delta(epsilon, m) <= delta is found by bisection."""
+def calibrate_gaussian_scale(sensitivity: float, epsilon: float, delta: float) -> float:
+    """Smallest noise std for a Gaussian query of the given sensitivity to
+    satisfy (epsilon, delta)-DP: sensitivity times the least multiplier m
+    with gaussian_delta(epsilon, m) <= delta, found by bisection."""
     if sensitivity <= 0:
         raise ValueError("sensitivity must be > 0")
     if not 0.0 < epsilon < math.inf:
@@ -131,7 +129,7 @@ def calibrate_gaussian_scale(sensitivity: float, epsilon: float, delta: float,
                 f"no noise multiplier up to {_SIGMA_CAP:g} meets "
                 f"epsilon {epsilon} at delta {delta}")
         lo, hi = hi, 2.0 * hi
-    return _least(feasible, lo, hi) * math.sqrt(queries) * sensitivity
+    return _least(feasible, lo, hi) * sensitivity
 
 
 def _clamped(values, bound: float) -> np.ndarray:
@@ -161,7 +159,6 @@ def _noisy_quantile(v: np.ndarray, target: float, bound: float, std: float,
         raise BudgetInfeasibleError(
             f"count noise scale {std:.1f} exceeds n/4 = {n / 4:.1f}; "
             f"the noisy fractions would be meaningless")
-    rng = np.random.default_rng() if rng is None else rng
     floor = 1e-6 * bound
     q = bound / 2.0
     for _ in range(steps):
@@ -182,20 +179,6 @@ def dp_mean(values: Sequence[float], bound: float, epsilon: float, delta: float,
     std = 0.0 if zero_noise or epsilon == math.inf \
         else calibrate_gaussian_scale(bound / v.size, epsilon, delta)
     return _noisy_mean(v, std, rng)
-
-
-def dp_quantile(values: Sequence[float], target: float, bound: float,
-                epsilon: float, delta: float, steps: int = 20, lr: float = 0.2,
-                rng: Optional[np.random.Generator] = None,
-                zero_noise: bool = False) -> float:
-    """Iterative DP quantile from noisy below-threshold fractions, its
-    `steps` counting queries calibrated to (epsilon, delta) on their own."""
-    v = _clamped(values, bound)
-    if not 0.0 < target < 1.0:
-        raise ValueError("quantile target must be in (0, 1)")
-    std = 0.0 if zero_noise or epsilon == math.inf \
-        else calibrate_gaussian_scale(1.0, epsilon, delta, queries=steps)
-    return _noisy_quantile(v, target, bound, std, steps, lr, rng)
 
 
 @dataclass

@@ -13,7 +13,10 @@ The binary ``.npz`` variant holds exactly two members: ``header``, the same
 header JSON as bytes, and ``norm``, the (refresh steps x n) float64 matrix
 with the same rows and columns.  The writer stores both uncompressed, with
 ``norm`` in C order; archives written compressed by earlier versions still
-load.  An archive with any other members (such as an older layout with flat
+load.  Before allocating a member, the reader checks that its ``.npy``
+header declares exactly the bytes the member holds, as a 1-D ``|u1``
+``header`` and a C-order ``<f8`` ``norm`` of the trace header's shape.  An
+archive with any other members (such as an older layout with flat
 ``step``/``id``/``norm`` columns) is rejected; re-create it with
 ``idpacct simulate --binary-trace``.  Both formats share the header's
 version: a trace written under another version is rejected, and is
@@ -205,6 +208,41 @@ def write_trace_npz(path: str, header: TraceHeader, norms: np.ndarray) -> None:
                  norm=np.ascontiguousarray(norms))
 
 
+# bytes a member may expand to per stored byte: deflate's limit
+_EXPANSION = {zipfile.ZIP_STORED: 1, zipfile.ZIP_DEFLATED: 1032}
+
+
+def _load_member(z: np.lib.npyio.NpzFile, key: str, dtype: str,
+                 shape: tuple | None = None) -> np.ndarray:
+    """Archive member ``key``, allocated only once its ``.npy`` header shows
+    a C-order ``dtype`` array of ``shape`` (else 1-D) whose declared bytes
+    are the bytes the member holds, and those at most what its stored bytes
+    can expand to."""
+    info = z.zip.getinfo(key + ".npy")
+    stored = min(info.compress_size, os.fstat(z.zip.fp.fileno()).st_size)
+    if info.file_size > _EXPANSION.get(info.compress_type, 0) * stored:
+        raise TraceFormatError(
+            f"unreadable array in binary trace: member '{info.filename}' claims "
+            f"{info.file_size} bytes from {info.compress_size} stored bytes")
+    with z.zip.open(info) as f:
+        read = np.lib.format.read_array_header_1_0 if np.lib.format.read_magic(f) == (1, 0) \
+            else np.lib.format.read_array_header_2_0
+        got, fortran, got_dtype = read(f)
+        declared = f.tell() + math.prod(got) * got_dtype.itemsize
+    if got_dtype != dtype or fortran:
+        raise TraceFormatError(f"binary trace column '{key}' is {'Fortran' if fortran else 'C'}"
+                               f"-order {got_dtype.str}, expected C-order {dtype}")
+    if (got != shape) if shape else (len(got) != 1):
+        raise TraceFormatError(f"binary trace column '{key}' has shape {got}, header implies "
+                               f"{shape or '1-D'}")
+    if declared != info.file_size:
+        raise TraceFormatError(
+            f"unreadable array in binary trace: column '{key}' declares shape {got} of "
+            f"{dtype} ({declared} bytes with its header), but its member holds "
+            f"{info.file_size} bytes")
+    return z[key]
+
+
 def read_trace_npz(path: str) -> tuple[TraceHeader, np.ndarray]:
     try:
         z = np.load(path)
@@ -219,10 +257,12 @@ def read_trace_npz(path: str) -> tuple[TraceHeader, np.ndarray]:
                 f"binary trace holds arrays {members}, expected exactly "
                 "['header', 'norm']; re-create it with `idpacct simulate --binary-trace`")
         try:
-            header_col, norms = z["header"], z["norm"]
-        except (ValueError, zipfile.BadZipFile) as exc:
+            header = _parse_header(bytes(_load_member(z, "header", "|u1")).decode())
+            norms = _load_member(z, "norm", "<f8", (header.n_refreshes, header.n))
+        except TraceFormatError:
+            raise
+        except (ValueError, KeyError, NotImplementedError, zipfile.BadZipFile) as exc:
             raise TraceFormatError(f"unreadable array in binary trace: {exc}")
-    header = _parse_header(bytes(header_col).decode())
     try:
         return header, _check_matrix(header, norms)
     except ValueError as exc:

@@ -29,7 +29,6 @@ from idpacct.adaptive_oracle import (
     AdaptiveSpec,
     NonStochasticSpecError,
     coin_chain_spec,
-    deterministic_spec,
     enumerate_adaptive_vs_fixed,
     random_spec,
 )
@@ -468,6 +467,23 @@ def test_results_do_not_depend_on_when_the_ledger_was_queried(rounding, two_work
     assert {run[:2] for run in two_workers} == {(0, cut), (cut, n)}
 
 
+def test_counts_cannot_change_the_ledger():
+    # with nothing held or pending, counts() reads the folded state itself:
+    # it hands that out read-only, so no caller can rewrite later results
+    n, frequency = 3_000, 3
+    ledger, _ = _ledger_and_reference(n, 2, 0.01, frequency=frequency)
+    ledger.epsilons()                     # queried, so the next refresh folds
+    ledger.update_assignments(np.full(n, 0.5), step=2 * frequency)
+    assert ledger._rdp is not None and not ledger._held and not ledger._pending
+    before = ledger.epsilons()
+    counts = ledger.counts()
+    with pytest.raises(ValueError, match="read-only"):
+        counts[:] = 0.0
+    assert not counts.flags.writeable
+    after = ledger.epsilons()
+    assert np.array_equal(after[0], before[0]) and np.array_equal(after[1], before[1])
+
+
 def test_repeated_queries_fold_held_charges_once():
     # a ledger queried during training is being watched: its queries change
     # nothing, the next refresh folds the held charges once, and from then on
@@ -750,7 +766,22 @@ def test_counts_conserved_under_any_refresh_pattern(data):
 # ----------------------------------------------------------- adaptive ---
 
 def test_adaptive_deterministic_spec_exact():
-    assert enumerate_adaptive_vs_fixed(deterministic_spec()) == 0.0
+    # each step deterministically echoes a function of the prefix
+    def step0(prefix, d):
+        return (1.0, 0.0) if d == 0 else (0.0, 1.0)
+
+    def step1(prefix, d):
+        out = [0.0, 0.0, 0.0]
+        out[(prefix[0] + d) % 3] = 1.0
+        return out
+
+    def step2(prefix, d):
+        out = [0.0, 0.0]
+        out[(prefix[0] + prefix[1]) % 2] = 1.0
+        return out
+
+    spec = AdaptiveSpec([2, 3, 2], [step0, step1, step2])
+    assert enumerate_adaptive_vs_fixed(spec) == 0.0
 
 
 def test_adaptive_coin_chain_exact():

@@ -4,11 +4,13 @@ exit codes, determinism, and file round trips."""
 from __future__ import annotations
 
 import errno
+import io
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
@@ -322,6 +324,19 @@ def test_account_missing_file(tmp_path):
     (["account", "{tmp}/huge_n.npz"],
      "huge_n.npz: binary trace column 'norm' has shape (1, 100), "
      "header implies (7, 1000000000000)"),
+    # npz members whose own .npy header is refused before it is allocated;
+    # huge_member.npz used to exit 2 with a MemoryError of 21.8 TiB
+    (["account", "{tmp}/huge_member.npz"],
+     "huge_member.npz: unreadable array in binary trace: column 'norm' declares shape "
+     "(1000000000000, 3) of <f8 (24000000000128 bytes with its header), but its "
+     "member holds 176 bytes"),
+    (["account", "{tmp}/f4.npz"], "f4.npz: binary trace column 'norm' is C-order <f4, "
+     "expected C-order <f8"),
+    (["account", "{tmp}/fortran.npz"], "fortran.npz: binary trace column 'norm' is "
+     "Fortran-order <f8, expected C-order <f8"),
+    (["account", "{tmp}/truncated.npz"],
+     "truncated.npz: unreadable array in binary trace: column 'norm' declares shape "
+     "(7, 100) of <f8"),
     # per-example fields of the wrong type or length used to load, truncated
     (["report", "{tmp}/label_float.json", "--losses", "{sim}/losses.csv"],
      "label_float.json: group_labels[1]: a group label must be an integer, got 1.7"),
@@ -339,7 +354,8 @@ def test_account_missing_file(tmp_path):
         "release_no_steps", "report_redacted", "release_redacted", "release_null_epsilon",
         "account_directory", "account_npz_as_jsonl", "report_losses_npz",
         "simulate_config_latin1", "account_huge_steps", "account_huge_n",
-        "account_huge_steps_npz", "account_huge_n_npz", "report_label_float", "report_label_bool",
+        "account_huge_steps_npz", "account_huge_n_npz", "account_huge_member_npz",
+        "account_f4_npz", "account_fortran_npz", "account_truncated_npz", "report_label_float", "report_label_bool",
         "release_eps_string", "release_orders_short", "release_orders_float",
         "release_orders_one"])
 def test_missing_or_malformed_input_is_validation_failure(tmp_path, capsys, argv, message):
@@ -375,6 +391,21 @@ def test_missing_or_malformed_input_is_validation_failure(tmp_path, capsys, argv
         (tmp_path / f"{name}.jsonl").write_text(f"{huge}\n{json.dumps(norms[0].tolist())}\n")
         np.savez(tmp_path / f"{name}.npz", norm=norms[:1],
                  header=np.frombuffer(huge.encode(), dtype=np.uint8))
+    # norm members written by hand: 10**12 rows declared and 2 held, under a
+    # header that implies them; the wrong dtype; Fortran order; one row short
+    for name, trace_doc, descr, fortran, shape, data in [
+            ("huge_member", dict(header.to_dict(), n=3, steps=10 ** 12, frequency=1),
+             "<f8", False, (10 ** 12, 3), norms[:2, :3].tobytes()),
+            ("f4", header.to_dict(), "<f4", False, norms.shape, norms.astype("<f4").tobytes()),
+            ("fortran", header.to_dict(), "<f8", True, norms.shape, norms.tobytes("F")),
+            ("truncated", header.to_dict(), "<f8", False, norms.shape, norms[:-1].tobytes())]:
+        npy = io.BytesIO()
+        np.lib.format.write_array_header_1_0(npy, {"descr": descr, "fortran_order": fortran,
+                                                   "shape": shape})
+        np.savez(tmp_path / f"{name}.npz",
+                 header=np.frombuffer(json.dumps(trace_doc).encode(), dtype=np.uint8))
+        with zipfile.ZipFile(tmp_path / f"{name}.npz", "a") as zf:
+            zf.writestr("norm.npy", npy.getvalue() + data)
     (tmp_path / "npz.jsonl").write_bytes((tmp_path / "trace.npz").read_bytes())
     (tmp_path / "latin1.json").write_bytes('{"seed": "\xe9"}'.encode("latin-1"))
     del doc["steps"]                                      # used to exit 2

@@ -220,7 +220,7 @@ def test_trace_and_ledger_coupling():
     out = train(cfg)
     assert out.steps == cfg.total_steps
     assert out.ledger.steps == out.steps
-    refresh_steps = range(0, out.steps, out.frequency)
+    refresh_steps = range(0, out.steps, out.header.frequency)
     assert out.trace_norms.shape == (len(refresh_steps), cfg.n)
 
 

@@ -6,9 +6,9 @@ float64 running sum that adds each charge (steps x the example's curve) at
 the refresh that closes it, in refresh order.  A read adds the steps since
 the last refresh last and closes nothing, so the reference does not depend
 on when, or how often, the ledger was read, and every interleaving also
-checks that reads do not change later results.  Every read must equal the
-reference bit for bit, and the ledger's held bytes must stay under its
-documented bound.
+checks that reads do not change later results.  Steps come one at a time
+or several at once.  Every read must equal the reference bit for bit, and
+the ledger's held bytes must stay under its documented bound.
 A coarse grid (r = C/2, so 2 buckets) at n = 50 makes one charge about
 1.1 KB against a 26 KB state, so runs reach several held charges, the fold
 at a quarter of the state, the fold after a full query and the fold into an
@@ -101,6 +101,14 @@ class LedgerMachine(RuleBasedStateMachine):
     def step(self):
         self.ledger.record_step(self.ledger.steps)
         self.pending += 1
+
+    @precondition(lambda self: self.rows is not None)
+    @rule(k=st.integers(2, 6))
+    def record_steps(self, k):
+        # several steps in one rule, so random runs reach pending charges
+        # long enough that splitting them would round differently
+        for _ in range(k):
+            self.step()
 
     @precondition(lambda self: not self.quiet)
     @rule(delta=st.sampled_from([1e-5, 1e-3, 0.1]))

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from decimal import Decimal
 
 import numpy as np
@@ -17,7 +18,6 @@ from idpacct.release import (
     ReleaseConfig,
     calibrate_gaussian_scale,
     dp_mean,
-    dp_quantile,
     gaussian_delta,
     release_all,
 )
@@ -60,12 +60,18 @@ def test_dp_mean_error_within_three_sigma_in_95_of_100_trials():
     assert hits >= 95
 
 
-# ---------------------------------------------------------- dp_quantile ---
+# ----------------------------------------- DP quantiles (release_all) ---
+
+def _quantile(values, target, epsilon, bound, **kwargs) -> tuple[float, dict]:
+    """One released quantile and the release's budget record."""
+    stats = release_all(values, ReleaseConfig(epsilon=epsilon, bound=bound,
+                                              quantiles=(target,), **kwargs))
+    return stats.quantiles[target], stats.budget
+
 
 def test_dp_quantile_zero_noise_median_of_1_to_100():
     values = np.arange(1, 101, dtype=float)
-    got = dp_quantile(values, 0.5, bound=100.0, epsilon=0.5, delta=1e-5,
-                      zero_noise=True)
+    got, _ = _quantile(values, 0.5, 0.5, 100.0, zero_noise=True)
     assert abs(got - np.median(values)) <= 5.0
 
 
@@ -75,32 +81,35 @@ def test_dp_quantile_degenerate_distribution(v):
     # convergence of the 20-step geometric update from B/2 limits how far
     # from mid-range this holds, hence the mid-range choices of v
     values = np.full(500, v)
-    for target in (0.1, 0.3, 0.5, 0.7, 0.9):
-        got = dp_quantile(values, target, bound=8.0, epsilon=0.5, delta=1e-5,
-                          zero_noise=True)
+    stats = release_all(values, ReleaseConfig(epsilon=0.5, bound=8.0, zero_noise=True))
+    assert sorted(stats.quantiles) == [0.1, 0.3, 0.5, 0.7, 0.9]
+    for got in stats.quantiles.values():
         assert abs(got - v) <= 0.1 * v
 
 
 def test_dp_quantile_uniform_tail_accuracy_over_trials():
+    # at least as much count noise as the quantile once had calibrated on
+    # its own (258.36 at epsilon 0.05 over 20 steps): the mean's share of
+    # the one Gaussian costs the rest of epsilon 0.07
     values = np.random.default_rng(7).uniform(0, 8, 10_000)
     true = float(np.quantile(values, 0.9))
     hits = 0
     for seed in range(100):
-        got = dp_quantile(values, 0.9, bound=8.0, epsilon=0.05, delta=1e-5,
-                          rng=np.random.default_rng(2000 + seed))
+        got, budget = _quantile(values, 0.9, 0.07, 8.0, seed=2000 + seed)
+        assert budget["count_noise_scale"] == pytest.approx(269.19, abs=0.01)
         if abs(got - true) <= 0.5:
             hits += 1
     assert hits >= 90
 
 
 def test_dp_quantile_budget_infeasible_for_tiny_population():
-    with pytest.raises(BudgetInfeasibleError):
-        dp_quantile(np.arange(20.0), 0.5, bound=8.0, epsilon=0.01, delta=1e-5)
+    with pytest.raises(BudgetInfeasibleError, match="exceeds n/4"):
+        _quantile(np.arange(20.0), 0.5, 0.01, 8.0)
 
 
 def test_dp_quantile_rejects_bad_target():
-    with pytest.raises(ValueError):
-        dp_quantile(np.arange(100.0), 0.0, bound=8.0, epsilon=0.5, delta=1e-5)
+    with pytest.raises(ValueError, match=re.escape("quantile targets must be in (0, 1)")):
+        _quantile(np.arange(100.0), 0.0, 0.5, 8.0)
 
 
 # ---------------------------------------------------------- calibration ---
@@ -181,8 +190,11 @@ def test_gaussian_scale_proportional_to_sensitivity():
 
 
 def test_gaussian_scale_grows_with_query_count():
-    one = calibrate_gaussian_scale(1.0, 0.3, 1e-5, queries=1)
-    twenty = calibrate_gaussian_scale(1.0, 0.3, 1e-5, queries=20)
+    # the counting queries of a release share its one multiplier, so the
+    # count noise grows with their number
+    v = _mid_range_values(2000, 3)
+    one, twenty = (release_all(v, ReleaseConfig(epsilon=0.3, bound=8.0, quantile_steps=steps))
+                   .budget["count_noise_scale"] for steps in (1, 20))
     assert twenty > one
 
 

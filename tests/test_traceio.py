@@ -85,22 +85,82 @@ def test_npz_writer_stores_c_order_members_uncompressed(tmp_path):
     assert np.array_equal(read_trace_npz(path)[1], norms)
 
 
-@pytest.mark.parametrize("save, layout", [
-    (np.savez_compressed, lambda a: a),               # the earlier writer
-    (np.savez, np.asfortranarray),
-    (np.savez_compressed, np.asfortranarray),
-    (np.savez, lambda a: a.astype(">f8")),
-], ids=["compressed", "fortran", "compressed_fortran", "big_endian"])
-def test_npz_other_member_layouts_read_back(tmp_path, save, layout):
-    # the reader accepts every archive np.load reads, as earlier versions wrote them
+def _npy_v2_member(path, header_bytes, norms):
+    # a .npy version 2.0 header, as np.save writes for a header over 64 KiB
+    np.savez(path, header=header_bytes)
+    npy = io.BytesIO()
+    np.lib.format.write_array_header_2_0(npy, {"descr": "<f8", "fortran_order": False,
+                                               "shape": norms.shape})
+    with zipfile.ZipFile(path, "a") as zf:
+        zf.writestr("norm.npy", npy.getvalue() + norms.tobytes())
+
+
+@pytest.mark.parametrize("save", [
+    lambda path, header_bytes, norms: np.savez_compressed(path, header=header_bytes,
+                                                          norm=norms),  # the earlier writer
+    _npy_v2_member,
+], ids=["compressed", "npy_v2"])
+def test_npz_other_member_layouts_read_back(tmp_path, save):
+    # archives as earlier versions, or np.save, write them read back bit for bit
     header = _header(n=5, steps=9, frequency=3)
     norms = _norms(header, seed=3)
     path = str(tmp_path / "t.npz")
-    save(path, header=np.frombuffer(json.dumps(header.to_dict()).encode(), dtype=np.uint8),
-         norm=layout(norms))
+    save(path, np.frombuffer(json.dumps(header.to_dict()).encode(), dtype=np.uint8), norms)
     got_header, got = read_trace_npz(path)
     assert got_header.to_dict() == header.to_dict()
-    assert np.array_equal(got, norms)
+    assert got.tobytes() == norms.tobytes()
+
+
+@pytest.mark.parametrize("save, layout", [
+    (np.savez, np.asfortranarray),
+    (np.savez_compressed, np.asfortranarray),
+    (np.savez, lambda a: a.astype(">f8")),
+], ids=["fortran", "compressed_fortran", "big_endian"])
+def test_npz_member_layout_other_than_c_order_f8_rejected(tmp_path, save, layout):
+    # the reader takes the C-order <f8 matrix the writer stores, whose rows
+    # are contiguous: any other layout is refused from the member's .npy
+    # header, before it is read
+    header = _header(n=5, steps=9, frequency=3)
+    path = str(tmp_path / "t.npz")
+    save(path, header=np.frombuffer(json.dumps(header.to_dict()).encode(), dtype=np.uint8),
+         norm=layout(_norms(header, seed=3)))
+    with pytest.raises(TraceFormatError, match="expected C-order <f8"):
+        read_trace_npz(path)
+
+
+def _claim_sizes(path, compress_size: int, file_size: int) -> None:
+    # rewrite the norm member's sizes in the zip's central directory, which
+    # is where zipfile reads them
+    data = bytearray(Path(path).read_bytes())
+    at = data.index(b"PK\x01\x02")
+    while data[at + 46:at + 54] != b"norm.npy":
+        at = data.index(b"PK\x01\x02", at + 4)
+    data[at + 20:at + 28] = compress_size.to_bytes(4, "little") + file_size.to_bytes(4, "little")
+    Path(path).write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("method", [zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED],
+                         ids=["stored", "deflated"])
+def test_npz_member_size_claims_checked_before_allocating(tmp_path, method):
+    # a 40 MB matrix that the trace header implies and the .npy header
+    # declares, of which the member holds two rows: once the directory
+    # claims the whole, only the archive's size (stored) or deflate's
+    # 1032-fold limit shows the claim is false
+    header = _header(n=5, steps=10 ** 6, frequency=1)
+    npy = io.BytesIO()
+    np.lib.format.write_array_header_1_0(npy, {"descr": "<f8", "fortran_order": False,
+                                               "shape": (10 ** 6, 5)})
+    declared = len(npy.getvalue()) + 8 * 5 * 10 ** 6
+    path = str(tmp_path / "t.npz")
+    np.savez(path, header=np.frombuffer(json.dumps(header.to_dict()).encode(), dtype=np.uint8))
+    with zipfile.ZipFile(path, "a") as zf:
+        zf.writestr("norm.npy", npy.getvalue() + bytes(80), compress_type=method)
+        stored = zf.getinfo("norm.npy").compress_size
+    claim = declared if method == zipfile.ZIP_STORED else stored
+    _claim_sizes(path, claim, declared)
+    with pytest.raises(TraceFormatError, match=f"'norm.npy' claims {declared} bytes from "
+                                               f"{claim} stored bytes"):
+        read_trace_npz(path)
 
 
 def test_readme_example_trace_reads(tmp_path):

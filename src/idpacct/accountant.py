@@ -16,11 +16,18 @@ refresh, so no result depends on when or how often the ledger was
 queried.  Only a refresh folds the recorded charges into an (n, orders)
 state: once they reach a quarter of its size, after a full query, or once
 the state exists.  Conversion to per-example (epsilon, delta) happens at
-query time.  Each example's row is summed and converted without reading
-any other row, so the pass that queries and folds splits large ledgers'
-rows across the cores the process may use, with the same results bit for
-bit.  In the package only ``traceio.replay_trace`` drives a ledger, for
-both CLI paths.
+query time, in two passes that sum only the orders that can win: a coarse
+pass bounds, from a dozen orders, which orders between them can hold an
+example's minimum, and a second pass sums just those for groups of
+examples with the same coarse best order.  The bound holds because RDP is
+nondecreasing in the order, so every curve table is checked for that once
+when it is made, and a ledger that charged a table that dips runs the full
+pass.  Either way every order summed sees the same additions, so each
+epsilon and best order is the same bit for bit.  Each example's row is
+summed and converted without reading any other row, so the passes that
+query and fold split large ledgers' rows across the cores the process may
+use, with the same results bit for bit.  In the package only
+``traceio.replay_trace`` drives a ledger, for both CLI paths.
 """
 
 from __future__ import annotations
@@ -36,13 +43,26 @@ import numpy as np
 
 from ._fileio import atomic_write
 from .kernel import sgm_rdp_matrix
-from .rdp_math import (RdpCurve, _check_fields, _check_orders, _eps_from_rdp,
-                       default_orders, rdp_to_dp)
+from .rdp_math import (RdpCurve, _check_fields, _check_orders, _conversion_terms,
+                       _eps_from_rdp, default_orders, rdp_to_dp)
 
 
 MAX_BUCKETS = 10_000      # ceil(C/r) bound: the grid's curves are built up front
 _BLOCK = 1_024            # rows per summing block: keeps the gathered curves in cache
+_COARSE_BLOCK = 4_096     # rows per block of a query's coarse pass, about a dozen orders wide
+_GROUP_CELLS = 32_768     # (rows x orders) per block of a query's grouped pass
 _WORKER_ROWS = 65_536     # rows per summing thread: smaller ledgers stay on one
+
+
+def _coarse_orders(orders: np.ndarray) -> np.ndarray:
+    """Indices of a query's coarse orders: the first and last orders, and
+    each order at least 1.4 x the last one kept (2, 3, 5, 7, 10, 14, 20, 28,
+    40, 56, 128, 256 on the default grid)."""
+    alphas, kept = orders.tolist(), [0]
+    for i in range(1, len(alphas) - 1):
+        if 5 * alphas[i] >= 7 * alphas[kept[-1]]:
+            kept.append(i)
+    return np.unique(kept + [len(alphas) - 1])
 
 
 def _cores() -> int:
@@ -205,6 +225,17 @@ class BucketCache:
         self.misses += len(self)
         return inverse
 
+    @property
+    def rows(self) -> np.ndarray:
+        return self._rows
+
+    @rows.setter
+    def rows(self, rows: np.ndarray) -> None:
+        # RDP is nondecreasing in the order; a ledger's query prunes orders
+        # only while every table it charged is (see IndividualLedger.epsilons)
+        self._rows = rows
+        self.nondecreasing = bool(np.all(rows[:, 1:] >= rows[:, :-1]))
+
     def corrupt_for_testing(self, factor: float = 1.02) -> None:
         """Negative-control hook: scale the last curve (bucket C in grid
         mode, the largest norm of the last refresh in exactness mode).  Every
@@ -213,7 +244,9 @@ class BucketCache:
         against independent re-accounting fail."""
         if not len(self):
             raise LedgerError("nothing cached to corrupt")
-        self.rows[-1] *= factor
+        rows = self.rows.copy()       # a new table, checked again
+        rows[-1] *= factor
+        self.rows = rows
 
 
 class IndividualLedger:
@@ -265,22 +298,28 @@ class IndividualLedger:
         # held charges: (pending x curve table, each example's row in it)
         self._held: list[tuple[np.ndarray, np.ndarray]] = []
         self._queried = False                     # a full query has run
+        self._monotone = True             # every table charged is nondecreasing
+        self._coarse = _coarse_orders(config.orders)
+        # each order's gap between coarse orders, or -1 for a coarse order
+        gap = np.searchsorted(self._coarse, np.arange(config.orders.size)) - 1
+        gap[self._coarse] = -1
+        self._gap = gap
 
     def _charges(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """The held charges, then the pending steps as a last charge that
         nothing keeps: what a query sums."""
         if not self._pending:
             return self._held
+        self._monotone = self._monotone and self.cache.nondecreasing
         return self._held + [(self._pending * self.cache.rows, self._assign)]
 
-    def _pass(self, charges, visit=None, into: Optional[np.ndarray] = None) -> None:
-        """Call ``visit(lo, rows)`` with the state plus ``charges`` of
-        examples lo:lo + len(rows), block by block (see ``_sum_rows``).  A
-        ledger of at least 2 x _WORKER_ROWS examples splits its blocks into
-        contiguous runs, one per core the process may use (at most one per
-        _WORKER_ROWS rows), each summed on its own thread, where ``visit``
-        runs too and must touch only its block's rows.  Every row sees the
-        same operations in the same order either way, so the results are the
+    def _pass(self, work) -> None:
+        """Call ``work(lo, hi)`` on runs of whole _BLOCK-row blocks that
+        cover the examples.  A ledger of at least 2 x _WORKER_ROWS examples
+        splits into contiguous runs, one per core the process may use (at
+        most one per _WORKER_ROWS rows), each on its own thread, where
+        ``work`` must touch only its run's rows.  Every row sees the same
+        operations in the same order either way, so the results are the
         same bit for bit."""
         blocks = -(-self.n // _BLOCK)
         workers = max(1, min(_cores(), self.n // _WORKER_ROWS, blocks))
@@ -289,7 +328,7 @@ class IndividualLedger:
 
         def run(lo: int, hi: int) -> None:
             try:
-                self._sum_rows(lo, hi, charges, visit, into)
+                work(lo, hi)
             except BaseException as err:
                 errors.append(err)
 
@@ -304,34 +343,52 @@ class IndividualLedger:
 
     def _sum_rows(self, lo: int, hi: int, charges, visit, into: Optional[np.ndarray]) -> None:
         """``charges`` of rows lo:hi summed in order onto the state's or the
-        first charge's rows, _BLOCK rows at a time so the gathered curves
-        stay in cache, each block passed to ``visit``; in ``into``'s rows
-        when given (the state, to fold into it, or a new array), else in a
-        buffer of this call's own.  Besides ``visit`` only numpy's take and
-        add run here, and both release the GIL."""
+        first charge's rows (see ``_sum``), _BLOCK rows at a time so the
+        gathered curves stay in cache, each block passed to ``visit``; in
+        ``into``'s rows when given (the state, to fold into it, or a new
+        array), else in a buffer of this call's own.  Besides ``visit`` only
+        numpy's take and add run here, and both release the GIL."""
         orders = self.config.orders.size
         buf = np.empty((_BLOCK, orders)) if into is None else None
         scratch = np.empty((_BLOCK, orders))
         for start in range(lo, hi, _BLOCK):
             stop = min(start + _BLOCK, hi)
             out = buf[:stop - start] if into is None else into[start:stop]
-            rest = charges
-            if self._rdp is not None:
-                if into is not self._rdp:
-                    out[...] = self._rdp[start:stop]
-            elif charges:
-                table, assign = charges[0]
-                np.take(table, assign[start:stop], axis=0, out=out, mode="clip")
-                rest = charges[1:]
-            else:
-                out.fill(0.0)
-            # mode="clip" writes to out unbuffered; every index is in range
-            gathered = scratch[:stop - start]
-            for table, assign in rest:
-                np.take(table, assign[start:stop], axis=0, out=gathered, mode="clip")
-                np.add(out, gathered, out=out)
+            self._sum(slice(start, stop), charges, out, scratch[:stop - start],
+                      onto_state=into is not None and into is self._rdp)
             if visit is not None:
                 visit(start, out)
+
+    def _sum(self, rows, charges, out: np.ndarray, gathered: np.ndarray,
+             cols: Optional[np.ndarray] = None, onto_state: bool = False) -> None:
+        """The state (which ``out`` already holds when ``onto_state``) plus
+        ``charges`` of ``rows``, a slice or an index array, at orders
+        ``cols`` (every order when None) summed in order into ``out``;
+        without a state the first charge starts the sum.  ``gathered`` is
+        scratch of ``out``'s shape.  Each cell sees the same takes and adds,
+        whichever rows and orders a call covers, so a cell's sum is the same
+        bit for bit."""
+        rest = charges
+        state = self._rdp
+        if state is not None:
+            if onto_state:          # out is the state's own rows
+                pass
+            elif cols is None:
+                out[...] = state[rows]
+            elif isinstance(rows, slice):
+                np.take(state[rows], cols, axis=1, out=out)
+            else:
+                np.take(state, rows[:, None] * state.shape[1] + cols, out=out)
+        elif charges:
+            table, assign = charges[0]
+            np.take(table, assign[rows], axis=0, out=out, mode="clip")
+            rest = charges[1:]
+        else:
+            out.fill(0.0)
+        # mode="clip" writes to out unbuffered; every index is in range
+        for table, assign in rest:
+            np.take(table, assign[rows], axis=0, out=gathered, mode="clip")
+            np.add(out, gathered, out=out)
 
     def update_assignments(self, norms: Sequence[float], step: Optional[int] = None) -> None:
         """Re-bucket every example from fresh gradient norms, closing the
@@ -353,7 +410,7 @@ class IndividualLedger:
         if self._held and (self._rdp is not None or self._queried
                            or 4 * held_bytes >= 8 * shape[0] * shape[1]):
             state = np.empty(shape) if self._rdp is None else self._rdp
-            self._pass(self._held, into=state)
+            self._pass(lambda lo, hi: self._sum_rows(lo, hi, self._held, None, state))
             self._rdp, self._held = state, []
         idx = self.cache.indices_for(
             sensitivity_buckets(norms, self.config.max_clip, self.config.rounding))
@@ -380,26 +437,131 @@ class IndividualLedger:
             view.flags.writeable = False
             return view
         out = np.empty((self.n, self.config.orders.size))
-        self._pass(self._charges(), into=out)
+        charges = self._charges()
+        self._pass(lambda lo, hi: self._sum_rows(lo, hi, charges, None, out))
         return out
 
     def epsilons(self, delta: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
         """(epsilon, best order) for all examples, summed and converted in
         blocks of rows so the extra memory is O(block x orders), not
-        O(n x orders).  Changes nothing but marking the ledger queried."""
+        O(n x orders).  Changes nothing but marking the ledger queried.
+
+        While every table charged so far is nondecreasing along the orders,
+        as RDP is (van Erven and Harremoes 2014), a query sums only the
+        orders that can win.  A first pass sums and converts each row at
+        the coarse orders a_m (``_coarse_orders``) and finds its coarse
+        minimum.  A float sum of nondecreasing terms is nondecreasing, and
+        log(1/delta)/(alpha - 1) decreases in alpha, so for a_m < alpha <
+        a_{m+1}, rho(a_m) + log(1/delta)/(a_{m+1} - 1) is at most epsilon
+        at alpha: where it is above the coarse minimum, no order of that gap
+        can win, not even on a tie.  A second pass groups rows by their
+        coarse best order and sums, for each group, that order and every
+        gap some row of it kept.  Every cell summed sees the same takes and
+        adds as in a full pass, and the smallest order wins ties, so each
+        row's result is the same bit for bit and depends only on its own
+        charges, though which orders are summed depends on its group.  A
+        table that dips, or a grid with no order between coarse ones, takes
+        the full pass."""
         delta = self.config.delta if delta is None else delta
         if not 0.0 < delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {delta}")
         eps = np.empty(self.n)
         best = np.empty(self.n, dtype=np.int64)
+        orders = self.config.orders
+        charges = self._charges()
+        # a row's kept gaps are bits of one float64 sum, exact up to 52 gaps
+        if self._monotone and self._coarse.size < orders.size and self._coarse.size <= 53:
+            terms = _conversion_terms(orders, delta)
+            coarse = self._coarse
+            narrow = [(table[:, coarse], assign) for table, assign in charges]
+            # the terms at the coarse orders, then inf, in one column per row
+            # of a block: a same-shape add is faster than a broadcast one
+            tile = np.tile(np.append(terms[coarse], np.inf)[:, None],
+                           (1, min(_COARSE_BLOCK, self.n)))
+            self._pass(lambda lo, hi: self._query(lo, hi, charges, narrow, tile, terms,
+                                                  eps, best))
+        else:
+            def convert(lo: int, rdp: np.ndarray) -> None:
+                block = slice(lo, lo + rdp.shape[0])
+                eps[block], best[block] = _eps_from_rdp(rdp, orders, delta)
 
-        def convert(lo: int, rdp: np.ndarray) -> None:
-            block = slice(lo, lo + rdp.shape[0])
-            eps[block], best[block] = _eps_from_rdp(rdp, self.config.orders, delta)
-
-        self._pass(self._charges(), convert)
+            self._pass(lambda lo, hi: self._sum_rows(lo, hi, charges, convert, None))
         self._queried = True
         return eps, best
+
+    def _query(self, lo: int, hi: int, charges, narrow, tile: np.ndarray,
+               terms: np.ndarray, eps: np.ndarray, best: np.ndarray) -> None:
+        """Both passes of a pruned query (see ``epsilons``) over rows lo:hi.
+        ``narrow`` is ``charges`` cut to the coarse orders; ``tile`` holds
+        the conversion terms at the coarse orders, then inf, one column per
+        row of a block; ``terms`` holds them at every order.  Each block is
+        summed by rows and converted transposed, where a reduction over the
+        orders is elementwise.  Every block of both passes works in the
+        same few buffers, viewed at its shape."""
+        orders, coarse = self.config.orders, self._coarse
+        block = min(_COARSE_BLOCK, hi - lo)
+        # at least a row of every order, at most what the run's rows need
+        group_cells = max(min(_GROUP_CELLS, (hi - lo) * orders.size), orders.size)
+        cells = max(block * coarse.size, group_cells)
+        bufs = np.empty(cells), np.empty(cells), np.empty(group_cells)
+        flags = np.empty(cells, dtype=bool)
+        rows_of, gaps_of = self._coarse_pass(lo, hi, block, narrow, tile, best, bufs, flags)
+        shifts = np.arange(coarse.size - 1, dtype=np.uint64)
+        for g in np.flatnonzero(rows_of):
+            kept = np.append((gaps_of[g] >> shifts) & np.uint64(1) != 0, False)
+            chosen = kept[self._gap]
+            chosen[coarse[g]] = True
+            cols = np.flatnonzero(chosen)
+            width, group_orders = cols.size, orders[cols]
+            cut = [(table[:, cols], assign) for table, assign in charges]
+            per = min(group_cells // width, rows_of[g])
+            out, gathered = _view(bufs[0], (per, width)), _view(bufs[1], (per, width))
+            total = _view(bufs[1], (width, per))        # once the sum is done
+            group_tile = _view(bufs[2], (width, per))
+            np.copyto(group_tile, terms[cols][:, None])
+            group_flags, rank = _view(flags, (width, per)), _ranks(width)
+            # scan stretches expected to hold about ``per`` of the group's rows
+            stretch = max(per, min(per * (hi - lo) // rows_of[g], group_cells))
+            for c0 in range(lo, hi, stretch):
+                found = np.flatnonzero(best[c0:min(c0 + stretch, hi)] == ~g)
+                found += c0
+                for p in range(0, found.size, per):
+                    rows = found[p:p + per]
+                    k = rows.size
+                    self._sum(rows, cut, out[:k], gathered[:k], cols)
+                    np.add(out[:k].T, group_tile[:, :k], out=total[:, :k])
+                    eps[rows], low = _first_min(total[:, :k], group_flags[:, :k], rank)
+                    best[rows] = group_orders[low]
+
+    def _coarse_pass(self, lo: int, hi: int, block: int, narrow, tile: np.ndarray,
+                     best: np.ndarray, bufs, flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A pruned query's first pass over rows lo:hi, ``block`` rows at a
+        time (see ``_query``): leaves each row's coarse best order in
+        ``best`` as ~index, and returns, per coarse order, how many rows
+        have it as their best and a bit for each gap that some such row
+        keeps."""
+        size = self._coarse.size
+        out, gathered = _view(bufs[0], (block, size)), _view(bufs[1], (block, size))
+        rho, total = _view(bufs[1], (size, block)), _view(bufs[0], (size, block))
+        flags, rank = _view(flags, (size, block)), _ranks(size)
+        bit = 2.0 ** np.arange(size - 1)      # gap j's bit, exact in a float64 sum
+        rows_of = np.zeros(size, dtype=np.intp)
+        gaps_of = np.zeros(size, dtype=np.uint64)
+        for start in range(lo, hi, block):
+            k = min(block, hi - start)
+            self._sum(slice(start, start + k), narrow, out[:k], gathered[:k], self._coarse)
+            np.copyto(rho[:, :k], out[:k].T)
+            floor, low = _first_min(np.add(rho[:, :k], tile[:-1, :k], out=total[:, :k]),
+                                    flags[:, :k], rank)
+            # each gap's bound (inf after the last order), then whether it
+            # can hold the winner, as 1.0 or 0.0 in rho's place
+            np.add(rho[:, :k], tile[1:, :k], out=total[:, :k])
+            np.less_equal(total[:, :k], floor, out=rho[:, :k], casting="unsafe")
+            np.bitwise_or.at(gaps_of, low, np.dot(bit, rho[:-1, :k]).astype(np.uint64))
+            rows_of += np.bincount(low, minlength=size)
+            # no order is negative, so ~index cannot be mistaken for one
+            np.invert(low, out=best[start:start + k])
+        return rows_of, gaps_of
 
     def report(self, delta: Optional[float] = None,
                group_labels: Optional[Sequence[int]] = None) -> "PrivacyReport":
@@ -413,6 +575,29 @@ class IndividualLedger:
             config=self.config.to_dict(), group_labels=group_labels)
 
 
+def _view(buf: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The start of the flat buffer ``buf`` as an array of ``shape``."""
+    return buf[:shape[0] * shape[1]].reshape(shape)
+
+
+def _ranks(width: int) -> np.ndarray:
+    """width - 1 - j for each order j of a transposed block, as a column in
+    the smallest unsigned dtype that holds it (see ``_first_min``)."""
+    return np.arange(width - 1, -1, -1).astype(np.min_scalar_type(width))[:, None]
+
+
+def _first_min(total: np.ndarray, flags: np.ndarray,
+               rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's minimum over the rows of ``total`` and the first row
+    that attains it, as argmin picks it; ``flags`` is scratch of its shape.
+    A sum of a term > 0 is never -0.0, so minimum and the value at the
+    argmin agree bit for bit."""
+    floor = total.min(axis=0)
+    np.equal(total, floor, out=flags)
+    last = rank.shape[0] - 1
+    return floor, last - np.multiply(flags, rank).max(axis=0).astype(np.intp)
+
+
 def worst_case_epsilon(config: AccountantConfig, steps: int,
                        delta: Optional[float] = None, with_order: bool = False):
     """Uniform DP-SGD guarantee: every example at sensitivity C for all
@@ -424,6 +609,14 @@ def worst_case_epsilon(config: AccountantConfig, steps: int,
     row = sgm_rdp_matrix(config.sampling_prob, np.asarray([mult]), config.orders)[0]
     eps, order = rdp_to_dp(RdpCurve(config.orders, row * steps), delta)
     return (eps, order) if with_order else eps
+
+
+def _indented(values: list) -> str:
+    """A list of numbers as ``json.dumps(doc, indent=1)`` writes it as a
+    member of a top-level object."""
+    if not values:
+        return "[]"
+    return "[\n  " + json.dumps(values)[1:-1].replace(", ", ",\n  ") + "\n ]"
 
 
 # per-example fields of a report file: (element types, least value, rule);
@@ -499,12 +692,16 @@ class PrivacyReport:
             "group_means": (None if self.group_means is None
                             else {str(k): v for k, v in self.group_means.items()}),
         }
+        text = json.dumps(doc, indent=1)
         if unsafe_export_per_example:
-            doc["epsilons"] = [float(e) for e in self.epsilons]
-            doc["best_orders"] = [int(a) for a in self.best_orders]
-            if self.group_labels is not None:
-                doc["group_labels"] = [int(g) for g in self.group_labels]
-        atomic_write(path, json.dumps(doc, indent=1) + "\n")
+            # the n-length lists close the document; json.dumps(doc, indent=1)
+            # would encode them in pure Python, so they are encoded by the C
+            # encoder and laid out as it would, byte for byte
+            lists = [("epsilons", self.epsilons), ("best_orders", self.best_orders),
+                     ("group_labels", self.group_labels)]
+            text = text[:-2] + "".join(f',\n "{name}": {_indented(values.tolist())}'
+                                       for name, values in lists if values is not None) + "\n}"
+        atomic_write(path, text + "\n")
 
     @classmethod
     def from_json(cls, path: str) -> "PrivacyReport":

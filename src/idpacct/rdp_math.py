@@ -102,6 +102,12 @@ def sgm_rdp_curve(q: float, noise_multiplier: float, orders) -> RdpCurve:
     return RdpCurve(orders, vals)
 
 
+def _conversion_terms(orders: np.ndarray, delta: float) -> np.ndarray:
+    """log(1/delta)/(alpha - 1) at each order, decreasing in alpha: what
+    the RDP-to-DP conversion adds to rho_alpha."""
+    return math.log(1.0 / delta) / (orders - 1.0)
+
+
 def _eps_from_rdp(rdp: np.ndarray, orders: np.ndarray,
                   delta: float) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise RDP-to-DP conversion of an (n, orders) matrix: minimize
@@ -109,7 +115,7 @@ def _eps_from_rdp(rdp: np.ndarray, orders: np.ndarray,
     epsilons and minimizing orders (smallest order on ties)."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    total = rdp + (math.log(1.0 / delta) / (orders - 1.0))[None, :]
+    total = rdp + _conversion_terms(orders, delta)[None, :]
     best = np.argmin(total, axis=1)
     return total[np.arange(total.shape[0]), best], orders[best]
 

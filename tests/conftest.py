@@ -30,11 +30,14 @@ def two_workers(monkeypatch):
     monkeypatch.setattr(accountant, "_WORKER_ROWS", 1)
     monkeypatch.setattr(accountant, "_cores", lambda: 2)
     runs = []
-    sum_rows = accountant.IndividualLedger._sum_rows
+    split = accountant.IndividualLedger._pass
 
-    def record(ledger, lo, hi, *args):
-        runs.append((lo, hi, threading.get_ident()))
-        sum_rows(ledger, lo, hi, *args)
+    def record(ledger, work):
+        def run(lo, hi):
+            runs.append((lo, hi, threading.get_ident()))
+            work(lo, hi)
 
-    monkeypatch.setattr(accountant.IndividualLedger, "_sum_rows", record)
+        split(ledger, run)
+
+    monkeypatch.setattr(accountant.IndividualLedger, "_pass", record)
     return runs

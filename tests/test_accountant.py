@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from idpacct import accountant
@@ -491,10 +491,9 @@ def test_repeated_queries_fold_held_charges_once():
     n, frequency = 3_000, 3
     ledger, want = _ledger_and_reference(n, 5, 0.01, frequency=frequency)
     orders, delta = ledger.config.orders, ledger.config.delta
-    summed = []          # the charges each summing pass adds
-    passes = ledger._pass
-    ledger._pass = lambda charges, visit=None, into=None: (summed.append(len(charges)),
-                                                           passes(charges, visit, into))[1]
+    summed = []          # the charges each query sums
+    charges = ledger._charges
+    ledger._charges = lambda: (summed.append(len(held := charges())), held)[1]
 
     def state():
         # the state, its values, the held charges and the pending steps
@@ -666,6 +665,139 @@ def test_epsilons_blocks_match_rdp_to_dp(rounding, split, request):
                 RdpCurve(ledger.config.orders, counts[i]), ledger.config.delta)
 
 
+def test_coarse_orders_of_the_default_grid():
+    coarse = accountant._coarse_orders(_config().orders)
+    assert _config().orders[coarse].tolist() == [2, 3, 5, 7, 10, 14, 20, 28, 40, 56, 128, 256]
+    assert accountant._coarse_orders(np.array([7])).tolist() == [0]
+    assert accountant._coarse_orders(np.array([2, 3, 100, 256])).tolist() == [0, 1, 2, 3]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(orders=st.one_of(
+           st.sampled_from([[2], [5], [2, 3], [2, 3, 4], [2, 3, 100, 256], [2, 256],
+                            list(range(2, 65)) + [128, 256]]),
+           st.lists(st.integers(2, 400), min_size=1, max_size=40, unique=True).map(sorted)),
+       delta=st.floats(1e-12, 0.5),
+       rounding=st.sampled_from([0.05, 0.0]),
+       q=st.sampled_from([0.01, 0.3, 1.0]),
+       noise=st.sampled_from([0.4, 1.0, 4.0]),
+       n=st.integers(1, 150),
+       refreshes=st.integers(1, 5),
+       seed=st.integers(0, 2**16))
+def test_epsilons_equal_the_full_pass_bit_for_bit(two_workers, monkeypatch, orders, delta,
+                                                 rounding, q, noise, n, refreshes, seed):
+    # a query sums only the orders that can win, yet every example's epsilon
+    # and best order equal the conversion of its whole accumulated RDP, bit
+    # for bit: on any grid and delta, in both modes, before and after the
+    # first fold, with small blocks so that rows split over two threads and
+    # both passes cross several blocks and groups
+    monkeypatch.setattr(accountant, "_BLOCK", 16)
+    monkeypatch.setattr(accountant, "_COARSE_BLOCK", 8)
+    monkeypatch.setattr(accountant, "_GROUP_CELLS", 24)
+    cfg = AccountantConfig(noise_std=noise, max_clip=1.0, sampling_prob=q, rounding=rounding,
+                           frequency=2, delta=1e-5, orders=orders)
+    ledger = IndividualLedger(n, cfg)
+    rng = np.random.default_rng(seed)
+
+    def check():
+        eps, best = ledger.epsilons(delta)
+        want_eps, want_best = _eps_from_rdp(ledger.counts(), cfg.orders, delta)
+        assert np.array_equal(eps, want_eps) and np.array_equal(best, want_best)
+
+    for r in range(2 * refreshes):
+        ledger.update_assignments(rng.gamma(2.0, 0.3, n), step=2 * r)
+        ledger.record_step(2 * r)
+        if r == refreshes - 1:
+            check()         # held charges, unless already folded; the next refresh folds
+        ledger.record_step(2 * r + 1)
+    assert ledger._rdp is not None
+    check()
+
+
+def test_ties_go_to_the_smallest_order_as_in_a_full_pass(monkeypatch):
+    # rho = 2^55 at every order, where floats are 8 apart: the conversion
+    # rounds orders 4 to 8 to one epsilon, so the tie decides the best order,
+    # and the bound of the gap between coarse orders 3 and 5 equals the
+    # coarse minimum exactly, so only "at most" keeps order 4
+    cfg = AccountantConfig(noise_std=1.0, max_clip=1.0, sampling_prob=0.01, rounding=0.5,
+                           orders=list(range(2, 9)))
+    assert cfg.orders[accountant._coarse_orders(cfg.orders)].tolist() == [2, 3, 5, 7, 8]
+    ledger = IndividualLedger(300, cfg)
+    monkeypatch.setattr(ledger.cache, "rows", np.full(ledger.cache.rows.shape, 2.0 ** 55))
+    ledger.update_assignments(np.full(300, 0.3), step=0)
+    ledger.record_step(0)
+    eps, best = ledger.epsilons()
+    want_eps, want_best = _eps_from_rdp(ledger.counts(), cfg.orders, cfg.delta)
+    assert np.all(want_best == 4) and np.all(want_eps == 2.0 ** 55)
+    assert np.array_equal(eps, want_eps) and np.array_equal(best, want_best)
+
+
+def _account_large_ledger(n, ledger=None):
+    """A ledger shaped like the ``account_large`` benchmark's, at n rows:
+    100 buckets, 10 refreshes of drifting gamma norms, 1% above C.  Drives
+    ``ledger`` when given, a new such ledger otherwise."""
+    cfg = _config(noise_std=1.0, sampling_prob=0.01, rounding=0.01, frequency=24)
+    ledger = IndividualLedger(n, cfg) if ledger is None else ledger
+    rng = np.random.default_rng(2101)
+    for r in range(10):
+        norms = rng.gamma(2.0, 0.24 + 0.01 * r, n)
+        norms[: n // 100] = 1.5
+        ledger.update_assignments(norms, step=24 * r)
+        for t in range(24 * r, 24 * (r + 1)):
+            ledger.record_step(t)
+    return ledger
+
+
+def test_query_sums_fewer_orders_on_the_benchmark_shape(monkeypatch):
+    # the pruned query runs, and sums well under half of a full pass's
+    # (row, order) cells, so a silent fallback to the full pass shows here
+    n = 20_000
+    ledger = _account_large_ledger(n)
+    cells = []
+    sums = accountant.IndividualLedger._sum
+
+    def count(self, rows, charges, out, *rest, **options):
+        cells.append(out.size)
+        sums(self, rows, charges, out, *rest, **options)
+
+    monkeypatch.setattr(accountant.IndividualLedger, "_sum", count)
+    eps, best = ledger.epsilons()
+    summed = sum(cells)
+    cells.clear()
+    want_eps, want_best = _eps_from_rdp(ledger.counts(), ledger.config.orders,
+                                        ledger.config.delta)
+    assert sum(cells) == n * ledger.config.orders.size
+    assert np.array_equal(eps, want_eps) and np.array_equal(best, want_best)
+    assert summed < 0.4 * n * ledger.config.orders.size
+
+
+def test_a_table_that_dips_takes_the_full_pass(monkeypatch):
+    # a curve table that is not nondecreasing along the orders voids the
+    # bound that prunes: the ledger sees the dip and runs the full pass
+    n = 3_000
+    ledger = IndividualLedger(n, _config(sampling_prob=0.01, rounding=0.01, frequency=24))
+    orders = ledger.config.orders
+    dipped = ledger.cache.rows.copy()
+    dipped[:, orders.tolist().index(64)] = 0.0      # order 64 lies between 56 and 128
+    monkeypatch.setattr(ledger.cache, "rows", dipped)
+    _account_large_ledger(n, ledger)
+    want_eps, want_best = _eps_from_rdp(ledger.counts(), orders, ledger.config.delta)
+    assert not ledger.cache.nondecreasing
+    queries = []
+    query = accountant.IndividualLedger._query
+    monkeypatch.setattr(accountant.IndividualLedger, "_query",
+                        lambda self, *args: (queries.append(args[:2]), query(self, *args))[1])
+    eps, best = ledger.epsilons()
+    assert queries == [] and not ledger._monotone
+    assert np.array_equal(eps, want_eps) and np.array_equal(best, want_best)
+    # the dip is real: a pruned query that trusted the table would differ
+    monkeypatch.setattr(ledger.cache, "nondecreasing", True)
+    ledger._monotone = True
+    pruned = ledger.epsilons()
+    assert queries and not np.array_equal(pruned[1], want_best)
+
+
 def test_readme_library_quickstart_runs(tmp_path, monkeypatch):
     # the documented quickstart must run as written
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -706,6 +838,29 @@ def test_report_json_round_trip_with_per_example(tmp_path):
     assert np.array_equal(again.epsilons, report.epsilons)
     assert again.worst_epsilon == report.worst_epsilon
     assert again.summary == report.summary
+
+
+@pytest.mark.parametrize("n", [1, 20_000])
+@pytest.mark.parametrize("labelled", [False, True], ids=["no-labels", "labels"])
+def test_report_json_bytes_equal_indent_1(tmp_path, n, labelled):
+    # the per-example lists are encoded apart from the rest of the document,
+    # yet the file is json.dumps(doc, indent=1) byte for byte: the document
+    # read back holds the report's own values, and re-encoding it whole
+    # gives the same bytes
+    rng = np.random.default_rng(n)
+    eps = rng.exponential(1.0, n) * 10.0 ** rng.integers(-9, 3, n)
+    labels = rng.integers(-3, 1_000, n) if labelled else None
+    report = PrivacyReport(epsilons=eps, best_orders=rng.integers(2, 257, n),
+                           worst_epsilon=float(eps.max()), worst_order=9, delta=1e-5,
+                           steps=40, n=n, config=_config().to_dict(), group_labels=labels)
+    path = tmp_path / "report.json"
+    report.to_json(str(path), unsafe_export_per_example=True)
+    text = path.read_text()
+    doc = json.loads(text)
+    assert doc["epsilons"] == report.epsilons.tolist()
+    assert doc["best_orders"] == report.best_orders.tolist()
+    assert doc.get("group_labels") == (None if labels is None else labels.tolist())
+    assert text == json.dumps(doc, indent=1) + "\n"
 
 
 def test_report_json_redacts_by_default(tmp_path):

@@ -32,11 +32,13 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
         raise ValueError("need two equal-length samples with at least 2 points")
     xc = x - np.mean(x)
     yc = y - np.mean(y)
-    vx = float(np.dot(xc, xc))
-    vy = float(np.dot(yc, yc))
+    # elementwise sums, not np.dot: length-n dots go through threaded BLAS,
+    # which stalls for tens of ms when its threads are capped below the cores
+    vx = float(np.sum(xc * xc))
+    vy = float(np.sum(yc * yc))
     if vx == 0.0 or vy == 0.0:
         raise DegenerateVarianceError("zero variance in a correlation input")
-    return float(np.dot(xc, yc) / math.sqrt(vx * vy))
+    return float(np.sum(xc * yc) / math.sqrt(vx * vy))
 
 
 @dataclass

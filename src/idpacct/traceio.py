@@ -98,11 +98,16 @@ class TraceHeader:
         }
 
 
-def _check_matrix(header: TraceHeader, norms: np.ndarray) -> np.ndarray:
+def _check_shape(header: TraceHeader, norms: np.ndarray) -> np.ndarray:
     norms = np.asarray(norms, dtype=np.float64)
     expected = (header.n_refreshes, header.n)
     if norms.shape != expected:
         raise ValueError(f"column 'norm' has shape {norms.shape}, header implies {expected}")
+    return norms
+
+
+def _check_matrix(header: TraceHeader, norms: np.ndarray) -> np.ndarray:
+    norms = _check_shape(header, norms)
     if not np.all(np.isfinite(norms)) or np.any(norms < 0):
         raise ValueError("norms must be finite and >= 0")
     return norms
@@ -278,8 +283,9 @@ def read_any_trace(path: str) -> tuple[TraceHeader, np.ndarray]:
 def replay_trace(header: TraceHeader, norms: np.ndarray,
                  delta: float = 1e-5) -> IndividualLedger:
     """Drive a fresh ledger through the recorded run: an assignment refresh
-    at every row's step, one charged step per training step."""
-    norms = _check_matrix(header, norms)
+    at every row's step, one charged step per training step.  Each refresh
+    checks its own row's values."""
+    norms = _check_shape(header, norms)      # zip would silently cut a short matrix
     ledger = IndividualLedger(header.n, header.to_config(delta=delta))
     for row, start in zip(norms, header.refresh_steps().tolist()):
         ledger.update_assignments(row, step=start)

@@ -5,12 +5,14 @@ mechanics, and the exact reference accounting oracle."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from idpacct import dpsgd_sim, kernel
 from idpacct.accountant import AccountantConfig, IndividualLedger, worst_case_epsilon
-from idpacct.rdp_math import RdpCurve, rdp_to_dp, sgm_rdp_curve
+from idpacct.rdp_math import RdpCurve, _eps_from_rdp, rdp_to_dp, sgm_rdp_curve
 from idpacct.dpsgd_sim import (
     Dataset,
     LogisticModel,
@@ -285,6 +287,68 @@ def test_exact_reference_saturated_norms_equal_worst_case(rng):
     eps, _ = exact_reference_accounting(norms, cfg)
     worst = worst_case_epsilon(cfg, 40)
     assert np.max(np.abs(eps - worst)) <= 1e-9
+
+
+def _unblocked_reference(norms, cfg):
+    """The reference composed in one piece: one np.unique over every cell,
+    one kernel call, then each example's curves summed in step order."""
+    z = np.minimum(norms, cfg.max_clip)
+    with np.errstate(divide="ignore"):
+        mult = cfg.noise_std / z
+    uniq, inv = np.unique(mult, return_inverse=True)
+    rows = kernel.sgm_rdp_matrix(cfg.sampling_prob, uniq, cfg.orders)
+    rdp = np.zeros((norms.shape[1], cfg.orders.size))
+    for step in inv.reshape(norms.shape):
+        rdp += rows[step]
+    return _eps_from_rdp(rdp, cfg.orders, cfg.delta)
+
+
+@pytest.mark.parametrize("steps, m", [(4, 7), (1, 29), (20, 5), (3, 0)],
+                         ids=["ragged-last-block", "one-step", "one-example-blocks",
+                              "no-examples"])
+def test_exact_reference_blocks_equal_one_unblocked_composition(monkeypatch, steps, m):
+    cells = 12
+    monkeypatch.setattr(dpsgd_sim, "_REFERENCE_BLOCK_CELLS", cells)
+    calls = []
+    kernel_rows = dpsgd_sim.sgm_rdp_matrix
+
+    def counting(q, mult, orders):
+        calls.append(mult.size)
+        return kernel_rows(q, mult, orders)
+
+    monkeypatch.setattr(dpsgd_sim, "sgm_rdp_matrix", counting)
+    cfg = AccountantConfig(noise_std=0.9, max_clip=1.0, sampling_prob=0.05, rounding=0.0)
+    # tenths up to 2C: repeats within and across blocks, some above C
+    norms = np.random.default_rng(steps * 100 + m).uniform(0.0, 2.0, (steps, m)).round(1)
+    norms[-1] = 1.5                     # above C, in every example and so every block
+    norms[0, ::2] = 0.0                 # zero sensitivity: an infinite multiplier
+    eps, best = exact_reference_accounting(norms, cfg)
+    want_eps, want_best = _unblocked_reference(norms, cfg)
+    width = max(1, cells // steps)
+    assert len(calls) == -(-m // width)                 # one kernel call per block
+    assert eps.shape == best.shape == (m,)
+    np.testing.assert_allclose(eps, want_eps, rtol=1e-14, atol=0.0)
+    assert np.array_equal(best, want_best)
+
+
+def test_exact_reference_memory_bounded_by_block():
+    # all-distinct norms: 100,000 curves, a 52 MB table if built at once
+    cfg = AccountantConfig(noise_std=20.0, max_clip=1.0, sampling_prob=0.05, rounding=0.0)
+    norms = np.random.default_rng(11).uniform(0.5, 1.0, (250, 400))
+    orders = cfg.orders.size
+    assert np.unique(norms).size == norms.size
+    assert norms.size * orders * 8 >= 50e6
+    tracemalloc.start()
+    try:
+        exact_reference_accounting(norms, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = dpsgd_sim._REFERENCE_BLOCK_CELLS * orders * 8
+    # a block's curves and gathered rows, the kernel's temporaries for one
+    # chunk, and the (m, orders) total with the conversion's copies of it
+    bound = 2 * block + 12 * kernel._CHUNK_CELLS * 8 + 4 * norms.shape[1] * orders * 8
+    assert peak <= bound
 
 
 def test_exact_reference_rejects_bad_input():

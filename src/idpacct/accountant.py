@@ -32,6 +32,7 @@ use, with the same results bit for bit.  In the package only
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -122,13 +123,6 @@ class AccountantConfig:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         self.orders = _check_orders(self.orders)
 
-    @property
-    def n_buckets(self) -> Optional[int]:
-        """ceil(C/r), or None with rounding disabled."""
-        if self.rounding == 0:
-            return None
-        return int(math.ceil(self.max_clip / self.rounding))
-
     def to_dict(self) -> dict:
         return {
             "noise_std": self.noise_std,
@@ -141,55 +135,70 @@ class AccountantConfig:
         }
 
 
-def _round_array(z: np.ndarray, rounding: float, max_clip: float) -> np.ndarray:
-    """Vectorized nearest-grid rounding of z in [0, C] onto {r, 2r, ..., C};
-    ties up, zero maps to r (the grid has no zero).
-
-    With j = floor(z / r), z picks v[j + 1] over v[j], where
-    v[i] = min(clip(i, 1, ceil(C/r)) * r, C), when v[j+1] - z <= z - v[j]
-    in floating point.  That test is monotone in z, so it equals z >= t[j]
-    for the least float t[j] that passes it.  v and t are built over the
-    j present, leaving a few passes over z."""
+@functools.lru_cache(maxsize=32)
+def _grid_tables(rounding: float, max_clip: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-grid rounding onto {r, 2r, ..., C}, ties up, zero to r, as
+    read-only tables over j = floor(z / r), j = 0..ceil(C/r), that every
+    rounding reads: z in [0, C] picks v[j + 1] over v[j], where v[i] =
+    min(clip(i, 1, ceil(C/r)) * r, C), when v[j+1] - z <= z - v[j] in
+    floating point.  That test is monotone in z, so it equals z >= t[j] for
+    the least float t[j] that passes it.  Returns (v, t)."""
     jmax = int(math.ceil(max_clip / rounding))
-    j = (z / rounding).astype(np.intp)      # floor, as z >= 0
-    if j.size == 0:
-        return np.empty(z.shape)
-    jlo = int(j.min())
-    v = np.minimum(np.clip(np.arange(jlo, int(j.max()) + 2), 1, jmax) * rounding, max_clip)
-    lo, hi = v[:-1], v[1:]
+    values = np.minimum(np.clip(np.arange(jmax + 2), 1, jmax) * rounding, max_clip)
+    lo, hi = values[:-1], values[1:]
     # hi <= 2 lo, so both differences in the test are exact near the
     # midpoint, and t[j] is the least float >= (lo + hi) / 2: the rounded
     # midpoint, or the float after it
     t = lo + (hi - lo) * 0.5
     t = np.where(hi - t <= t - lo, t, np.nextafter(t, np.inf))
-    j -= jlo
-    j += z >= t.take(j)
-    return v.take(j)
+    values.flags.writeable = t.flags.writeable = False
+    return values, t
+
+
+def _round_array(z: np.ndarray, rounding: float, max_clip: float) -> np.ndarray:
+    """z in [0, C] rounded onto the grid by ``_grid_tables``' rule: the
+    bucket values whose rows ``BucketCache.indices_for`` returns."""
+    values, thresholds = _grid_tables(rounding, max_clip)
+    j = (z / rounding).astype(np.intp)      # floor, as z >= 0
+    j += z >= thresholds.take(j)
+    return values.take(j)
 
 
 def sensitivity_buckets(norms: np.ndarray, max_clip: float, rounding: float) -> np.ndarray:
     """Norms clipped to C, then rounded onto the grid when r > 0; with
     rounding off a zero norm stays zero sensitivity, whose curve is zero.
-    The ledger charges these buckets; individual clipping clips to them."""
+    The ledger charges these values' rows; individual clipping clips to them."""
     z = np.minimum(norms, max_clip)
     if rounding > 0:
         z = _round_array(z, rounding, max_clip)
     return z
 
 
+def _check_norms(norms: np.ndarray) -> None:
+    """Refuse NaN, infinite or negative norms (-0.0 passes): two reductions, no temporaries."""
+    if norms.size and not (norms.min() >= 0 and norms.max() < np.inf):
+        raise ValueError("norms must be finite and >= 0")
+
+
 class BucketCache:
     """Curve table: ``rows[j]`` is the single-step RDP curve of sensitivity
     ``bucket_values[j]``.  With rounding on, the whole grid {r, 2r, ..., C}
-    is computed in one kernel call here and never changes; with rounding off
+    is computed in one kernel call here and never changes, and so is the
+    map from ``_grid_tables``' values to rows: a table of each j's pair of
+    rows, in the held charges' index dtype.  With rounding off
     (exactness mode) each refresh replaces the table with the curves of the
     distinct norms it brings, so the table never outgrows one refresh.
     """
 
     def __init__(self, config: AccountantConfig):
         self.config = config
-        grid = np.arange(1, (config.n_buckets or 0) + 1) * config.rounding
-        # np.unique: float rounding can make the last two grid points both C
-        self.bucket_values = np.unique(np.minimum(grid, config.max_clip))
+        self.bucket_values = np.empty(0)
+        if config.rounding > 0:
+            values, self._thresholds = _grid_tables(config.rounding, config.max_clip)
+            # np.unique: float rounding can make the last two grid points both C
+            self.bucket_values, rows = np.unique(values, return_inverse=True)
+            pairs = np.stack([rows[:-1], rows[1:]], axis=1).ravel()
+            self._pairs = pairs.astype(np.min_scalar_type(len(self) - 1))
         self.rows = self._curves(self.bucket_values)
         self.misses = len(self)
 
@@ -202,28 +211,25 @@ class BucketCache:
     def __len__(self) -> int:
         return self.bucket_values.shape[0]
 
-    def indices_for(self, buckets: np.ndarray) -> np.ndarray:
-        """Row index of each bucket value.  Grid mode accepts only grid
-        points (as made by ``_round_array``); exactness mode replaces the
-        table with the curves of ``buckets``' distinct values."""
+    def indices_for(self, z: np.ndarray) -> np.ndarray:
+        """The row of each clipped norm z (in [0, C]), in the smallest
+        unsigned dtype that indexes the table, as held charges keep it.
+        Grid mode takes, with j = floor(z / r), row 2j or 2j + 1 of the
+        pair table as z is below or at least the threshold t[j]; exactness
+        mode replaces the table with the curves of z's distinct values."""
         if self.config.rounding > 0:
-            last = len(self) - 1
-            with np.errstate(invalid="ignore"):
-                idx = np.rint(buckets / self.config.rounding).astype(np.intp) - 1
-            np.clip(idx, 0, last, out=idx)
-            # the last grid point is C, which need not be a multiple of r
-            off = np.flatnonzero(self.bucket_values[idx] != buckets)
-            if off.size:
-                idx[off] = np.minimum(np.searchsorted(self.bucket_values, buckets[off]),
-                                      last)
-                if not np.array_equal(self.bucket_values[idx[off]], buckets[off]):
-                    raise ValueError("bucket values must lie on the sensitivity grid")
-            return idx
-        values, inverse = np.unique(buckets, return_inverse=True)
+            t = z / self.config.rounding
+            j = t.astype(np.intp)                   # floor, as z >= 0
+            # mode="clip" writes to t unbuffered; every j is in range
+            np.take(self._thresholds, j, out=t, mode="clip")
+            j += j
+            j += z >= t
+            return self._pairs.take(j)
+        values, inverse = np.unique(z, return_inverse=True)
         self.rows = self._curves(values)
         self.bucket_values = values
         self.misses += len(self)
-        return inverse
+        return inverse.astype(np.min_scalar_type(len(self) - 1))
 
     @property
     def rows(self) -> np.ndarray:
@@ -259,7 +265,7 @@ class IndividualLedger:
     close into a held charge: ``pending x`` the curve table plus each
     example's row index into it, in the smallest unsigned dtype that holds
     one (one or two bytes per example in grid mode).  Until the first fold
-    a refresh therefore costs rounding and indexing, O(n).
+    a refresh therefore costs a compare and two lookups per example, O(n).
 
     A query (``epsilons``, ``report``, ``counts``) changes nothing but the
     mark that a full query has run: it sums the held charges in refresh
@@ -396,8 +402,7 @@ class IndividualLedger:
         norms = np.asarray(norms, dtype=np.float64)
         if norms.shape != (self.n,):
             raise ValueError(f"expected {self.n} norms, got shape {norms.shape}")
-        if np.any(norms < 0) or not np.all(np.isfinite(norms)):
-            raise ValueError("norms must be finite and >= 0")
+        _check_norms(norms)
         if step is not None and step % self.config.frequency != 0:
             raise LedgerError(
                 f"assignments may only change at steps divisible by "
@@ -412,10 +417,7 @@ class IndividualLedger:
             state = np.empty(shape) if self._rdp is None else self._rdp
             self._pass(lambda lo, hi: self._sum_rows(lo, hi, self._held, None, state))
             self._rdp, self._held = state, []
-        idx = self.cache.indices_for(
-            sensitivity_buckets(norms, self.config.max_clip, self.config.rounding))
-        # the smallest dtype that indexes the table, as held charges keep it
-        self._assign = idx.astype(np.min_scalar_type(max(len(self.cache) - 1, 0)))
+        self._assign = self.cache.indices_for(np.minimum(norms, self.config.max_clip))
 
     def record_step(self, step: Optional[int] = None) -> None:
         """Charge every example one step at its current bucket."""

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .accountant import AccountantConfig, IndividualLedger, sensitivity_buckets
+from .accountant import AccountantConfig, IndividualLedger, _check_norms, sensitivity_buckets
 from .kernel import sgm_rdp_matrix
 from .rdp_math import _check_fields, _eps_from_rdp
 from .traceio import TraceHeader, replay_trace
@@ -395,8 +395,7 @@ def exact_reference_accounting(norms: np.ndarray, config: AccountantConfig):
     norms = np.asarray(norms, dtype=np.float64)
     if norms.ndim != 2 or norms.shape[0] < 1:
         raise ValueError("norms must be a (steps, examples) matrix with steps >= 1")
-    if not np.all(np.isfinite(norms)) or np.any(norms < 0):
-        raise ValueError("norms must be finite and >= 0")
+    _check_norms(norms)
 
     steps, m = norms.shape
     width = max(1, _REFERENCE_BLOCK_CELLS // steps)

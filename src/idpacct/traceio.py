@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fileio import atomic_open, atomic_write
-from .accountant import AccountantConfig, IndividualLedger
+from .accountant import AccountantConfig, IndividualLedger, _check_norms
 from .rdp_math import _check_fields
 
 TRACE_VERSION = 2
@@ -108,8 +108,7 @@ def _check_shape(header: TraceHeader, norms: np.ndarray) -> np.ndarray:
 
 def _check_matrix(header: TraceHeader, norms: np.ndarray) -> np.ndarray:
     norms = _check_shape(header, norms)
-    if not np.all(np.isfinite(norms)) or np.any(norms < 0):
-        raise ValueError("norms must be finite and >= 0")
+    _check_norms(norms)
     return norms
 
 

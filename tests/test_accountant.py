@@ -8,10 +8,11 @@ import math
 import re
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from idpacct import accountant
@@ -41,6 +42,7 @@ from idpacct.rdp_math import (
     rdp_to_dp,
     sgm_rdp_curve,
 )
+from idpacct.traceio import TraceHeader, replay_trace
 
 
 def _config(**overrides) -> AccountantConfig:
@@ -55,7 +57,7 @@ def _assert_matches_stepwise(ledger, buckets):
     at 1e-12 relative."""
     cfg = ledger.config
     values, inverse = np.unique(np.asarray(buckets, dtype=np.float64), return_inverse=True)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):     # 0 or subnormal z: inf
         curves = np.stack([sgm_rdp_curve(cfg.sampling_prob, cfg.noise_std / z,
                                          cfg.orders).values for z in values])
     want = curves[inverse.reshape(np.shape(buckets))].sum(axis=0)
@@ -123,12 +125,22 @@ def test_round_array_matches_reference_formula(c, steps, stretch, js, extra):
     z = np.concatenate([grid, ties, np.asarray(extra) * c, [0.0, c, r, c - r]])
     z = np.concatenate([z, np.nextafter(z, np.inf), np.nextafter(z, -np.inf)])
     z = np.clip(z, 0.0, c)
+    want = _round_array_reference(z, r, c)
     got = _round_array(z, r, c)
-    assert np.array_equal(got, _round_array_reference(z, r, c))
+    assert np.array_equal(got, want)
     assert got.dtype == np.float64
     # without the small values the intervals present start above j = 0
     upper = z[z >= c / 2]
     assert np.array_equal(_round_array(upper, r, c), _round_array_reference(upper, r, c))
+    # the ledger's rows, found from the norms without rounding them, hold
+    # the same values; the curves are not under test, so none is computed
+    assume(c / r <= accountant.MAX_BUCKETS)
+    with mock.patch.object(accountant, "sgm_rdp_matrix",
+                           lambda q, mult, orders: np.zeros((mult.size, orders.size))):
+        cache = BucketCache(_config(rounding=r, max_clip=c))
+    rows = cache.indices_for(z)
+    assert rows.dtype == np.min_scalar_type(len(cache) - 1)
+    assert np.array_equal(cache.bucket_values[rows], want)
 
 
 # ------------------------------------------------------------- config ---
@@ -154,8 +166,8 @@ def test_config_validation():
     for name in ("noise_std", "max_clip", "sampling_prob", "rounding", "delta", "frequency"):
         with pytest.raises(ValueError, match=f"{name} must be a number"):
             _config(**{name: True})
-    assert _config(rounding=0.01).n_buckets == 100
-    assert _config(rounding=0.0).n_buckets is None
+    assert len(BucketCache(_config(rounding=0.01))) == 100
+    assert len(BucketCache(_config(rounding=0.0))) == 0
 
 
 def test_config_dict_round_trip():
@@ -209,8 +221,8 @@ def test_cache_bounded_by_grid_size(rng, monkeypatch):
     assert ledger.counts().shape == (10_000, cfg.orders.size)
     _assert_matches_stepwise(ledger, buckets)
 
-    # the grid is built with _round_array's own expression, so indexing by
-    # search finds exactly the rounded value, for any spacing and clip
+    # the rows come from the tables _round_array reads, so a clipped norm's
+    # row holds exactly its rounded value, for any spacing and clip
     caches = {(r, c): BucketCache(_config(rounding=r, max_clip=c))
               for r in (0.007, 0.01, 0.03, 0.05, 0.13, 1.0) for c in (1.0, 2.5, 7.0)}
 
@@ -220,16 +232,15 @@ def test_cache_bounded_by_grid_size(rng, monkeypatch):
         r, c = key
         z = np.asarray([u * c])
         cache = caches[key]
-        got = cache.bucket_values[cache.indices_for(_round_array(z, r, c))]
+        got = cache.bucket_values[cache.indices_for(z)]
         assert got[0] == _round_array(z, r, c)[0]
 
     index_round_trip()
-    with pytest.raises(ValueError, match="grid"):
-        caches[(0.01, 1.0)].indices_for(np.asarray([0.015]))
 
     with pytest.raises(ValueError, match="rounding=0"):
         _config(rounding=1e-9)                # 10^9 curves
-    assert _config(rounding=1 / 8192).n_buckets == 8192
+    cfg = _config(rounding=1 / 8192)          # 8192 curves are allowed
+    assert accountant._grid_tables(cfg.rounding, cfg.max_clip)[0].size == 8192 + 2
 
 
 # ----------------------------------------------------------- counting ---
@@ -285,10 +296,20 @@ def test_rejects_bad_norms():
     ledger = IndividualLedger(2, _config())
     with pytest.raises(ValueError):
         ledger.update_assignments([0.5])           # wrong length
-    with pytest.raises(ValueError):
-        ledger.update_assignments([-0.5, 0.1])
-    with pytest.raises(ValueError):
-        ledger.update_assignments([np.nan, 0.1])
+    for bad in (-0.5, -5e-324, np.nan, np.inf, -np.inf):
+        for norms in ([bad, 0.1], [0.1, bad]):
+            with pytest.raises(ValueError, match="norms must be finite and >= 0"):
+                ledger.update_assignments(norms)
+    # -0.0 and subnormal norms pass: on the grid both round to r, and with
+    # rounding off a subnormal sensitivity's curve is zero
+    ledger = IndividualLedger(3, _config())
+    ledger.update_assignments([-0.0, 5e-324, 0.5])
+    ledger.record_step()
+    _assert_matches_stepwise(ledger, [[0.01, 0.01, 0.5]])
+    ledger = IndividualLedger(2, _config(rounding=0.0))
+    ledger.update_assignments([5e-324, 0.5])
+    ledger.record_step()
+    _assert_matches_stepwise(ledger, [[5e-324, 0.5]])
 
 
 # -------------------------------------------------------- accumulation ---
@@ -579,6 +600,32 @@ def test_all_clip_example_equals_worst_case():
     worst, worst_order = worst_case_epsilon(cfg, 20, with_order=True)
     assert eps[0] == worst
     assert order[0] == worst_order
+
+
+def test_ceil_rule_planted_in_the_grid_tables_reaches_the_ledger(monkeypatch):
+    # a replay with a 1% slice above C at every refresh, as the benchmark's
+    # account_large plants, under a ceil rule (z > j r picks v[j + 1])
+    # planted in the one place the rounding tables come from
+    rng = np.random.default_rng(3)
+    header = TraceHeader(n=2_000, clip=1.0, noise_std=1.0, sampling_prob=0.05,
+                         frequency=4, rounding=0.01, steps=12)
+    norms = rng.gamma(2.0, 0.25, (header.n_refreshes, header.n))
+    planted = rng.choice(header.n, header.n // 100, replace=False)
+    norms[:, planted] = 1.5 + rng.random((header.n_refreshes, planted.size))
+    nearest = replay_trace(header, norms)._assign
+    tables = accountant._grid_tables
+
+    def ceil_tables(rounding, max_clip):
+        values, _ = tables(rounding, max_clip)
+        return values, np.nextafter(np.arange(values.size - 1) * rounding, np.inf)
+
+    monkeypatch.setattr(accountant, "_grid_tables", ceil_tables)
+    ledger = replay_trace(header, norms)
+    assert np.any(ledger._assign != nearest)
+    eps, _ = ledger.epsilons()
+    worst = worst_case_epsilon(ledger.config, header.steps)
+    assert np.max(np.abs(eps[planted] - worst)) <= 1e-9 * worst
+    assert eps.min() >= 0 and eps.max() <= worst
 
 
 def test_smaller_bucket_strictly_cheaper():

@@ -337,6 +337,14 @@ def test_account_missing_file(tmp_path):
     (["account", "{tmp}/truncated.npz"],
      "truncated.npz: unreadable array in binary trace: column 'norm' declares shape "
      "(7, 100) of <f8"),
+    # norms the ledger cannot charge; -0.0 and subnormal norms read back
+    # (tests/test_traceio.py::test_npz_round_trip_exact)
+    (["account", "{tmp}/nan.npz"], "nan.npz: binary trace norms must be finite and >= 0"),
+    (["account", "{tmp}/inf.npz"], "inf.npz: binary trace norms must be finite and >= 0"),
+    (["account", "{tmp}/minus_inf.npz"],
+     "minus_inf.npz: binary trace norms must be finite and >= 0"),
+    (["account", "{tmp}/negative.npz"],
+     "negative.npz: binary trace norms must be finite and >= 0"),
     # per-example fields of the wrong type or length used to load, truncated
     (["report", "{tmp}/label_float.json", "--losses", "{sim}/losses.csv"],
      "label_float.json: group_labels[1]: a group label must be an integer, got 1.7"),
@@ -355,7 +363,8 @@ def test_account_missing_file(tmp_path):
         "account_directory", "account_npz_as_jsonl", "report_losses_npz",
         "simulate_config_latin1", "account_huge_steps", "account_huge_n",
         "account_huge_steps_npz", "account_huge_n_npz", "account_huge_member_npz",
-        "account_f4_npz", "account_fortran_npz", "account_truncated_npz", "report_label_float", "report_label_bool",
+        "account_f4_npz", "account_fortran_npz", "account_truncated_npz", "account_nan_npz",
+        "account_inf_npz", "account_minus_inf_npz", "account_negative_npz", "report_label_float", "report_label_bool",
         "release_eps_string", "release_orders_short", "release_orders_float",
         "release_orders_one"])
 def test_missing_or_malformed_input_is_validation_failure(tmp_path, capsys, argv, message):
@@ -406,6 +415,12 @@ def test_missing_or_malformed_input_is_validation_failure(tmp_path, capsys, argv
                  header=np.frombuffer(json.dumps(trace_doc).encode(), dtype=np.uint8))
         with zipfile.ZipFile(tmp_path / f"{name}.npz", "a") as zf:
             zf.writestr("norm.npy", npy.getvalue() + data)
+    for name, value in [("nan", np.nan), ("inf", np.inf), ("minus_inf", -np.inf),
+                        ("negative", -5e-324)]:
+        bad = norms.copy()
+        bad[-1, 1] = value
+        np.savez(tmp_path / f"{name}.npz", norm=bad,
+                 header=np.frombuffer(json.dumps(header.to_dict()).encode(), dtype=np.uint8))
     (tmp_path / "npz.jsonl").write_bytes((tmp_path / "trace.npz").read_bytes())
     (tmp_path / "latin1.json").write_bytes('{"seed": "\xe9"}'.encode("latin-1"))
     del doc["steps"]                                      # used to exit 2

@@ -63,11 +63,12 @@ def test_jsonl_round_trip_exact(tmp_path):
 def test_npz_round_trip_exact(tmp_path):
     header = _header(n=5, steps=9, frequency=3)
     norms = _norms(header, seed=1)
+    norms[0, :2] = -0.0, 5e-324               # both pass the value check
     path = str(tmp_path / "t.npz")
     write_trace_npz(path, header, norms)
     got_header, got_norms = read_trace_npz(path)
     assert got_header.to_dict() == header.to_dict()
-    assert np.array_equal(got_norms, norms)
+    assert got_norms.tobytes() == norms.tobytes()
     with np.load(path) as z:                  # the header implies every step and id
         assert sorted(z.files) == ["header", "norm"]
         assert z["norm"].shape == norms.shape

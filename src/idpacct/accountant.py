@@ -203,9 +203,10 @@ class BucketCache:
         self.misses = len(self)
 
     def _curves(self, values: np.ndarray) -> np.ndarray:
-        # a zero or subnormal sensitivity makes the multiplier inf: a zero curve
+        # a zero or subnormal sensitivity makes the multiplier inf: a zero
+        # curve; abs gives -0.0 the +0.0 curve, not a multiplier of -inf
         with np.errstate(divide="ignore", over="ignore"):
-            mult = self.config.noise_std / values
+            mult = self.config.noise_std / np.abs(values)
         return sgm_rdp_matrix(self.config.sampling_prob, mult, self.config.orders)
 
     def __len__(self) -> int:

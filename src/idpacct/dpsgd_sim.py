@@ -403,7 +403,7 @@ def exact_reference_accounting(norms: np.ndarray, config: AccountantConfig):
     for lo in range(0, m, width):
         z = np.minimum(norms[:, lo:lo + width], config.max_clip)
         with np.errstate(divide="ignore", over="ignore"):
-            mult = config.noise_std / z      # zero sensitivity -> inf -> zero curve
+            mult = config.noise_std / np.abs(z)  # zero sensitivity -> inf -> zero curve
         uniq, inv = np.unique(mult, return_inverse=True)
         rows = sgm_rdp_matrix(config.sampling_prob, uniq, config.orders)
         # a reduction over the outer axis adds the steps one by one, in order

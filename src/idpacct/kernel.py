@@ -21,22 +21,28 @@ and 2.4e-12.  Against the gammaln table the output moves by at most
 
 Everything that depends only on (q, orders) is built once per (q, orders)
 and cached read-only: the half-products k(k-1)/2, the (orders x K)
-log-weight table, which is -inf where k > a, its exponent and the groups
-of orders.  A group is a run of at most _GROUP_SPAN consecutive orders
-whose k = a columns lie within _GROUP_SPAN of each other; the default grid
-makes eight groups over 2..64, then 128 and 256 alone.
+log-weight table, which is -inf where k > a, its exponent, the per-column
+cutoff (below) and the groups of orders.  A group is a run of at most
+_GROUP_SPAN consecutive orders whose k = a columns lie within _GROUP_SPAN
+of each other; the default grid makes eight groups over 2..64, then 128
+and 256 alone.
 
 The terms e_k depend only on the row and k, so each chunk of rows computes
-them once for k = 2..max(orders).  Terms with e_k <= 36 are summed directly
-through expm1, one matrix product per group over the columns up to the
-group's largest order, which skips most of the zero weights past k = a.
-Larger terms (where the -1 is below one ulp) are combined in log space and
-merged with log-add-exp.  Since e_k rises with k they form a suffix of each
-row; rows are sorted by 1/s^2, so within a chunk the rows with a large term
-at k = a form a prefix.  The log-space pass runs once per group, over one
-(rows x orders x columns) slab of e_k + log w_k, where the -inf weights cut
-each order off at k = a.  Any finite multiplier is handled without
-overflow.
+them once for k = 2..max(orders).  A term with e_k at most its column's
+cutoff is summed directly through expm1, one matrix product per group over
+the columns up to the group's largest order, which skips most of the zero
+weights past k = a.  Larger terms are combined in log space and merged
+with log-add-exp.  The cutoff is 600 nats: every weight is at most 1 and a
+table has under 2^22 columns, so a direct sum stays below
+2^22 * e^600 < 1.7e267 and cannot overflow (any cutoff up to about 694
+would keep it finite).  From the first column that holds a subnormal or
+flushed weight (log w_k below log(tiny) + 1 for an order with k <= a) on,
+the cutoff is 36 nats (below).  The cutoff never rises with k while e_k
+does, so the large terms form a suffix of each row; rows are sorted by
+1/s^2, so within a chunk the rows with a large term at k = a form a
+prefix.  The log-space pass runs once per group, over one (rows x orders x
+columns) slab of e_k + log w_k, where the -inf weights cut each order off
+at k = a.  Any finite multiplier is handled without overflow.
 
 Each (row, order) sum of large terms is shifted by its largest term, which
 then contributes exactly 1, and every shifted term below -700 is raised to
@@ -49,9 +55,13 @@ would otherwise be log-added onto its small-term sum.
 
 The weights w_k = exp(log w_k) keep subnormal values down to 5e-324 (q =
 0.01 has 7 of them in the default table) and flush smaller ones to zero.
-Either way a weight is off by at most 2.5e-324 absolute, so a small term
-is off by under 2.5e-324 * e^36 < 1.1e-308, far below anything the
-accountant can observe.
+Either way a weight is off by at most 2.5e-324 absolute.  Its column sums
+directly only terms up to 36 nats, so such a term is off by under
+2.5e-324 * e^36 < 1.1e-308, far below anything the accountant can
+observe; a larger term goes through log space, which reads log w_k itself.
+(At 600 nats, q = 1e-150 would lose rho_3 = 1.9e-190 at s^2 = 1/200, where
+w_3 = q^3 flushes to zero and e_3 = 600.)  A normal weight is within a few
+ulp of w_k relative, and so is its direct term at any e_k up to 600.
 
 A table holds orders x (largest order - 1) cells per (q, orders).  A grid
 over 2^22 cells (32 MB per table) is rejected with ValueError; q = 0 and
@@ -68,7 +78,8 @@ import numpy as np
 
 BACKEND = "numpy"
 
-_EXPM1_CUTOFF = 36.0
+_EXPM1_CUTOFF = 36.0      # columns with a subnormal or flushed weight
+_DIRECT_CUTOFF = 600.0    # every other column (module docstring)
 _LOG_FLOOR = -700.0      # shifted log-space terms are raised to this before exp
 _CHUNK_CELLS = 1 << 17
 _MAX_TABLE_CELLS = 1 << 22   # orders x (largest order - 1), per (q, orders) table
@@ -79,6 +90,7 @@ class _OrderTables(NamedTuple):
     kk: np.ndarray          # k(k-1)/2 for k = 2..K
     log_w: np.ndarray       # (orders, K-1) log binomial weights, -inf where k > a
     w_t: np.ndarray         # exp(log_w).T: zero where k > a
+    cut: np.ndarray         # per column, the largest e_k summed directly
     denom: np.ndarray       # a - 1
     groups: tuple           # (first order, stop order, highest k = a column)
 
@@ -106,10 +118,17 @@ def _order_tables(q: float, orders: tuple) -> _OrderTables:
             j0 = j
     kk = 0.5 * k * (k - 1.0)
     w_t = np.exp(log_w).T
+    # terms up to 600 nats are summed directly, but only up to 36 from the
+    # first column holding a subnormal or flushed weight on (module
+    # docstring; -inf past k = a is no weight).  The cut never rises, so
+    # the large terms stay a suffix of each row
+    low_w = math.log(np.finfo(np.float64).tiny) + 1.0
+    low = np.any((log_w > -np.inf) & (log_w < low_w), axis=0)
+    cut = np.where(np.logical_or.accumulate(low), _EXPM1_CUTOFF, _DIRECT_CUTOFF)
     denom = alphas - 1.0
-    for arr in (kk, log_w, w_t, denom):
+    for arr in (kk, log_w, w_t, cut, denom):
         arr.flags.writeable = False
-    return _OrderTables(kk, log_w, w_t, denom, tuple(groups))
+    return _OrderTables(kk, log_w, w_t, cut, denom, tuple(groups))
 
 
 def sgm_rdp_matrix(q: float, noise_multipliers, orders) -> np.ndarray:
@@ -156,7 +175,7 @@ def sgm_rdp_matrix(q: float, noise_multipliers, orders) -> np.ndarray:
     # largest x first: within a chunk the rows with a large term at k = a
     # then form a prefix
     live = live[np.argsort(-x[live], kind="stable")]
-    kk, log_w, w_t, denom, groups = _order_tables(q, tuple(alphas.tolist()))
+    kk, log_w, w_t, cut, denom, groups = _order_tables(q, tuple(alphas.tolist()))
 
     rows = max(1, _CHUNK_CELLS // kk.shape[0])
     # e overflowing to inf, inf - inf and log(0) below all have their intended limits
@@ -164,7 +183,7 @@ def sgm_rdp_matrix(q: float, noise_multipliers, orders) -> np.ndarray:
         for lo in range(0, live.shape[0], rows):
             idx = live[lo:lo + rows]
             e = x[idx, None] * kk
-            small = e <= _EXPM1_CUTOFF
+            small = e <= cut
             n_small = np.count_nonzero(small, axis=1)   # e rises with k
             em = np.expm1(e, out=np.zeros_like(e), where=small)
             k0 = int(n_small[0])

@@ -301,15 +301,17 @@ def test_rejects_bad_norms():
             with pytest.raises(ValueError, match="norms must be finite and >= 0"):
                 ledger.update_assignments(norms)
     # -0.0 and subnormal norms pass: on the grid both round to r, and with
-    # rounding off a subnormal sensitivity's curve is zero
+    # rounding off -0.0 gets +0.0's zero curve (not a multiplier of -inf)
+    # and a subnormal sensitivity's curve is zero too
     ledger = IndividualLedger(3, _config())
     ledger.update_assignments([-0.0, 5e-324, 0.5])
     ledger.record_step()
     _assert_matches_stepwise(ledger, [[0.01, 0.01, 0.5]])
-    ledger = IndividualLedger(2, _config(rounding=0.0))
-    ledger.update_assignments([5e-324, 0.5])
+    ledger = IndividualLedger(3, _config(rounding=0.0))
+    ledger.update_assignments([-0.0, 5e-324, 0.5])
     ledger.record_step()
-    _assert_matches_stepwise(ledger, [[5e-324, 0.5]])
+    _assert_matches_stepwise(ledger, [[0.0, 5e-324, 0.5]])
+    assert np.all(ledger.counts()[0] == 0.0)
 
 
 # -------------------------------------------------------- accumulation ---

@@ -280,6 +280,20 @@ def test_exact_reference_equals_composed_per_step_curves():
                                        rel=1e-12, abs=0.0)
 
 
+def test_exact_reference_negative_zero_norm_is_zero_sensitivity():
+    # -0.0 would make the multiplier -inf, which the kernel refuses; it is
+    # the zero sensitivity of +0.0, in a column alone and among other norms
+    cfg = AccountantConfig(noise_std=0.9, max_clip=1.0, sampling_prob=0.05,
+                           rounding=0.0)
+    norms = np.asarray([[-0.0, 0.0, -0.0, 0.0],
+                        [-0.0, 0.0, 0.5, 0.5],
+                        [-0.0, 0.0, 0.7, 0.7]])
+    eps, best = exact_reference_accounting(norms, cfg)
+    assert eps[0] == eps[1] and eps[2] == eps[3]
+    assert best[0] == best[1] and best[2] == best[3]
+    assert eps[0] < eps[2]
+
+
 def test_exact_reference_saturated_norms_equal_worst_case(rng):
     cfg = AccountantConfig(noise_std=1.2, max_clip=1.0, sampling_prob=0.05,
                            rounding=0.0)

@@ -62,6 +62,40 @@ def test_reference_values_numpy_backend(q, sigma, alpha, expected):
     assert np.all(got[0] == 0.0)
 
 
+# 40-digit evaluations (mpmath 1.3.0, log1p of the k >= 2 terms' sum) of
+# rows whose terms above 36 nats the kernel sums directly: wholly (the
+# first, whose largest term is 187.5 nats) or up to 600 nats and the rest
+# in log space.
+_DIRECT_RHO = [
+    (0.1, 0.8, 16, 10.043909234775737762),
+    (0.1, 0.8, 64, 47.660865937275884604),
+    (0.1, 1.6, 64, 10.160865937463546372),
+    (0.1, 0.55, 32, 50.515699951993341319),
+]
+
+
+@pytest.mark.parametrize("q,sigma,alpha,expected", _DIRECT_RHO)
+def test_terms_up_to_600_nats_summed_directly(q, sigma, alpha, expected):
+    orders = (2, alpha)     # order 2's -inf past k = 2 is no weight
+    cut = kernel._order_tables(q, orders).cut
+    e = np.arange(2, alpha + 1) * np.arange(1, alpha) / (2 * sigma ** 2)
+    assert np.all(cut == kernel._DIRECT_CUTOFF)
+    assert np.any((e > 36.0) & (e <= cut))
+    got = sgm_rdp_matrix(q, [sigma], orders)[0, 1]
+    assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+def test_subnormal_weight_column_keeps_36_nat_cutoff():
+    # q^3 = 1e-450 flushes w_3 to zero while e_3 = 600: summed directly the
+    # k = 3 term would be lost (rho = 1.08e-213), so from column 3 on the
+    # cutoff is 36 and the term goes through log space.  40-digit mpmath.
+    q, sigma = 1e-150, 200 ** -0.5
+    assert kernel._order_tables(q, (3,)).cut.tolist() == [kernel._DIRECT_CUTOFF,
+                                                          kernel._EXPM1_CUTOFF]
+    got = sgm_rdp_matrix(q, [sigma], [3])[0, 0]
+    assert got == pytest.approx(1.8865101504649929172e-190, rel=1e-13, abs=0.0)
+
+
 # The same 60-digit evaluation over a (q, multiplier, order) grid that spans
 # the kernel's regimes: multipliers from 1e-4 (every term in log space) to
 # 1e6 (rho near 1e-24), sampling rates from 1e-6 to 0.9, orders up to 1024.
@@ -125,8 +159,8 @@ def test_reference_values_across_regimes(q):
 
 def test_batch_matches_single_row_calls(rng):
     # more than one chunk of rows, unsorted, with zero-cost (s = inf) and
-    # all-log-space (s = 1e-200, where 1/s^2 overflows) rows mixed in, on an
-    # unsorted order grid
+    # all-log-space (s = 1e-200, where 1/s^2 overflows, so every term is
+    # above either cutoff) rows mixed in, on an unsorted order grid
     orders = np.asarray([256, 2, 64, 3])
     n = 2 * (kernel._CHUNK_CELLS // (orders.max() - 1)) + 37
     sigmas = np.geomspace(1e-3, 1e4, n)
@@ -168,7 +202,7 @@ def test_order_tables_are_cached_read_only():
     assert np.array_equal(first, again)
     assert kernel._order_tables.cache_info().hits >= 1
     tables = kernel._order_tables(0.01, tuple(orders.tolist()))
-    for table in (tables.kk, tables.log_w, tables.w_t, tables.denom):
+    for table in (tables.kk, tables.log_w, tables.w_t, tables.cut, tables.denom):
         with pytest.raises(ValueError):
             table[0] = 1.0
 
@@ -226,6 +260,8 @@ def test_tiny_multiplier_gives_infinite_curve_quietly(q):
 def test_order_without_large_term_keeps_small_sum():
     # s^2 = 1/2 gives e_k = k(k-1), first above 36 at k = 7: orders 7..9
     # share a log-space pass in which order 2 has no large term at all.
+    # The pass still runs below 600 nats because q^3 = 1e-450 makes column
+    # 3 subnormal, so from there on the cutoff is 36.
     # rho_2 = log1p(q^2 expm1(2)) is about 6.4e-300, so a log-space term of
     # e^-700 wrongly added there would show at 4.6e-5 relative.
     q = 1e-150
@@ -245,10 +281,12 @@ def _log_sum_exp_rho(q, sigma, alpha):
 
 @pytest.mark.parametrize("q,sigma,alpha", [(0.1, 0.3, 256), (0.9, 0.5, 128)])
 def test_terms_far_below_the_maximum_do_not_move_rho(q, sigma, alpha):
-    # nearly every large term lies more than 700 nats below the maximum,
-    # where the log-space pass raises it to -700 before exp
+    # nearly every large term (above the kernel's cutoff for its column)
+    # lies more than 700 nats below the maximum, where the log-space pass
+    # raises it to -700 before exp
     expected, t, m = _log_sum_exp_rho(q, sigma, alpha)
-    large = [k for k in range(2, alpha + 1) if k * (k - 1) / (2 * sigma ** 2) > 36]
+    cut = kernel._order_tables(q, (alpha,)).cut
+    large = [k for k in range(2, alpha + 1) if k * (k - 1) / (2 * sigma ** 2) > cut[k - 2]]
     assert sum(t[k] < m - 700 for k in large) >= len(large) - 2
     got = sgm_rdp_matrix(q, [sigma], [alpha])[0, 0]
     # the reference itself is within 1.1e-16 of a 60-digit evaluation here

@@ -21,8 +21,8 @@ pass bounds, from a dozen orders, which orders between them can hold an
 example's minimum, and a second pass sums just those for groups of
 examples with the same coarse best order.  The bound holds because RDP is
 nondecreasing in the order, so every curve table is checked for that once
-when it is made, and a ledger that charged a table that dips runs the full
-pass.  Either way every order summed sees the same additions, so each
+when it is made, and a ledger that charged one that dips sums every order.
+Every order summed sees the same additions as in a full pass, so each
 epsilon and best order is the same bit for bit.  Each example's row is
 summed and converted without reading any other row, so the passes that
 query and fold split large ledgers' rows across the cores the process may
@@ -45,7 +45,7 @@ import numpy as np
 from ._fileio import atomic_write
 from .kernel import sgm_rdp_matrix
 from .rdp_math import (RdpCurve, _check_fields, _check_orders, _conversion_terms,
-                       _eps_from_rdp, default_orders, rdp_to_dp)
+                       default_orders, rdp_to_dp)
 
 
 MAX_BUCKETS = 10_000      # ceil(C/r) bound: the grid's curves are built up front
@@ -58,10 +58,11 @@ _WORKER_ROWS = 65_536     # rows per summing thread: smaller ledgers stay on one
 def _coarse_orders(orders: np.ndarray) -> np.ndarray:
     """Indices of a query's coarse orders: the first and last orders, and
     each order at least 1.4 x the last one kept (2, 3, 5, 7, 10, 14, 20, 28,
-    40, 56, 128, 256 on the default grid)."""
+    40, 56, 128, 256 on the default grid), at most 52 before the last, so a
+    row's gaps between them are bits of one float64 sum, exact."""
     alphas, kept = orders.tolist(), [0]
     for i in range(1, len(alphas) - 1):
-        if 5 * alphas[i] >= 7 * alphas[kept[-1]]:
+        if len(kept) < 52 and 5 * alphas[i] >= 7 * alphas[kept[-1]]:
             kept.append(i)
     return np.unique(kept + [len(alphas) - 1])
 
@@ -348,23 +349,17 @@ class IndividualLedger:
         if errors:
             raise errors[0]
 
-    def _sum_rows(self, lo: int, hi: int, charges, visit, into: Optional[np.ndarray]) -> None:
+    def _sum_rows(self, lo: int, hi: int, charges, into: np.ndarray) -> None:
         """``charges`` of rows lo:hi summed in order onto the state's or the
-        first charge's rows (see ``_sum``), _BLOCK rows at a time so the
-        gathered curves stay in cache, each block passed to ``visit``; in
-        ``into``'s rows when given (the state, to fold into it, or a new
-        array), else in a buffer of this call's own.  Besides ``visit`` only
-        numpy's take and add run here, and both release the GIL."""
-        orders = self.config.orders.size
-        buf = np.empty((_BLOCK, orders)) if into is None else None
-        scratch = np.empty((_BLOCK, orders))
+        first charge's rows (see ``_sum``) into ``into``'s rows (the state,
+        to fold into it, or a new array for ``counts``), _BLOCK rows at a
+        time so the gathered curves stay in cache.  Only numpy's take and
+        add run here, and both release the GIL."""
+        scratch = np.empty((_BLOCK, self.config.orders.size))
         for start in range(lo, hi, _BLOCK):
             stop = min(start + _BLOCK, hi)
-            out = buf[:stop - start] if into is None else into[start:stop]
-            self._sum(slice(start, stop), charges, out, scratch[:stop - start],
-                      onto_state=into is not None and into is self._rdp)
-            if visit is not None:
-                visit(start, out)
+            self._sum(slice(start, stop), charges, into[start:stop], scratch[:stop - start],
+                      onto_state=into is self._rdp)
 
     def _sum(self, rows, charges, out: np.ndarray, gathered: np.ndarray,
              cols: Optional[np.ndarray] = None, onto_state: bool = False) -> None:
@@ -416,7 +411,7 @@ class IndividualLedger:
         if self._held and (self._rdp is not None or self._queried
                            or 4 * held_bytes >= 8 * shape[0] * shape[1]):
             state = np.empty(shape) if self._rdp is None else self._rdp
-            self._pass(lambda lo, hi: self._sum_rows(lo, hi, self._held, None, state))
+            self._pass(lambda lo, hi: self._sum_rows(lo, hi, self._held, state))
             self._rdp, self._held = state, []
         self._assign = self.cache.indices_for(np.minimum(norms, self.config.max_clip))
 
@@ -441,7 +436,7 @@ class IndividualLedger:
             return view
         out = np.empty((self.n, self.config.orders.size))
         charges = self._charges()
-        self._pass(lambda lo, hi: self._sum_rows(lo, hi, charges, None, out))
+        self._pass(lambda lo, hi: self._sum_rows(lo, hi, charges, out))
         return out
 
     def epsilons(self, delta: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
@@ -449,58 +444,47 @@ class IndividualLedger:
         blocks of rows so the extra memory is O(block x orders), not
         O(n x orders).  Changes nothing but marking the ledger queried.
 
-        While every table charged so far is nondecreasing along the orders,
-        as RDP is (van Erven and Harremoes 2014), a query sums only the
-        orders that can win.  A first pass sums and converts each row at
-        the coarse orders a_m (``_coarse_orders``) and finds its coarse
-        minimum.  A float sum of nondecreasing terms is nondecreasing, and
-        log(1/delta)/(alpha - 1) decreases in alpha, so for a_m < alpha <
-        a_{m+1}, rho(a_m) + log(1/delta)/(a_{m+1} - 1) is at most epsilon
-        at alpha: where it is above the coarse minimum, no order of that gap
-        can win, not even on a tie.  A second pass groups rows by their
-        coarse best order and sums, for each group, that order and every
-        gap some row of it kept.  Every cell summed sees the same takes and
-        adds as in a full pass, and the smallest order wins ties, so each
-        row's result is the same bit for bit and depends only on its own
-        charges, though which orders are summed depends on its group.  A
-        table that dips, or a grid with no order between coarse ones, takes
-        the full pass."""
+        A query sums only the orders that can win.  A first pass sums and
+        converts each row at the coarse orders a_m (``_coarse_orders``) and
+        finds its coarse minimum.  While every table charged so far is
+        nondecreasing along the orders, as RDP is (van Erven and Harremoes
+        2014), so is their float sum; log(1/delta)/(alpha - 1) decreases in
+        alpha; so for a_m < alpha < a_{m+1}, epsilon at alpha is at least
+        rho(a_m) + log(1/delta)/(a_{m+1} - 1), and where that is above the
+        coarse minimum no order of the gap can win, not even on a tie.  A
+        ledger that charged a table that dips keeps every gap.  A second
+        pass groups rows by their coarse best order and sums, for each
+        group, that order and every gap some row of it kept.  Every cell
+        summed sees the same takes and adds as in a full pass, and the
+        smallest order wins ties, so each row's result is the same bit for
+        bit and depends only on its own charges, though which orders are
+        summed depends on its group."""
         delta = self.config.delta if delta is None else delta
         if not 0.0 < delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {delta}")
         eps = np.empty(self.n)
         best = np.empty(self.n, dtype=np.int64)
-        orders = self.config.orders
         charges = self._charges()
-        # a row's kept gaps are bits of one float64 sum, exact up to 52 gaps
-        if self._monotone and self._coarse.size < orders.size and self._coarse.size <= 53:
-            terms = _conversion_terms(orders, delta)
-            coarse = self._coarse
-            narrow = [(table[:, coarse], assign) for table, assign in charges]
-            # the terms at the coarse orders, then inf, in one column per row
-            # of a block: a same-shape add is faster than a broadcast one
-            tile = np.tile(np.append(terms[coarse], np.inf)[:, None],
-                           (1, min(_COARSE_BLOCK, self.n)))
-            self._pass(lambda lo, hi: self._query(lo, hi, charges, narrow, tile, terms,
-                                                  eps, best))
-        else:
-            def convert(lo: int, rdp: np.ndarray) -> None:
-                block = slice(lo, lo + rdp.shape[0])
-                eps[block], best[block] = _eps_from_rdp(rdp, orders, delta)
-
-            self._pass(lambda lo, hi: self._sum_rows(lo, hi, charges, convert, None))
+        terms = _conversion_terms(self.config.orders, delta)
+        coarse = self._coarse
+        narrow = [(table[:, coarse], assign) for table, assign in charges]
+        # the terms at the coarse orders, then inf, in one column per row of
+        # a block: a same-shape add is faster than a broadcast one
+        tile = np.tile(np.append(terms[coarse], np.inf)[:, None],
+                       (1, min(_COARSE_BLOCK, self.n)))
+        self._pass(lambda lo, hi: self._query(lo, hi, charges, narrow, tile, terms, eps, best))
         self._queried = True
         return eps, best
 
     def _query(self, lo: int, hi: int, charges, narrow, tile: np.ndarray,
                terms: np.ndarray, eps: np.ndarray, best: np.ndarray) -> None:
-        """Both passes of a pruned query (see ``epsilons``) over rows lo:hi.
-        ``narrow`` is ``charges`` cut to the coarse orders; ``tile`` holds
-        the conversion terms at the coarse orders, then inf, one column per
-        row of a block; ``terms`` holds them at every order.  Each block is
-        summed by rows and converted transposed, where a reduction over the
-        orders is elementwise.  Every block of both passes works in the
-        same few buffers, viewed at its shape."""
+        """Both passes of a query (see ``epsilons``) over rows lo:hi, every
+        gap kept once a table charged dips.  ``narrow`` is ``charges`` cut
+        to the coarse orders; ``tile`` holds the conversion terms there,
+        then inf, one column per row of a block; ``terms`` holds them at
+        every order.  Each block is summed by rows and converted transposed,
+        where a reduction over the orders is elementwise.  Every block of
+        both passes works in the same few buffers, viewed at its shape."""
         orders, coarse = self.config.orders, self._coarse
         block = min(_COARSE_BLOCK, hi - lo)
         # at least a row of every order, at most what the run's rows need
@@ -509,6 +493,8 @@ class IndividualLedger:
         bufs = np.empty(cells), np.empty(cells), np.empty(group_cells)
         flags = np.empty(cells, dtype=bool)
         rows_of, gaps_of = self._coarse_pass(lo, hi, block, narrow, tile, best, bufs, flags)
+        if not self._monotone:          # the bound does not hold: keep every gap
+            gaps_of[:] = ~np.uint64(0)
         shifts = np.arange(coarse.size - 1, dtype=np.uint64)
         for g in np.flatnonzero(rows_of):
             kept = np.append((gaps_of[g] >> shifts) & np.uint64(1) != 0, False)
@@ -622,6 +608,18 @@ def _indented(values: list) -> str:
     return "[\n  " + json.dumps(values)[1:-1].replace(", ", ",\n  ") + "\n ]"
 
 
+# scalar fields of a report file, in the order a missing one is named:
+# (test, rule); types compare exactly, as for _PER_EXAMPLE; NaN fails each test
+_SCALARS = {
+    "delta": (lambda v: type(v) in (int, float) and 0 < v < 1, "a number in (0, 1)"),
+    "steps": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+    "n": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+    "config": (lambda v: type(v) is dict, "an object"),
+    "worst_case.epsilon": (lambda v: type(v) in (int, float) and 0 < v < math.inf,
+                           "a finite number > 0"),
+    "worst_case.order": (lambda v: type(v) is int and v >= 2, "an integer >= 2"),
+}
+
 # per-example fields of a report file: (element types, least value, rule);
 # bool is an int subclass, so types compare exactly; the report checks eps >= 0
 _PER_EXAMPLE = {
@@ -717,10 +715,13 @@ class PrivacyReport:
         if doc.get("version") != 1:
             raise ValueError(f"{path}: unsupported report version {doc.get('version')!r}")
         worst = doc["worst_case"] if isinstance(doc.get("worst_case"), dict) else {}
-        missing = [k for k in ("delta", "steps", "n", "config") if k not in doc]
-        missing += [f"worst_case.{k}" for k in ("epsilon", "order") if k not in worst]
+        scalars = {**doc, **{f"worst_case.{k}": v for k, v in worst.items()}}
+        missing = [name for name in _SCALARS if name not in scalars]
         if missing:
             raise ValueError(f"{path}: report is missing {', '.join(missing)}")
+        for name, (valid, rule) in _SCALARS.items():
+            if not valid(scalars[name]):
+                raise ValueError(f"{path}: {name} must be {rule}, got {scalars[name]!r}")
         if doc.get("epsilons") is None or doc.get("best_orders") is None:
             raise ValueError(f"{path}: report was exported without per-example values; "
                              "re-export it with --unsafe-export-per-example")

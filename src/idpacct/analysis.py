@@ -28,8 +28,10 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Sample Pearson correlation coefficient."""
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1 or x.size < 2:
-        raise ValueError("need two equal-length samples with at least 2 points")
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError("need two equal-length 1-D samples")
+    if x.size < 2:
+        raise DegenerateVarianceError("a sample of fewer than 2 points has no variance")
     xc = x - np.mean(x)
     yc = y - np.mean(y)
     # elementwise sums, not np.dot: length-n dots go through threaded BLAS,

@@ -106,10 +106,10 @@ class SimConfig:
             raise ValueError("delta must be in (0, 1)")
         if self.track_ids is not None:
             ids = tuple(self.track_ids) if isinstance(self.track_ids, Iterable) else None
-            if ids is None or not all(isinstance(i, (int, np.integer))
-                                      and not isinstance(i, bool) for i in ids):
-                raise ValueError(f"track_ids must be a sequence of integers, "
-                                 f"got {self.track_ids!r}")
+            if ids is None or not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+                                      and 0 <= i < self.n for i in ids):
+                raise ValueError(f"track_ids must be a sequence of integers in "
+                                 f"[0, n = {self.n}), got {self.track_ids!r}")
             self.track_ids = ids
 
     @property
@@ -318,11 +318,7 @@ def train(config: SimConfig, dataset: Optional[Dataset] = None) -> TrainOutput:
                           sampling_prob=config.sampling_prob, frequency=k_freq,
                           rounding=r, steps=big_t) if accounting else None)
 
-    tracked = None
-    if config.track_ids is not None:
-        tracked = np.asarray(config.track_ids, dtype=np.int64)
-        if tracked.size and (tracked.min() < 0 or tracked.max() >= n):
-            raise IndexError("tracked id out of range")
+    tracked = None if config.track_ids is None else np.asarray(config.track_ids, dtype=np.int64)
     tr_norms = np.zeros((big_t, tracked.size)) if tracked is not None else None
     tr_buckets = (np.zeros((big_t, tracked.size))
                   if tracked is not None and accounting else None)

@@ -719,6 +719,18 @@ def test_coarse_orders_of_the_default_grid():
     assert _config().orders[coarse].tolist() == [2, 3, 5, 7, 10, 14, 20, 28, 40, 56, 128, 256]
     assert accountant._coarse_orders(np.array([7])).tolist() == [0]
     assert accountant._coarse_orders(np.array([2, 3, 100, 256])).tolist() == [0, 1, 2, 3]
+    # at most 52 before the last, so a row's kept gaps fit one float64 bit sum
+    powers = 2 ** np.arange(1, 61)
+    assert accountant._coarse_orders(powers).tolist() == list(range(52)) + [59]
+
+
+def _count_queries(monkeypatch) -> list:
+    """The row ranges that ``IndividualLedger._query`` runs on, from now on."""
+    queries = []
+    query = accountant.IndividualLedger._query
+    monkeypatch.setattr(accountant.IndividualLedger, "_query",
+                        lambda self, *args: (queries.append(args[:2]), query(self, *args))[1])
+    return queries
 
 
 @settings(max_examples=60, deadline=None,
@@ -748,9 +760,12 @@ def test_epsilons_equal_the_full_pass_bit_for_bit(two_workers, monkeypatch, orde
                            frequency=2, delta=1e-5, orders=orders)
     ledger = IndividualLedger(n, cfg)
     rng = np.random.default_rng(seed)
+    queries = _count_queries(monkeypatch)
 
     def check():
+        queries.clear()
         eps, best = ledger.epsilons(delta)
+        assert queries          # the one query path, on every grid
         want_eps, want_best = _eps_from_rdp(ledger.counts(), cfg.orders, delta)
         assert np.array_equal(eps, want_eps) and np.array_equal(best, want_best)
 
@@ -823,28 +838,66 @@ def test_query_sums_fewer_orders_on_the_benchmark_shape(monkeypatch):
 
 def test_a_table_that_dips_takes_the_full_pass(monkeypatch):
     # a curve table that is not nondecreasing along the orders voids the
-    # bound that prunes: the ledger sees the dip and runs the full pass
+    # bound that prunes: the ledger sees the dip and its query keeps every
+    # gap, so the second pass sums every order but the other coarse ones
     n = 3_000
     ledger = IndividualLedger(n, _config(sampling_prob=0.01, rounding=0.01, frequency=24))
-    orders = ledger.config.orders
+    orders, delta = ledger.config.orders, ledger.config.delta
     dipped = ledger.cache.rows.copy()
     dipped[:, orders.tolist().index(64)] = 0.0      # order 64 lies between 56 and 128
     monkeypatch.setattr(ledger.cache, "rows", dipped)
     _account_large_ledger(n, ledger)
-    want_eps, want_best = _eps_from_rdp(ledger.counts(), orders, ledger.config.delta)
+    counts = ledger.counts()
+    want_eps, want_best = _eps_from_rdp(counts, orders, delta)
+    coarse = accountant._coarse_orders(orders)
+    coarse_best = coarse[np.searchsorted(orders[coarse], _eps_from_rdp(
+        counts[:, coarse], orders[coarse], delta)[1])]
     assert not ledger.cache.nondecreasing
-    queries = []
-    query = accountant.IndividualLedger._query
-    monkeypatch.setattr(accountant.IndividualLedger, "_query",
-                        lambda self, *args: (queries.append(args[:2]), query(self, *args))[1])
+    queries = _count_queries(monkeypatch)
+    second = []         # (rows, orders) of each second-pass sum, picked by index
+    sums = accountant.IndividualLedger._sum
+
+    def count(self, rows, charges, out, gathered, cols=None, **options):
+        if not isinstance(rows, slice):
+            second.append((rows.copy(), cols.copy()))
+        sums(self, rows, charges, out, gathered, cols, **options)
+
+    monkeypatch.setattr(accountant.IndividualLedger, "_sum", count)
     eps, best = ledger.epsilons()
-    assert queries == [] and not ledger._monotone
+    assert queries == [(0, n)] and not ledger._monotone
+    rest = np.setdiff1d(np.arange(orders.size), coarse)
+    assert sum(rows.size * cols.size for rows, cols in second) == n * (rest.size + 1)
+    seen = np.zeros(n, dtype=int)
+    for rows, cols in second:
+        seen[rows] += 1
+        assert np.all(coarse_best[rows] == coarse_best[rows[0]])
+        assert cols.tolist() == sorted(rest.tolist() + [coarse_best[rows[0]]])
+    assert np.all(seen == 1)
     assert np.array_equal(eps, want_eps) and np.array_equal(best, want_best)
     # the dip is real: a pruned query that trusted the table would differ
     monkeypatch.setattr(ledger.cache, "nondecreasing", True)
     ledger._monotone = True
     pruned = ledger.epsilons()
-    assert queries and not np.array_equal(pruned[1], want_best)
+    assert len(queries) == 2 and not np.array_equal(pruned[1], want_best)
+
+
+def test_a_grid_past_53_coarse_orders_takes_the_one_query(monkeypatch):
+    # q = 1 on 70 orders 1.41 x apart up to 4e10 would make 66 coarse
+    # orders; capped at 53, the one query path serves it, bit for bit
+    orders = np.unique(np.round(np.geomspace(2, 4e10, 70)))
+    assert orders.size == 70 and accountant._coarse_orders(orders).size == 53
+    cfg = AccountantConfig(noise_std=1.0, max_clip=1.0, sampling_prob=1.0, rounding=0.05,
+                           orders=orders)
+    ledger = IndividualLedger(500, cfg)
+    rng = np.random.default_rng(3)
+    for t in range(3):
+        ledger.update_assignments(rng.gamma(2.0, 0.3, 500), step=t)
+        ledger.record_step(t)
+    queries = _count_queries(monkeypatch)
+    eps, best = ledger.epsilons()
+    want_eps, want_best = _eps_from_rdp(ledger.counts(), cfg.orders, cfg.delta)
+    assert queries == [(0, 500)] and ledger._monotone
+    assert np.array_equal(eps, want_eps) and np.array_equal(best, want_best)
 
 
 def test_readme_library_quickstart_runs(tmp_path, monkeypatch):

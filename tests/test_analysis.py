@@ -56,6 +56,8 @@ def test_pearson_degenerate_variance():
         pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
     with pytest.raises(DegenerateVarianceError):
         pearson([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
+    with pytest.raises(DegenerateVarianceError):     # one point has no variance
+        pearson([1.0], [2.0])
 
 
 def test_pearson_validates_shapes():

@@ -149,8 +149,11 @@ def test_simulate_rejects_invalid_values(tmp_path):
     ({"epochs": 1.5}, "epochs must be an integer"),              # used to exit 2
     ({"epochs": True}, "epochs must be an integer"),             # used to exit 0
     ({"track_ids": [1.7, 2.2]}, "track_ids must be a sequence of integers"),  # used to exit 0
+    # ids outside the examples used to exit 2 with an IndexError
+    ({"track_ids": [5000]}, "track_ids must be a sequence of integers in [0, n = 100)"),
+    ({"track_ids": [3, -1]}, "integers in [0, n = 100), got [3, -1]"),
 ], ids=["noise_std_nan", "lr_nan", "n_fraction", "epochs_fraction", "epochs_bool",
-        "track_ids_fraction"])
+        "track_ids_fraction", "track_ids_above_n", "track_ids_negative"])
 def test_simulate_rejects_bad_config_values(tmp_path, capsys, fields, message):
     cfg = _sim_config(tmp_path, **fields)
     out = tmp_path / "out"
@@ -358,6 +361,23 @@ def test_account_missing_file(tmp_path):
      "orders_float.json: best_orders[1]: an order must be an integer >= 2, got 2.7"),
     (["release", "{tmp}/orders_one.json"],
      "orders_one.json: best_orders[1]: an order must be an integer >= 2, got 1"),
+    # malformed scalars: a bad worst-case epsilon used to exit 2 with a
+    # TypeError, n = true to exit 1 naming "n = True values", the rest to exit 0
+    (["release", "{tmp}/worst_x.json"],
+     "worst_x.json: worst_case.epsilon must be a finite number > 0, got 'x'"),
+    (["report", "{tmp}/worst_x.json", "--losses", "{sim}/losses.csv"],
+     "worst_x.json: worst_case.epsilon must be a finite number > 0, got 'x'"),
+    (["release", "{tmp}/worst_null.json"],
+     "worst_null.json: worst_case.epsilon must be a finite number > 0, got None"),
+    (["report", "{tmp}/worst_null.json", "--losses", "{sim}/losses.csv"],
+     "worst_null.json: worst_case.epsilon must be a finite number > 0, got None"),
+    (["release", "{tmp}/steps_many.json"],
+     "steps_many.json: steps must be an integer >= 1, got 'many'"),
+    (["release", "{tmp}/delta_x.json"], "delta_x.json: delta must be a number in (0, 1), got 'x'"),
+    (["release", "{tmp}/order_x.json"],
+     "order_x.json: worst_case.order must be an integer >= 2, got 'x'"),
+    (["release", "{tmp}/config_list.json"], "config_list.json: config must be an object, got [1]"),
+    (["release", "{tmp}/n_true.json"], "n_true.json: n must be an integer >= 1, got True"),
 ], ids=["account_losses", "report", "release", "report_not_json", "release_list",
         "release_no_steps", "report_redacted", "release_redacted", "release_null_epsilon",
         "account_directory", "account_npz_as_jsonl", "report_losses_npz",
@@ -366,7 +386,9 @@ def test_account_missing_file(tmp_path):
         "account_f4_npz", "account_fortran_npz", "account_truncated_npz", "account_nan_npz",
         "account_inf_npz", "account_minus_inf_npz", "account_negative_npz", "report_label_float", "report_label_bool",
         "release_eps_string", "release_orders_short", "release_orders_float",
-        "release_orders_one"])
+        "release_orders_one", "release_worst_x", "report_worst_x", "release_worst_null",
+        "report_worst_null", "release_steps_many", "release_delta_x", "release_order_x",
+        "release_config_list", "release_n_true"])
 def test_missing_or_malformed_input_is_validation_failure(tmp_path, capsys, argv, message):
     sim_out = tmp_path / "sim"
     assert main(["simulate", "--config", _sim_config(tmp_path),
@@ -390,6 +412,12 @@ def test_missing_or_malformed_input_is_validation_failure(tmp_path, capsys, argv
         (tmp_path / f"{name}.json").write_text(json.dumps(dict(full, **{field: values})))
     (tmp_path / "orders_short.json").write_text(json.dumps(
         dict(full, best_orders=full["best_orders"][1:])))
+    for name, fields in [("worst_x", {"worst_case": dict(doc["worst_case"], epsilon="x")}),
+                         ("worst_null", {"worst_case": dict(doc["worst_case"], epsilon=None)}),
+                         ("steps_many", {"steps": "many"}), ("delta_x", {"delta": "x"}),
+                         ("order_x", {"worst_case": dict(doc["worst_case"], order="x")}),
+                         ("config_list", {"config": [1]}), ("n_true", {"n": True})]:
+        (tmp_path / f"{name}.json").write_text(json.dumps(dict(full, **fields)))
     header, norms = read_trace(str(sim_out / "trace.jsonl"))
     write_trace_npz(str(tmp_path / "trace.npz"), header, norms)
     # headers implying 10**12 refreshes or examples, then one row; all but
@@ -451,6 +479,20 @@ def test_report_subcommand_regenerates_analysis(tmp_path):
                  "--out", str(rep_out)]) == EXIT_OK
     assert (_read(rep_out / "analysis.json") == _read(sim_out / "analysis.json"))
     assert (_read(rep_out / "histogram.csv") == _read(sim_out / "histogram.csv"))
+
+
+def test_one_example_run_has_no_correlation(tmp_path):
+    # one point has no variance, so no correlation; this run used to write
+    # report.json and the trace, then exit 1
+    cfg = _write_config(tmp_path, n=1, group_proportions=[1.0], group_noise_scales=[1.0],
+                        clip=1.0)
+    sim_out, rep_out = tmp_path / "sim", tmp_path / "rep"
+    assert main(["simulate", "--config", cfg, "--out", str(sim_out),
+                 "--unsafe-export-per-example"]) == EXIT_OK
+    assert json.loads((sim_out / "analysis.json").read_text())["correlation"] is None
+    assert main(["report", str(sim_out / "report.json"), "--losses", str(sim_out / "losses.csv"),
+                 "--out", str(rep_out)]) == EXIT_OK
+    assert _read(rep_out / "analysis.json") == _read(sim_out / "analysis.json")
 
 
 def test_report_rejects_losses_of_another_size(tmp_path, capsys):

@@ -74,6 +74,9 @@ def test_sim_config_track_ids_must_be_integers():
     for bad in ([1.7, 2.2], [True, False], np.asarray([0.0, 1.0]), 3):
         with pytest.raises(ValueError, match="track_ids"):
             SimConfig(n=20, track_ids=bad)
+    for bad in ([20], [0, -1]):         # used to fail in train, with an IndexError
+        with pytest.raises(ValueError, match=r"integers in \[0, n = 20\), got \["):
+            SimConfig(n=20, track_ids=bad)
     assert SimConfig(n=20, track_ids=np.arange(3)).track_ids == (0, 1, 2)
 
 

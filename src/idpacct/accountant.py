@@ -6,13 +6,13 @@ addition.  Buckets are clipped gradient norms rounded to the nearest point
 of the grid {r, 2r, ..., C} (ties round up, zero maps to r), or the raw
 clipped norms with rounding disabled.  The grid's ceil(C/r) curves, at most
 MAX_BUCKETS (10,000), are computed once when the ledger is built, so a
-refresh is array indexing only.  Every example is charged at every step,
-sampled or not, using its most recent bucket assignment; assignments
-refresh only when the caller supplies fresh norms.  Charging is lazy too: a
-refresh only records the steps since the previous one with that
-assignment, and the sums are formed when queried.  A query changes
-nothing: it sums the recorded charges, then the steps since the last
-refresh, so no result depends on when or how often the ledger was
+refresh is one grid lookup, the one that individual clipping rounds by.
+Every example is charged at every step, sampled or not, using its most
+recent bucket assignment; assignments refresh only when the caller supplies
+fresh norms.  Charging is lazy too: a refresh only records the steps since
+the previous one with that assignment, and queries form the sums.  A query
+changes nothing: it sums the recorded charges, then the steps since the
+last refresh, so no result depends on when or how often the ledger was
 queried.  Only a refresh folds the recorded charges into an (n, orders)
 state: once they reach a quarter of its size, after a full query, or once
 the state exists.  Conversion to per-example (epsilon, delta) happens at
@@ -20,8 +20,8 @@ query time, in two passes that sum only the orders that can win: a coarse
 pass bounds, from a dozen orders, which orders between them can hold an
 example's minimum, and a second pass sums just those for groups of
 examples with the same coarse best order.  The bound holds because RDP is
-nondecreasing in the order, so every curve table is checked for that once
-when it is made, and a ledger that charged one that dips sums every order.
+nondecreasing in the order, so the ledger checks each curve table for that
+when it charges it, and a query that sums one that dips sums every order.
 Every order summed sees the same additions as in a full pass, so each
 epsilon and best order is the same bit for bit.  Each example's row is
 summed and converted without reading any other row, so the passes that
@@ -156,13 +156,22 @@ def _grid_tables(rounding: float, max_clip: float) -> tuple[np.ndarray, np.ndarr
     return values, t
 
 
+def _grid_index(z: np.ndarray, rounding: float, max_clip: float, table: np.ndarray) -> np.ndarray:
+    """``table`` at each z's index into ``_grid_tables``' values, z in [0, C]:
+    j = floor(z / r), plus one where z >= t[j].  Clipping and charging both
+    read it, so an example is clipped to the bucket it is charged for."""
+    t = np.divide(z, rounding, out=np.empty(np.shape(z)))
+    j = t.astype(np.intp)                   # floor, as z >= 0
+    # t: float64 even for a scalar or float32 z; mode="clip" writes to it unbuffered, j in range
+    np.take(_grid_tables(rounding, max_clip)[1], j, out=t, mode="clip")
+    j += z >= t
+    # take before t and j are freed, or glibc trims the heap top and refaults it per refresh
+    return table.take(j)
+
+
 def _round_array(z: np.ndarray, rounding: float, max_clip: float) -> np.ndarray:
-    """z in [0, C] rounded onto the grid by ``_grid_tables``' rule: the
-    bucket values whose rows ``BucketCache.indices_for`` returns."""
-    values, thresholds = _grid_tables(rounding, max_clip)
-    j = (z / rounding).astype(np.intp)      # floor, as z >= 0
-    j += z >= thresholds.take(j)
-    return values.take(j)
+    """z in [0, C] rounded onto the grid: the values whose rows ``indices_for`` returns."""
+    return _grid_index(z, rounding, max_clip, _grid_tables(rounding, max_clip)[0])
 
 
 def sensitivity_buckets(norms: np.ndarray, max_clip: float, rounding: float) -> np.ndarray:
@@ -176,30 +185,32 @@ def sensitivity_buckets(norms: np.ndarray, max_clip: float, rounding: float) -> 
 
 
 def _check_norms(norms: np.ndarray) -> None:
-    """Refuse NaN, infinite or negative norms (-0.0 passes): two reductions, no temporaries."""
+    """Refuse NaN, infinite or negative norms (-0.0 passes), naming the first
+    bad one's example (and row): two reductions, no temporaries, if all pass."""
     if norms.size and not (norms.min() >= 0 and norms.max() < np.inf):
-        raise ValueError("norms must be finite and >= 0")
+        at = np.unravel_index(np.argmin(np.isfinite(norms) & (norms >= 0)), norms.shape)
+        where = f"example {at[1]} in row {at[0]}" if norms.ndim > 1 else f"example {at[0]}"
+        raise ValueError(f"norms must be finite and >= 0: {where} is {float(norms[at])!r}")
 
 
 class BucketCache:
     """Curve table: ``rows[j]`` is the single-step RDP curve of sensitivity
     ``bucket_values[j]``.  With rounding on, the whole grid {r, 2r, ..., C}
-    is computed in one kernel call here and never changes, and so is the
-    map from ``_grid_tables``' values to rows: a table of each j's pair of
-    rows, in the held charges' index dtype.  With rounding off
-    (exactness mode) each refresh replaces the table with the curves of the
-    distinct norms it brings, so the table never outgrows one refresh.
+    is computed in one kernel call here and never changes, and so is
+    ``_row_of``, the row of each of ``_grid_tables``' values, in the held
+    charges' index dtype.  With rounding off (exactness mode) each refresh
+    replaces the table with the curves of the distinct norms it brings, so
+    the table never outgrows one refresh.
     """
 
     def __init__(self, config: AccountantConfig):
         self.config = config
         self.bucket_values = np.empty(0)
         if config.rounding > 0:
-            values, self._thresholds = _grid_tables(config.rounding, config.max_clip)
+            values = _grid_tables(config.rounding, config.max_clip)[0]
             # np.unique: float rounding can make the last two grid points both C
-            self.bucket_values, rows = np.unique(values, return_inverse=True)
-            pairs = np.stack([rows[:-1], rows[1:]], axis=1).ravel()
-            self._pairs = pairs.astype(np.min_scalar_type(len(self) - 1))
+            self.bucket_values, row_of = np.unique(values, return_inverse=True)
+            self._row_of = row_of.astype(np.min_scalar_type(len(self) - 1))
         self.rows = self._curves(self.bucket_values)
         self.misses = len(self)
 
@@ -216,33 +227,16 @@ class BucketCache:
     def indices_for(self, z: np.ndarray) -> np.ndarray:
         """The row of each clipped norm z (in [0, C]), in the smallest
         unsigned dtype that indexes the table, as held charges keep it.
-        Grid mode takes, with j = floor(z / r), row 2j or 2j + 1 of the
-        pair table as z is below or at least the threshold t[j]; exactness
-        mode replaces the table with the curves of z's distinct values."""
+        Grid mode reads ``_row_of`` through ``_grid_index``, the lookup
+        that rounding reads too; exactness mode replaces the table with the
+        curves of z's distinct values."""
         if self.config.rounding > 0:
-            t = z / self.config.rounding
-            j = t.astype(np.intp)                   # floor, as z >= 0
-            # mode="clip" writes to t unbuffered; every j is in range
-            np.take(self._thresholds, j, out=t, mode="clip")
-            j += j
-            j += z >= t
-            return self._pairs.take(j)
+            return _grid_index(z, self.config.rounding, self.config.max_clip, self._row_of)
         values, inverse = np.unique(z, return_inverse=True)
         self.rows = self._curves(values)
         self.bucket_values = values
         self.misses += len(self)
         return inverse.astype(np.min_scalar_type(len(self) - 1))
-
-    @property
-    def rows(self) -> np.ndarray:
-        return self._rows
-
-    @rows.setter
-    def rows(self, rows: np.ndarray) -> None:
-        # RDP is nondecreasing in the order; a ledger's query prunes orders
-        # only while every table it charged is (see IndividualLedger.epsilons)
-        self._rows = rows
-        self.nondecreasing = bool(np.all(rows[:, 1:] >= rows[:, :-1]))
 
     def corrupt_for_testing(self, factor: float = 1.02) -> None:
         """Negative-control hook: scale the last curve (bucket C in grid
@@ -252,9 +246,8 @@ class BucketCache:
         against independent re-accounting fail."""
         if not len(self):
             raise LedgerError("nothing cached to corrupt")
-        rows = self.rows.copy()       # a new table, checked again
-        rows[-1] *= factor
-        self.rows = rows
+        self.rows = self.rows.copy()
+        self.rows[-1] *= factor
 
 
 class IndividualLedger:
@@ -264,10 +257,10 @@ class IndividualLedger:
     t mod frequency == 0 (including t = 0), record_step(t) at every step.
     Steps since the last refresh accumulate in a single pending counter, so
     per-step cost is O(1).  When assignments change, the pending steps
-    close into a held charge: ``pending x`` the curve table plus each
-    example's row index into it, in the smallest unsigned dtype that holds
-    one (one or two bytes per example in grid mode).  Until the first fold
-    a refresh therefore costs a compare and two lookups per example, O(n).
+    close into a held charge: ``pending x`` the curve table, checked to be
+    nondecreasing along the orders, and each example's row, in the smallest
+    unsigned dtype that holds one (one or two bytes in grid mode).  Until
+    the first fold a refresh costs a compare and two lookups per example.
 
     A query (``epsilons``, ``report``, ``counts``) changes nothing but the
     mark that a full query has run: it sums the held charges in refresh
@@ -306,20 +299,21 @@ class IndividualLedger:
         # held charges: (pending x curve table, each example's row in it)
         self._held: list[tuple[np.ndarray, np.ndarray]] = []
         self._queried = False                     # a full query has run
-        self._monotone = True             # every table charged is nondecreasing
+        self._monotone = True       # every table held or folded is nondecreasing
         self._coarse = _coarse_orders(config.orders)
         # each order's gap between coarse orders, or -1 for a coarse order
         gap = np.searchsorted(self._coarse, np.arange(config.orders.size)) - 1
         gap[self._coarse] = -1
         self._gap = gap
 
-    def _charges(self) -> list[tuple[np.ndarray, np.ndarray]]:
+    def _charges(self) -> tuple[list[tuple[np.ndarray, np.ndarray]], bool]:
         """The held charges, then the pending steps as a last charge that
-        nothing keeps: what a query sums."""
+        nothing keeps: what a query sums, and whether every table it sums
+        or the state folded is nondecreasing along the orders."""
         if not self._pending:
-            return self._held
-        self._monotone = self._monotone and self.cache.nondecreasing
-        return self._held + [(self._pending * self.cache.rows, self._assign)]
+            return self._held, self._monotone
+        table = self._pending * self.cache.rows
+        return self._held + [(table, self._assign)], self._monotone and _nondecreasing(table)
 
     def _pass(self, work) -> None:
         """Call ``work(lo, hi)`` on runs of whole _BLOCK-row blocks that
@@ -404,7 +398,7 @@ class IndividualLedger:
                 f"assignments may only change at steps divisible by "
                 f"frequency={self.config.frequency}, got step {step}")
         # charge the old assignments before exactness mode replaces their curves
-        self._held, self._pending = self._charges(), 0
+        (self._held, self._monotone), self._pending = self._charges(), 0
         shape = (self.n, self.config.orders.size)
         held_bytes = sum(table.nbytes + assign.nbytes for table, assign in self._held)
         # fold once the state exists, after a full query, or at a quarter of its size
@@ -435,7 +429,7 @@ class IndividualLedger:
             view.flags.writeable = False
             return view
         out = np.empty((self.n, self.config.orders.size))
-        charges = self._charges()
+        charges = self._charges()[0]
         self._pass(lambda lo, hi: self._sum_rows(lo, hi, charges, out))
         return out
 
@@ -446,13 +440,13 @@ class IndividualLedger:
 
         A query sums only the orders that can win.  A first pass sums and
         converts each row at the coarse orders a_m (``_coarse_orders``) and
-        finds its coarse minimum.  While every table charged so far is
-        nondecreasing along the orders, as RDP is (van Erven and Harremoes
+        finds its coarse minimum.  While every table summed, folded or not,
+        is nondecreasing along the orders, as RDP is (van Erven and Harremoes
         2014), so is their float sum; log(1/delta)/(alpha - 1) decreases in
         alpha; so for a_m < alpha < a_{m+1}, epsilon at alpha is at least
         rho(a_m) + log(1/delta)/(a_{m+1} - 1), and where that is above the
         coarse minimum no order of the gap can win, not even on a tie.  A
-        ledger that charged a table that dips keeps every gap.  A second
+        query that sums a table that dips keeps every gap.  A second
         pass groups rows by their coarse best order and sums, for each
         group, that order and every gap some row of it kept.  Every cell
         summed sees the same takes and adds as in a full pass, and the
@@ -464,7 +458,7 @@ class IndividualLedger:
             raise ValueError(f"delta must be in (0, 1), got {delta}")
         eps = np.empty(self.n)
         best = np.empty(self.n, dtype=np.int64)
-        charges = self._charges()
+        charges, monotone = self._charges()
         terms = _conversion_terms(self.config.orders, delta)
         coarse = self._coarse
         narrow = [(table[:, coarse], assign) for table, assign in charges]
@@ -472,14 +466,16 @@ class IndividualLedger:
         # a block: a same-shape add is faster than a broadcast one
         tile = np.tile(np.append(terms[coarse], np.inf)[:, None],
                        (1, min(_COARSE_BLOCK, self.n)))
-        self._pass(lambda lo, hi: self._query(lo, hi, charges, narrow, tile, terms, eps, best))
+        self._pass(lambda lo, hi: self._query(lo, hi, charges, monotone, narrow, tile, terms,
+                                              eps, best))
         self._queried = True
         return eps, best
 
-    def _query(self, lo: int, hi: int, charges, narrow, tile: np.ndarray,
+    def _query(self, lo: int, hi: int, charges, monotone: bool, narrow, tile: np.ndarray,
                terms: np.ndarray, eps: np.ndarray, best: np.ndarray) -> None:
         """Both passes of a query (see ``epsilons``) over rows lo:hi, every
-        gap kept once a table charged dips.  ``narrow`` is ``charges`` cut
+        gap kept unless ``monotone`` says that every table summed, and the
+        folded state, is nondecreasing.  ``narrow`` is ``charges`` cut
         to the coarse orders; ``tile`` holds the conversion terms there,
         then inf, one column per row of a block; ``terms`` holds them at
         every order.  Each block is summed by rows and converted transposed,
@@ -493,7 +489,7 @@ class IndividualLedger:
         bufs = np.empty(cells), np.empty(cells), np.empty(group_cells)
         flags = np.empty(cells, dtype=bool)
         rows_of, gaps_of = self._coarse_pass(lo, hi, block, narrow, tile, best, bufs, flags)
-        if not self._monotone:          # the bound does not hold: keep every gap
+        if not monotone:          # the bound does not hold: keep every gap
             gaps_of[:] = ~np.uint64(0)
         shifts = np.arange(coarse.size - 1, dtype=np.uint64)
         for g in np.flatnonzero(rows_of):
@@ -562,6 +558,12 @@ class IndividualLedger:
             epsilons=eps, best_orders=orders, worst_epsilon=worst_eps,
             worst_order=worst_order, delta=delta, steps=self.steps, n=self.n,
             config=self.config.to_dict(), group_labels=group_labels)
+
+
+def _nondecreasing(table: np.ndarray) -> bool:
+    """Whether every row of a curve table is nondecreasing along the orders,
+    as RDP is: the premise of a query's pruning bound."""
+    return bool(np.all(table[:, 1:] >= table[:, :-1]))
 
 
 def _view(buf: np.ndarray, shape: tuple[int, int]) -> np.ndarray:

@@ -83,7 +83,10 @@ def _build_config(cls, doc: dict, overrides: dict, path: str):
 
 
 def _out_path(args, name: str) -> str:
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:   # a file in the way
+        raise ValidationFailure(f"--out {args.out}: {exc.strerror.lower()}")
     return os.path.join(args.out, name)
 
 
@@ -310,10 +313,7 @@ def main(argv: Optional[list] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ValidationFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValueError as exc:
+    except (ValidationFailure, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except KeyboardInterrupt:

@@ -160,13 +160,11 @@ def _parse_row(raw: str, n: int, lineno: int) -> np.ndarray:
                                line=lineno)
     try:
         values = np.array(row, dtype=np.float64)
+        _check_norms(values)
     except OverflowError:
         raise TraceFormatError("norm too large for a float64", line=lineno)
-    bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0)))
-    if bad.size:
-        i = int(bad[0])
-        raise TraceFormatError(f"norm of example {i} must be finite and >= 0, got {row[i]!r}",
-                               line=lineno)
+    except ValueError as exc:
+        raise TraceFormatError(str(exc), line=lineno)
     return values
 
 

@@ -69,6 +69,9 @@ def _assert_matches_stepwise(ledger, buckets):
 def test_round_to_bucket_examples():
     got = _round_array(np.asarray([0.444, 0.445, 0.0]), 0.01, 1.0)
     assert got == pytest.approx([0.44, 0.45, 0.01], abs=1e-12)
+    # a scalar rounds as the same value in an array does
+    for z in (0.444, 0.445, 0.0, 1.0):
+        assert sensitivity_buckets(z, 1.0, 0.01) == sensitivity_buckets(np.asarray([z]), 1.0, 0.01)
 
 
 def test_round_to_bucket_caps_at_clip():
@@ -297,9 +300,14 @@ def test_rejects_bad_norms():
     with pytest.raises(ValueError):
         ledger.update_assignments([0.5])           # wrong length
     for bad in (-0.5, -5e-324, np.nan, np.inf, -np.inf):
-        for norms in ([bad, 0.1], [0.1, bad]):
-            with pytest.raises(ValueError, match="norms must be finite and >= 0"):
+        for i, norms in enumerate(([bad, 0.1], [0.1, bad])):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"norms must be finite and >= 0: example {i} is {bad!r}")):
                 ledger.update_assignments(norms)
+    # a matrix names the first bad norm's row too
+    with pytest.raises(ValueError, match=re.escape(
+            "norms must be finite and >= 0: example 1 in row 0 is nan")):
+        accountant._check_norms(np.asarray([[0.1, np.nan, 0.2], [-1.0, 0.3, 0.4]]))
     # -0.0 and subnormal norms pass: on the grid both round to r, and with
     # rounding off -0.0 gets +0.0's zero curve (not a multiplier of -inf)
     # and a subnormal sensitivity's curve is zero too
@@ -516,7 +524,7 @@ def test_repeated_queries_fold_held_charges_once():
     orders, delta = ledger.config.orders, ledger.config.delta
     summed = []          # the charges each query sums
     charges = ledger._charges
-    ledger._charges = lambda: (summed.append(len(held := charges())), held)[1]
+    ledger._charges = lambda: (summed.append(len((pair := charges())[0])), pair)[1]
 
     def state():
         # the state, its values, the held charges and the pending steps
@@ -852,7 +860,7 @@ def test_a_table_that_dips_takes_the_full_pass(monkeypatch):
     coarse = accountant._coarse_orders(orders)
     coarse_best = coarse[np.searchsorted(orders[coarse], _eps_from_rdp(
         counts[:, coarse], orders[coarse], delta)[1])]
-    assert not ledger.cache.nondecreasing
+    assert not ledger._monotone
     queries = _count_queries(monkeypatch)
     second = []         # (rows, orders) of each second-pass sum, picked by index
     sums = accountant.IndividualLedger._sum
@@ -875,10 +883,50 @@ def test_a_table_that_dips_takes_the_full_pass(monkeypatch):
     assert np.all(seen == 1)
     assert np.array_equal(eps, want_eps) and np.array_equal(best, want_best)
     # the dip is real: a pruned query that trusted the table would differ
-    monkeypatch.setattr(ledger.cache, "nondecreasing", True)
+    monkeypatch.setattr(accountant, "_nondecreasing", lambda table: True)
     ledger._monotone = True
     pruned = ledger.epsilons()
     assert len(queries) == 2 and not np.array_equal(pruned[1], want_best)
+
+
+def test_queries_of_a_ledger_whose_table_dips_change_nothing_but_the_mark():
+    # the premise of the pruning bound is checked on the tables a query
+    # sums, not recorded by it: with the current table dipped after the last
+    # refresh and steps pending, epsilons, report and counts leave every
+    # attribute of the ledger and its table but _queried as it was
+    ledger = _account_large_ledger(3_000)
+    orders = ledger.config.orders
+    dipped = ledger.cache.rows.copy()
+    dipped[:, orders.tolist().index(64)] = 0.0      # order 64 lies between 56 and 128
+    ledger.cache.rows = dipped
+    assert ledger._pending and ledger._monotone
+
+    def attributes():
+        # each by identity and value; an array's value is its bytes, and a
+        # list of charges' the identities of the arrays it holds
+        seen = {}
+        for owner, obj in [("ledger", ledger), ("cache", ledger.cache)]:
+            for name, value in vars(obj).items():
+                if isinstance(value, np.ndarray):
+                    seen[owner, name] = id(value), value.tobytes()
+                elif isinstance(value, list):
+                    seen[owner, name] = id(value), [id(a) for charge in value for a in charge]
+                else:
+                    seen[owner, name] = id(value), value
+        del seen["ledger", "_queried"]
+        return seen
+
+    before = attributes()
+    eps, best = ledger.epsilons()
+    assert attributes() == before
+    report = ledger.report()
+    assert attributes() == before
+    counts = ledger.counts()
+    assert attributes() == before
+    want_eps, want_best = _eps_from_rdp(counts, orders, ledger.config.delta)
+    assert np.array_equal(eps, want_eps) and np.array_equal(best, want_best)
+    assert np.array_equal(report.epsilons, want_eps)
+    assert np.array_equal(report.best_orders, want_best)
 
 
 def test_a_grid_past_53_coarse_orders_takes_the_one_query(monkeypatch):

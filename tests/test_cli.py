@@ -340,14 +340,23 @@ def test_account_missing_file(tmp_path):
     (["account", "{tmp}/truncated.npz"],
      "truncated.npz: unreadable array in binary trace: column 'norm' declares shape "
      "(7, 100) of <f8"),
-    # norms the ledger cannot charge; -0.0 and subnormal norms read back
-    # (tests/test_traceio.py::test_npz_round_trip_exact)
-    (["account", "{tmp}/nan.npz"], "nan.npz: binary trace norms must be finite and >= 0"),
-    (["account", "{tmp}/inf.npz"], "inf.npz: binary trace norms must be finite and >= 0"),
+    # norms the ledger cannot charge, named by position (they used to be
+    # named by none), each at example 1 of the last of 7 rows; -0.0 and
+    # subnormal norms read back (tests/test_traceio.py::test_npz_round_trip_exact)
+    (["account", "{tmp}/nan.npz"],
+     "nan.npz: binary trace norms must be finite and >= 0: example 1 in row 6 is nan"),
+    (["account", "{tmp}/inf.npz"],
+     "inf.npz: binary trace norms must be finite and >= 0: example 1 in row 6 is inf"),
     (["account", "{tmp}/minus_inf.npz"],
-     "minus_inf.npz: binary trace norms must be finite and >= 0"),
+     "minus_inf.npz: binary trace norms must be finite and >= 0: example 1 in row 6 is -inf"),
     (["account", "{tmp}/negative.npz"],
-     "negative.npz: binary trace norms must be finite and >= 0"),
+     "negative.npz: binary trace norms must be finite and >= 0: example 1 in row 6 is -5e-324"),
+    # an --out that names a file, or a path through one, used to exit 2
+    # with a FileExistsError or a NotADirectoryError
+    (["account", "{sim}/trace.jsonl", "--out", "{tmp}/list.json"],
+     "--out {tmp}/list.json: file exists"),
+    (["simulate", "--config", "{tmp}/cfg.json", "--out", "{tmp}/list.json/x"],
+     "--out {tmp}/list.json/x: not a directory"),
     # per-example fields of the wrong type or length used to load, truncated
     (["report", "{tmp}/label_float.json", "--losses", "{sim}/losses.csv"],
      "label_float.json: group_labels[1]: a group label must be an integer, got 1.7"),
@@ -384,7 +393,8 @@ def test_account_missing_file(tmp_path):
         "simulate_config_latin1", "account_huge_steps", "account_huge_n",
         "account_huge_steps_npz", "account_huge_n_npz", "account_huge_member_npz",
         "account_f4_npz", "account_fortran_npz", "account_truncated_npz", "account_nan_npz",
-        "account_inf_npz", "account_minus_inf_npz", "account_negative_npz", "report_label_float", "report_label_bool",
+        "account_inf_npz", "account_minus_inf_npz", "account_negative_npz", "account_out_file",
+        "simulate_out_under_file", "report_label_float", "report_label_bool",
         "release_eps_string", "release_orders_short", "release_orders_float",
         "release_orders_one", "release_worst_x", "report_worst_x", "release_worst_null",
         "report_worst_null", "release_steps_many", "release_delta_x", "release_order_x",
@@ -454,8 +464,10 @@ def test_missing_or_malformed_input_is_validation_failure(tmp_path, capsys, argv
     del doc["steps"]                                      # used to exit 2
     (tmp_path / "no_steps.json").write_text(json.dumps(doc))
     argv = [a.format(sim=sim_out, tmp=tmp_path) for a in argv]
-    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_VALIDATION
-    assert message in capsys.readouterr().err
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_VALIDATION
+    assert message.format(tmp=tmp_path) in capsys.readouterr().err
 
 
 def test_permission_denied_input_names_its_path():

@@ -37,7 +37,7 @@ import json
 import math
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -125,15 +125,7 @@ class AccountantConfig:
         self.orders = _check_orders(self.orders)
 
     def to_dict(self) -> dict:
-        return {
-            "noise_std": self.noise_std,
-            "max_clip": self.max_clip,
-            "sampling_prob": self.sampling_prob,
-            "rounding": self.rounding,
-            "frequency": self.frequency,
-            "delta": self.delta,
-            "orders": [int(a) for a in self.orders],
-        }
+        return dict(asdict(self), orders=[int(a) for a in self.orders])
 
 
 @functools.lru_cache(maxsize=32)

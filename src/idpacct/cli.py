@@ -82,11 +82,23 @@ def _build_config(cls, doc: dict, overrides: dict, path: str):
         raise ValidationFailure(f"{path}: {exc}")
 
 
-def _out_path(args, name: str) -> str:
+def _check_out(out: str) -> None:
+    """Refuse an --out that names a file, or a path through one, before the
+    command does any work.  Creates nothing: ``_out_path`` makes the
+    directory at the first write."""
+    if os.path.isdir(out):
+        return
     try:
-        os.makedirs(args.out, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:   # a file in the way
-        raise ValidationFailure(f"--out {args.out}: {exc.strerror.lower()}")
+        os.lstat(out)
+    except FileNotFoundError:
+        return
+    except NotADirectoryError:
+        raise ValidationFailure(f"--out {out}: not a directory")
+    raise ValidationFailure(f"--out {out}: file exists")
+
+
+def _out_path(args, name: str) -> str:
+    os.makedirs(args.out, exist_ok=True)
     return os.path.join(args.out, name)
 
 
@@ -312,6 +324,8 @@ def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if hasattr(args, "out"):
+            _check_out(args.out)
         return args.func(args)
     except (ValidationFailure, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -191,21 +191,14 @@ def _bce(z: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 class LogisticModel:
-    """Bias-free logistic regression; gradient per example is
-    (sigmoid(x . theta) - y) x."""
+    """Bias-free logistic regression on the d weights ``params``; the
+    gradient per example is (sigmoid(x . params) - y) x."""
 
     def __init__(self, d: int):
-        self.theta = np.zeros(d)
-
-    @property
-    def params(self) -> np.ndarray:
-        return self.theta
-
-    def set_params(self, p: np.ndarray) -> None:
-        self.theta = np.asarray(p, dtype=np.float64).copy()
+        self.params = np.zeros(d)
 
     def logits(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.theta
+        return x @ self.params
 
     def per_example_grads(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return (_sigmoid(self.logits(x)) - y)[:, None] * x
@@ -215,33 +208,25 @@ class LogisticModel:
 
 
 class MlpModel:
-    """One hidden tanh layer, scalar logit; manual per-example backprop."""
+    """One hidden tanh layer, scalar logit; manual per-example backprop.
+    ``params`` holds [w1 (hidden x d, row-major), b1, w2, b2], the layout
+    of a per-example gradient row."""
 
     def __init__(self, d: int, hidden: int, rng: np.random.Generator):
         self.d, self.h = d, hidden
         scale = 1.0 / math.sqrt(d)
-        self.w1 = scale * rng.standard_normal((hidden, d))
-        self.b1 = np.zeros(hidden)
-        self.w2 = scale * rng.standard_normal(hidden)
-        self.b2 = 0.0
+        w1 = scale * rng.standard_normal((hidden, d))
+        w2 = scale * rng.standard_normal(hidden)
+        self.params = np.concatenate([w1.ravel(), np.zeros(hidden), w2, [0.0]])
 
-    @property
-    def params(self) -> np.ndarray:
-        return np.concatenate([self.w1.ravel(), self.b1, self.w2, [self.b2]])
-
-    def set_params(self, p: np.ndarray) -> None:
-        p = np.asarray(p, dtype=np.float64)
-        hd = self.h * self.d
-        self.w1 = p[:hd].reshape(self.h, self.d).copy()
-        self.b1 = p[hd:hd + self.h].copy()
-        self.w2 = p[hd + self.h:hd + 2 * self.h].copy()
-        self.b2 = float(p[-1])
+    def _w2(self) -> np.ndarray:
+        return self.params[-1 - self.h:-1]
 
     def _forward(self, x: np.ndarray):
-        z1 = x @ self.w1.T + self.b1
-        a1 = np.tanh(z1)
-        z2 = a1 @ self.w2 + self.b2
-        return a1, z2
+        hd = self.h * self.d
+        w1, b1 = self.params[:hd].reshape(self.h, self.d), self.params[hd:-1 - self.h]
+        a1 = np.tanh(x @ w1.T + b1)
+        return a1, a1 @ self._w2() + self.params[-1]
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         return self._forward(x)[1]
@@ -251,7 +236,7 @@ class MlpModel:
         dz2 = _sigmoid(z2) - y                       # (m,)
         dw2 = dz2[:, None] * a1                      # (m, h)
         db2 = dz2[:, None]                           # (m, 1)
-        dz1 = (dz2[:, None] * self.w2[None, :]) * (1.0 - a1 * a1)   # (m, h)
+        dz1 = (dz2[:, None] * self._w2()[None, :]) * (1.0 - a1 * a1)   # (m, h)
         dw1 = dz1[:, :, None] * x[:, None, :]        # (m, h, d)
         m = x.shape[0]
         return np.concatenate([dw1.reshape(m, -1), dz1, dw2, db2], axis=1)
@@ -331,7 +316,9 @@ def train(config: SimConfig, dataset: Optional[Dataset] = None) -> TrainOutput:
     for t in range(big_t):
         full_norms = None
         if t % k_freq == 0:
-            full_norms = np.linalg.norm(model.per_example_grads(x, y), axis=1)
+            # at t = 0 the parameters have not moved: the init pass is the row
+            full_norms = init_norms if t == 0 else np.linalg.norm(
+                model.per_example_grads(x, y), axis=1)
             trace_rows.append(full_norms)
             if bucketing:
                 # with the mechanism off there is no grid: clipped norms
@@ -357,7 +344,7 @@ def train(config: SimConfig, dataset: Optional[Dataset] = None) -> TrainOutput:
             new_params = model.params - config.lr * update
         if not np.all(np.isfinite(new_params)):
             raise NanAbortError(t)
-        model.set_params(new_params)
+        model.params = new_params
 
     trace_norms = np.asarray(trace_rows)
     ledger = None if header is None else replay_trace(header, trace_norms, config.delta)

@@ -34,7 +34,7 @@ import json
 import math
 import os
 import zipfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -43,8 +43,6 @@ from .accountant import AccountantConfig, IndividualLedger, _check_norms
 from .rdp_math import _check_fields
 
 TRACE_VERSION = 2
-_HEADER_KEYS = {"version", "n", "clip", "noise_std", "sampling_prob",
-                "frequency", "rounding", "steps"}
 
 
 class TraceFormatError(ValueError):
@@ -90,12 +88,7 @@ class TraceHeader:
         return np.arange(0, self.steps, self.frequency, dtype=np.int64)
 
     def to_dict(self) -> dict:
-        return {
-            "version": TRACE_VERSION, "n": self.n, "clip": self.clip,
-            "noise_std": self.noise_std, "sampling_prob": self.sampling_prob,
-            "frequency": self.frequency, "rounding": self.rounding,
-            "steps": self.steps,
-        }
+        return {"version": TRACE_VERSION, **asdict(self)}
 
 
 def _check_shape(header: TraceHeader, norms: np.ndarray) -> np.ndarray:
@@ -134,8 +127,8 @@ def _parse_header(line: str) -> TraceHeader:
             f"unsupported trace version {doc['version']!r} "
             f"(this build reads version {TRACE_VERSION}); "
             "re-create it with `idpacct simulate`", line=1)
-    extra = set(doc) - _HEADER_KEYS
-    missing = _HEADER_KEYS - set(doc)
+    keys = {"version"} | {f.name for f in fields(TraceHeader)}
+    extra, missing = set(doc) - keys, keys - set(doc)
     if extra or missing:
         raise TraceFormatError(
             f"bad header fields (unknown: {sorted(extra)}, missing: {sorted(missing)})",
@@ -281,11 +274,15 @@ def replay_trace(header: TraceHeader, norms: np.ndarray,
                  delta: float = 1e-5) -> IndividualLedger:
     """Drive a fresh ledger through the recorded run: an assignment refresh
     at every row's step, one charged step per training step.  Each refresh
-    checks its own row's values."""
+    checks its own row's values; a bad norm is reported with its row."""
     norms = _check_shape(header, norms)      # zip would silently cut a short matrix
     ledger = IndividualLedger(header.n, header.to_config(delta=delta))
     for row, start in zip(norms, header.refresh_steps().tolist()):
-        ledger.update_assignments(row, step=start)
+        try:
+            ledger.update_assignments(row, step=start)
+        except ValueError:
+            _check_norms(norms)              # the rows before this one passed
+            raise
         for t in range(start, min(start + header.frequency, header.steps)):
             ledger.record_step(t)
     return ledger

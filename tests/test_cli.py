@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import idpacct
+from idpacct import cli
 from idpacct.accountant import PrivacyReport
 from idpacct.cli import (
     EXIT_OK,
@@ -161,6 +162,28 @@ def test_simulate_rejects_bad_config_values(tmp_path, capsys, fields, message):
     assert message in capsys.readouterr().err
     assert not out.exists()
 
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--out", "{tmp}/afile/x"], "--out {tmp}/afile/x: not a directory"),
+    (["account", "{tmp}/trace.jsonl", "--out", "{tmp}/afile"], "--out {tmp}/afile: file exists"),
+    (["report", "{tmp}/report.json", "--losses", "{tmp}/losses.csv", "--out", "{tmp}/afile/x"],
+     "--out {tmp}/afile/x: not a directory"),
+    (["release", "{tmp}/report.json", "--out", "{tmp}/afile"], "--out {tmp}/afile: file exists"),
+], ids=["simulate", "account", "report", "release"])
+def test_bad_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, message):
+    # a bad --out used to be refused at the first write: after the whole run
+    # was trained, or the whole trace read and replayed
+    def never(*args, **kwargs):
+        raise AssertionError("ran before --out was checked")
+
+    monkeypatch.setattr(cli.dpsgd_sim, "train", never)
+    monkeypatch.setattr(cli.traceio, "read_any_trace", never)
+    monkeypatch.setattr(cli.traceio, "replay_trace", never)
+    (tmp_path / "afile").write_text("")
+    assert main([a.format(tmp=tmp_path) for a in argv]) == EXIT_VALIDATION
+    assert message.format(tmp=tmp_path) in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["afile"]
 
 def test_simulate_flag_overrides_config(tmp_path):
     cfg = _sim_config(tmp_path)

@@ -101,20 +101,20 @@ def test_gradients_match_central_differences(model_name):
     ds = generate_synthetic(cfg)
     rng = np.random.default_rng(4)
     model = make_model(cfg, rng)
-    model.set_params(model.params + 0.3 * rng.standard_normal(model.params.shape))
+    model.params = model.params + 0.3 * rng.standard_normal(model.params.shape)
     grads = model.per_example_grads(ds.x, ds.y)
     h = 1e-5
     theta = model.params.copy()
     for j in range(theta.size):
         bump = np.zeros_like(theta)
         bump[j] = h
-        model.set_params(theta + bump)
+        model.params = theta + bump
         up = model.losses(ds.x, ds.y)
-        model.set_params(theta - bump)
+        model.params = theta - bump
         down = model.losses(ds.x, ds.y)
         fd = (up - down) / (2 * h)
         assert np.allclose(grads[:, j], fd, rtol=1e-6, atol=1e-8)
-    model.set_params(theta)
+    model.params = theta
 
 
 def test_duplicate_examples_get_identical_gradients():
@@ -197,7 +197,7 @@ def test_matches_plain_gradient_descent_when_mechanism_off():
     ref = LogisticModel(cfg.d)
     for _ in range(cfg.total_steps):
         grad_sum = np.sum(ref.per_example_grads(ds.x, ds.y), axis=0)
-        ref.set_params(ref.params - cfg.lr * grad_sum)
+        ref.params = ref.params - cfg.lr * grad_sum
     assert np.max(np.abs(out.model.params - ref.params)) <= 1e-9
     assert out.ledger is None                  # mechanism off -> no accounting
 
@@ -228,6 +228,31 @@ def test_trace_and_ledger_coupling():
     refresh_steps = range(0, out.steps, out.header.frequency)
     assert out.trace_norms.shape == (len(refresh_steps), cfg.n)
 
+
+
+@pytest.mark.parametrize("model_name", ["logistic", "mlp"])
+def test_train_makes_one_full_batch_pass_per_refresh(monkeypatch, model_name):
+    # the t = 0 refresh reuses the pass that resolves the clip, as the
+    # parameters have not moved yet; it used to make one more
+    cfg = SimConfig(n=40, d=4, model=model_name, hidden=3, epochs=3, sampling_prob=0.1,
+                    gamma=2, seed=3, track_ids=[1, 4])
+    ds = generate_synthetic(cfg)
+    full_passes = []
+
+    def counted(config, rng):
+        model = make_model(config, rng)
+        grads = model.per_example_grads
+
+        def per_example_grads(x, y):
+            full_passes.append(x is ds.x)
+            return grads(x, y)
+
+        model.per_example_grads = per_example_grads
+        return model
+
+    monkeypatch.setattr(dpsgd_sim, "make_model", counted)
+    out = train(cfg, ds)
+    assert sum(full_passes) == out.header.n_refreshes == 6
 
 def test_nan_abort_reports_step():
     cfg = SimConfig(n=50, d=4, model="mlp", hidden=8, lr=1e308, noise_std=0.0,

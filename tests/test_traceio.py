@@ -559,6 +559,26 @@ def test_replay_matches_direct_ledger():
     assert np.array_equal(a, b)
 
 
+
+def test_replay_names_the_bad_norms_row(tmp_path):
+    # the ledger checks one row at a time, so the replay used to name only
+    # the example; it now says what the writer and both readers say
+    header = _header(frequency=1)
+    norms = np.full((header.n_refreshes, header.n), 0.5)
+    norms[2, 1] = -1.0
+    for call in (lambda: replay_trace(header, norms),
+                 lambda: write_trace(str(tmp_path / "t.jsonl"), header, norms)):
+        with pytest.raises(ValueError, match="example 1 in row 2 is -1.0"):
+            call()
+
+
+def test_header_line_keys_in_order(tmp_path):
+    header = _header()
+    path = tmp_path / "t.jsonl"
+    write_trace(str(path), header, _norms(header))
+    assert list(json.loads(path.read_text().splitlines()[0])) == [
+        "version", "n", "clip", "noise_std", "sampling_prob", "frequency", "rounding", "steps"]
+
 def test_hand_written_trace_matches_manual_composition(tmp_path):
     # 3 examples, 4 steps, refresh every step, no rounding: epsilon must
     # equal composing the per-step curves for each example's clipped norm

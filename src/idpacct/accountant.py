@@ -14,14 +14,14 @@ the previous one with that assignment, and queries form the sums.  A query
 changes nothing: it sums the recorded charges, then the steps since the
 last refresh, so no result depends on when or how often the ledger was
 queried.  Only a refresh folds the recorded charges into an (n, orders)
-state: once they reach a quarter of its size, after a full query, or once
-the state exists.  Conversion to per-example (epsilon, delta) happens at
-query time, in two passes that sum only the orders that can win: a coarse
-pass bounds, from a dozen orders, which orders between them can hold an
-example's minimum, and a second pass sums just those for groups of
-examples with the same coarse best order.  The bound holds because RDP is
-nondecreasing in the order, so the ledger checks each curve table for that
-when it charges it, and a query that sums one that dips sums every order.
+state, by one rule: once they reach a quarter of its size.  Conversion to
+per-example (epsilon, delta) happens at query time, in two passes that sum
+only the orders that can win: a coarse pass bounds, from a dozen orders,
+which orders between them can hold an example's minimum, and a second
+pass sums just those for groups of examples with the same coarse best
+order.  The bound holds because RDP is nondecreasing in the order, so the
+ledger checks each curve table for that when it charges it, and a query
+that sums one that dips sums every order.
 Every order summed sees the same additions as in a full pass, so each
 epsilon and best order is the same bit for bit.  Each example's row is
 summed and converted without reading any other row, so the passes that
@@ -246,34 +246,29 @@ class IndividualLedger:
     """Per-example accumulated RDP, charged lazily.
 
     Protocol: update_assignments(norms, t) at every step t with
-    t mod frequency == 0 (including t = 0), record_step(t) at every step.
-    Steps since the last refresh accumulate in a single pending counter, so
-    per-step cost is O(1).  When assignments change, the pending steps
-    close into a held charge: ``pending x`` the curve table, checked to be
+    t mod frequency == 0 (including t = 0), then record_steps(t, k) for the
+    k steps up to the next refresh, or record_step at each.  Recorded steps
+    only add to a pending counter, in O(1) however many.  A refresh closes
+    them into a held charge: ``pending x`` the curve table, checked to be
     nondecreasing along the orders, and each example's row, in the smallest
-    unsigned dtype that holds one (one or two bytes in grid mode).  Until
-    the first fold a refresh costs a compare and two lookups per example.
+    unsigned dtype that holds one (one or two bytes in grid mode).  A
+    refresh that does not fold costs a compare and two lookups per example.
 
-    A query (``epsilons``, ``report``, ``counts``) changes nothing but the
-    mark that a full query has run: it sums the held charges in refresh
-    order, then the pending steps as a last charge that nothing keeps,
-    block by block of rows.  So no result depends on when, or how often,
-    the ledger was queried, bit for bit.
+    A query (``epsilons``, ``report``, ``counts``) changes nothing: it sums
+    the held charges in refresh order, then the pending steps as a last
+    charge that nothing keeps, block by block of rows.  So no result
+    depends on when, or how often, the ledger was queried, bit for bit.
 
-    Only a refresh folds the held charges into an (n, orders) float64
-    state, which the first fold allocates: once they reach a quarter of its
-    size (at large n, 2 x orders refreshes with up to 256 buckets and
-    orders refreshes with more; in exactness mode, where one charge is
-    about the state's size, usually the second refresh), at the first
-    refresh after a full query (a ledger queried during training is being
-    watched), and at every refresh once the state exists.  So a long or
-    watched run costs what an eager ledger costs.  Ledger memory stays
-    under 1.25 x n x orders x 8 bytes plus one refresh, the extra quarter
-    only up to the first fold.  A ledger is not thread-safe: drive it from
-    one thread.  Its query and fold pass splits a large ledger's rows
-    across threads of its own, one per core the process may use, and joins
-    them before it returns; every result is the same bit for bit as on one
-    thread.
+    Only a refresh folds, by one rule: once the held charges reach a
+    quarter of an (n, orders) float64 state's bytes (at large n, 2 x orders
+    refreshes with up to 256 buckets and orders refreshes with more; in
+    exactness mode, where one charge is about the state's size, usually
+    every refresh), it adds them onto the state, which the first fold
+    allocates.  Ledger memory stays under 1.25 x the state plus one
+    refresh.  A ledger is not thread-safe: drive it from one thread.  Its
+    query and fold pass splits a large ledger's rows across threads of its
+    own, one per core the process may use, and joins them before it
+    returns; every result is the same bit for bit as on one thread.
     """
 
     def __init__(self, n: int, config: AccountantConfig):
@@ -290,7 +285,6 @@ class IndividualLedger:
         self._rdp: Optional[np.ndarray] = None    # folded state, from the first fold
         # held charges: (pending x curve table, each example's row in it)
         self._held: list[tuple[np.ndarray, np.ndarray]] = []
-        self._queried = False                     # a full query has run
         self._monotone = True       # every table held or folded is nondecreasing
         self._coarse = _coarse_orders(config.orders)
         # each order's gap between coarse orders, or -1 for a coarse order
@@ -379,23 +373,22 @@ class IndividualLedger:
             np.add(out, gathered, out=out)
 
     def update_assignments(self, norms: Sequence[float], step: Optional[int] = None) -> None:
-        """Re-bucket every example from fresh gradient norms, closing the
-        pending steps into a held charge and folding when a fold is due."""
+        """Re-bucket every example from fresh gradient norms at ``step``,
+        the next step to record, closing the pending steps into a held
+        charge, and folding the held charges at a quarter of the state."""
         norms = np.asarray(norms, dtype=np.float64)
         if norms.shape != (self.n,):
             raise ValueError(f"expected {self.n} norms, got shape {norms.shape}")
         _check_norms(norms)
-        if step is not None and step % self.config.frequency != 0:
+        if step is not None and (step != self.steps or step % self.config.frequency):
             raise LedgerError(
-                f"assignments may only change at steps divisible by "
-                f"frequency={self.config.frequency}, got step {step}")
+                f"assignments may only change at the next step to record ({self.steps}), "
+                f"if divisible by frequency={self.config.frequency}; got step {step}")
         # charge the old assignments before exactness mode replaces their curves
         (self._held, self._monotone), self._pending = self._charges(), 0
         shape = (self.n, self.config.orders.size)
         held_bytes = sum(table.nbytes + assign.nbytes for table, assign in self._held)
-        # fold once the state exists, after a full query, or at a quarter of its size
-        if self._held and (self._rdp is not None or self._queried
-                           or 4 * held_bytes >= 8 * shape[0] * shape[1]):
+        if 4 * held_bytes >= 8 * shape[0] * shape[1]:
             state = np.empty(shape) if self._rdp is None else self._rdp
             self._pass(lambda lo, hi: self._sum_rows(lo, hi, self._held, state))
             self._rdp, self._held = state, []
@@ -403,23 +396,25 @@ class IndividualLedger:
 
     def record_step(self, step: Optional[int] = None) -> None:
         """Charge every example one step at its current bucket."""
+        self.record_steps(step, 1)
+
+    def record_steps(self, first: Optional[int], count: int) -> None:
+        """Charge every example ``count`` steps, from step ``first`` on, at
+        its current bucket, in O(1) however large ``count`` is."""
         if self._assign is None:
             raise LedgerError("record_step before the first update_assignments")
-        if step is not None and step != self.steps:
-            raise LedgerError(f"expected step {self.steps}, got {step}")
-        self._pending += 1
-        self.steps += 1
+        if first is not None and first != self.steps:
+            raise LedgerError(f"expected step {self.steps}, got {first}")
+        if not isinstance(count, (int, np.integer)) or count < 1:
+            raise ValueError(f"count must be an integer >= 1, got {count!r}")
+        self._pending += int(count)
+        self.steps += int(count)
 
     def counts(self) -> np.ndarray:
         """The (n, orders) accumulated RDP, every step charged, changing
-        nothing: a read-only view of the folded state when nothing is held
-        or pending, else a new array summed as a query sums.  Only the
-        benchmark's ledger-size probe reads it, under this name; it stays
-        until a benchmark-only change renames that probe."""
-        if self._rdp is not None and not self._held and not self._pending:
-            view = self._rdp.view()
-            view.flags.writeable = False
-            return view
+        nothing: a new array, summed as a query sums.  Only the benchmark's
+        ledger-size probe reads it, under this name; it stays until a
+        benchmark-only change renames that probe."""
         out = np.empty((self.n, self.config.orders.size))
         charges = self._charges()[0]
         self._pass(lambda lo, hi: self._sum_rows(lo, hi, charges, out))
@@ -428,7 +423,7 @@ class IndividualLedger:
     def epsilons(self, delta: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
         """(epsilon, best order) for all examples, summed and converted in
         blocks of rows so the extra memory is O(block x orders), not
-        O(n x orders).  Changes nothing but marking the ledger queried.
+        O(n x orders).  Changes nothing.
 
         A query sums only the orders that can win.  A first pass sums and
         converts each row at the coarse orders a_m (``_coarse_orders``) and
@@ -460,7 +455,6 @@ class IndividualLedger:
                        (1, min(_COARSE_BLOCK, self.n)))
         self._pass(lambda lo, hi: self._query(lo, hi, charges, monotone, narrow, tile, terms,
                                               eps, best))
-        self._queried = True
         return eps, best
 
     def _query(self, lo: int, hi: int, charges, monotone: bool, narrow, tile: np.ndarray,

@@ -98,6 +98,8 @@ class SimConfig:
             raise ValueError("epochs must be >= 1")
         if self.gamma < 1:
             raise ValueError("gamma must be an integer >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.rounding is not None and self.rounding < 0:
             raise ValueError("rounding must be >= 0 (or None for 0.01*clip)")
         if self.clipping not in ("max", "individual"):

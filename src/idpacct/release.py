@@ -77,6 +77,8 @@ class ReleaseConfig:
             raise ValueError("quantile_steps must be >= 1")
         if self.quantile_lr <= 0:
             raise ValueError("quantile_lr must be > 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def gaussian_delta(epsilon: float, multiplier: float) -> float:

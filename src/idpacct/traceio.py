@@ -273,8 +273,9 @@ def read_any_trace(path: str) -> tuple[TraceHeader, np.ndarray]:
 def replay_trace(header: TraceHeader, norms: np.ndarray,
                  delta: float = 1e-5) -> IndividualLedger:
     """Drive a fresh ledger through the recorded run: an assignment refresh
-    at every row's step, one charged step per training step.  Each refresh
-    checks its own row's values; a bad norm is reported with its row."""
+    at every row's step, then one call that charges the steps up to the
+    next.  Each refresh checks its own row's values; a bad norm is reported
+    with its row."""
     norms = _check_shape(header, norms)      # zip would silently cut a short matrix
     ledger = IndividualLedger(header.n, header.to_config(delta=delta))
     for row, start in zip(norms, header.refresh_steps().tolist()):
@@ -283,8 +284,7 @@ def replay_trace(header: TraceHeader, norms: np.ndarray,
         except ValueError:
             _check_norms(norms)              # the rows before this one passed
             raise
-        for t in range(start, min(start + header.frequency, header.steps)):
-            ledger.record_step(t)
+        ledger.record_steps(start, min(header.frequency, header.steps - start))
     return ledger
 
 

@@ -288,11 +288,25 @@ def test_protocol_errors():
     ledger = IndividualLedger(1, _config(frequency=2))
     with pytest.raises(LedgerError):
         ledger.record_step()
-    with pytest.raises(LedgerError):
+    with pytest.raises(LedgerError, match="divisible by frequency=2; got step 1"):
         ledger.update_assignments([0.5], step=1)   # not a refresh step
     ledger.update_assignments([0.5], step=0)
     with pytest.raises(LedgerError):
         ledger.record_step(5)                      # wrong step index
+    with pytest.raises(LedgerError, match="expected step 0, got 1"):
+        ledger.record_steps(1, 4)
+    for count in (0, -1, 2.5, "4", None):
+        with pytest.raises(ValueError, match="count must be an integer >= 1"):
+            ledger.record_steps(0, count)
+    assert ledger.steps == 0 and ledger._pending == 0
+    ledger.record_steps(0, 4)
+    # a refresh may change assignments only at the next step to record
+    for step in (0, 100):                          # behind, then ahead of it
+        message = f"next step to record (4), if divisible by frequency=2; got step {step}"
+        with pytest.raises(LedgerError, match=re.escape(message)):
+            ledger.update_assignments([0.5], step=step)
+    assert ledger.steps == 4 and ledger._pending == 4
+    ledger.update_assignments([0.5], step=4)
 
 
 def test_rejects_bad_norms():
@@ -435,21 +449,24 @@ def _ledger_and_reference(n, refreshes, rounding, frequency=3, seed=6):
     return ledger, want
 
 
-@pytest.mark.parametrize("rounding, refreshes, folded, split", [
-    (0.01, 5, False, False), (0.01, 40, True, False), (0.0, 6, True, False),
-    (0.01, 5, False, True), (0.01, 40, True, True), (0.0, 6, True, True)],
+@pytest.mark.parametrize("rounding, refreshes, folded, held, split", [
+    (0.01, 5, False, 4, False), (0.01, 40, True, 7, False), (0.0, 6, True, 0, False),
+    (0.01, 5, False, 4, True), (0.01, 40, True, 7, True), (0.0, 6, True, 0, True)],
     ids=["grid-held", "grid-folded", "exactness",
          "grid-held-split", "grid-folded-split", "exactness-split"])
-def test_lazy_charges_equal_refresh_order_sum(rounding, refreshes, folded, split, request):
+def test_lazy_charges_equal_refresh_order_sum(rounding, refreshes, folded, held, split,
+                                               request):
     # held charges are summed in refresh order, onto the folded state or the
     # first charge, which is the order of a running sum: equal bit for bit,
-    # also with the rows split across two threads
+    # also with the rows split across two threads.  One rule folds: in grid
+    # mode every eighth 55,000-byte charge reaches a quarter of the
+    # 1,560,000-byte state, so of 39 charges the last 7 stay held; in
+    # exactness mode each charge is about the state's size and folds
     block = accountant._BLOCK
     n = 3_000 if rounding else 1_200
     runs = request.getfixturevalue("two_workers") if split else None
     ledger, want = _ledger_and_reference(n, refreshes, rounding)
-    assert (ledger._rdp is not None) == folded
-    assert not folded or ledger._held == []      # past the fold, refreshes fold
+    assert (ledger._rdp is not None) == folded and len(ledger._held) == held
     # the benchmark's probe reads counts(): it adds the pending steps
     # without closing them, and folds nothing
     state, held, pending = ledger._rdp, len(ledger._held), ledger._pending
@@ -499,26 +516,31 @@ def test_results_do_not_depend_on_when_the_ledger_was_queried(rounding, two_work
 
 
 def test_counts_cannot_change_the_ledger():
-    # with nothing held or pending, counts() reads the folded state itself:
-    # it hands that out read-only, so no caller can rewrite later results
+    # counts() returns a new array even when it equals the folded state, with
+    # nothing held or pending, so writing into it changes no later result;
+    # each charge is a 100 x 65 table and a byte per example, 55,000 bytes
+    # against a 1,560,000-byte state, so the eighth charge folds
     n, frequency = 3_000, 3
-    ledger, _ = _ledger_and_reference(n, 2, 0.01, frequency=frequency)
-    ledger.epsilons()                     # queried, so the next refresh folds
-    ledger.update_assignments(np.full(n, 0.5), step=2 * frequency)
+    ledger, want = _ledger_and_reference(n, 8, 0.01, frequency=frequency)
+    assert ledger._rdp is None and len(ledger._held) == 7
+    ledger.update_assignments(np.full(n, 0.5), step=8 * frequency)
     assert ledger._rdp is not None and not ledger._held and not ledger._pending
     before = ledger.epsilons()
     counts = ledger.counts()
-    with pytest.raises(ValueError, match="read-only"):
-        counts[:] = 0.0
-    assert not counts.flags.writeable
+    assert np.array_equal(counts, want) and np.array_equal(ledger._rdp, want)
+    assert counts.flags.writeable and not np.shares_memory(counts, ledger._rdp)
+    counts[:] = 0.0
+    assert np.array_equal(ledger._rdp, want) and np.array_equal(ledger.counts(), want)
     after = ledger.epsilons()
     assert np.array_equal(after[0], before[0]) and np.array_equal(after[1], before[1])
 
 
 def test_repeated_queries_fold_held_charges_once():
-    # a ledger queried during training is being watched: its queries change
-    # nothing, the next refresh folds the held charges once, and from then on
-    # every refresh folds, so no query sums more than the pending charge
+    # a ledger queried after every refresh: its queries change and fold
+    # nothing, and each sums the held charges and the pending steps again;
+    # only the refresh whose charges reach a quarter of the state folds
+    # them, once (55,000-byte charges against a 1,560,000-byte state, so
+    # the eighth charge folds, and the sixteenth would fold again)
     n, frequency = 3_000, 3
     ledger, want = _ledger_and_reference(n, 5, 0.01, frequency=frequency)
     orders, delta = ledger.config.orders, ledger.config.delta
@@ -545,10 +567,13 @@ def test_repeated_queries_fold_held_charges_once():
     assert query() == 5 and ledger._rdp is None       # four held, one pending
     assert query() == 5 and ledger._rdp is None       # summed again, not folded
     rng = np.random.default_rng(8)
-    for r in range(5, 8):
+    folded = None
+    for r in range(5, 12):
         norms = rng.uniform(0.0, 1.5, n)
         ledger.update_assignments(norms, step=r * frequency)
-        assert ledger._rdp is not None and ledger._held == []    # the refresh folded
+        assert len(ledger._held) == r % 8 and (ledger._rdp is None) == (r < 8)
+        folded = ledger._rdp if r == 8 else folded
+        assert ledger._rdp is folded                  # folded at the eighth charge only
         rows = ledger.cache.rows.copy()
         idx = np.searchsorted(ledger.cache.bucket_values,
                               sensitivity_buckets(norms, 1.0, 0.01))
@@ -559,7 +584,7 @@ def test_repeated_queries_fold_held_charges_once():
         with pytest.raises(ValueError, match="delta"):
             ledger.epsilons(1.5)
         assert state() == before
-        assert query() == 1 and query() == 1          # the steps since the refresh
+        assert query() == query() == len(ledger._held) + 1
 
 
 @pytest.mark.parametrize("rounding, n, refreshes", [(0.01, 50_000, 70), (0.0, 4_000, 6)],
@@ -777,11 +802,14 @@ def test_epsilons_equal_the_full_pass_bit_for_bit(two_workers, monkeypatch, orde
         want_eps, want_best = _eps_from_rdp(ledger.counts(), cfg.orders, delta)
         assert np.array_equal(eps, want_eps) and np.array_equal(best, want_best)
 
-    for r in range(2 * refreshes):
+    # a grid charge is 20 x orders x 8 bytes and a byte per example, so with
+    # n <= 150 three charges reach a quarter of the state and fold; an
+    # exactness charge holds one curve per distinct norm, so it folds sooner
+    for r in range(refreshes + 3):
         ledger.update_assignments(rng.gamma(2.0, 0.3, n), step=2 * r)
         ledger.record_step(2 * r)
         if r == refreshes - 1:
-            check()         # held charges, unless already folded; the next refresh folds
+            check()         # only pending steps, or held charges, or a folded state
         ledger.record_step(2 * r + 1)
     assert ledger._rdp is not None
     check()
@@ -889,17 +917,18 @@ def test_a_table_that_dips_takes_the_full_pass(monkeypatch):
     assert len(queries) == 2 and not np.array_equal(pruned[1], want_best)
 
 
-def test_queries_of_a_ledger_whose_table_dips_change_nothing_but_the_mark():
+def test_queries_of_a_ledger_whose_table_dips_change_nothing():
     # the premise of the pruning bound is checked on the tables a query
-    # sums, not recorded by it: with the current table dipped after the last
-    # refresh and steps pending, epsilons, report and counts leave every
-    # attribute of the ledger and its table but _queried as it was
+    # sums, not recorded by it: with a folded state, a held charge, the
+    # current table dipped after the last refresh and steps pending,
+    # epsilons, report and counts leave every attribute of the ledger and
+    # its table as it was
     ledger = _account_large_ledger(3_000)
     orders = ledger.config.orders
     dipped = ledger.cache.rows.copy()
     dipped[:, orders.tolist().index(64)] = 0.0      # order 64 lies between 56 and 128
     ledger.cache.rows = dipped
-    assert ledger._pending and ledger._monotone
+    assert ledger._rdp is not None and ledger._held and ledger._pending and ledger._monotone
 
     def attributes():
         # each by identity and value; an array's value is its bytes, and a
@@ -913,7 +942,6 @@ def test_queries_of_a_ledger_whose_table_dips_change_nothing_but_the_mark():
                     seen[owner, name] = id(value), [id(a) for charge in value for a in charge]
                 else:
                     seen[owner, name] = id(value), value
-        del seen["ledger", "_queried"]
         return seen
 
     before = attributes()

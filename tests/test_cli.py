@@ -153,8 +153,10 @@ def test_simulate_rejects_invalid_values(tmp_path):
     # ids outside the examples used to exit 2 with an IndexError
     ({"track_ids": [5000]}, "track_ids must be a sequence of integers in [0, n = 100)"),
     ({"track_ids": [3, -1]}, "integers in [0, n = 100), got [3, -1]"),
+    # used to exit 1 with numpy's "expected non-negative integer"
+    ({"seed": -1}, "seed must be >= 0, got -1"),
 ], ids=["noise_std_nan", "lr_nan", "n_fraction", "epochs_fraction", "epochs_bool",
-        "track_ids_fraction", "track_ids_above_n", "track_ids_negative"])
+        "track_ids_fraction", "track_ids_above_n", "track_ids_negative", "seed_negative"])
 def test_simulate_rejects_bad_config_values(tmp_path, capsys, fields, message):
     cfg = _sim_config(tmp_path, **fields)
     out = tmp_path / "out"
@@ -410,6 +412,11 @@ def test_account_missing_file(tmp_path):
      "order_x.json: worst_case.order must be an integer >= 2, got 'x'"),
     (["release", "{tmp}/config_list.json"], "config_list.json: config must be an object, got [1]"),
     (["release", "{tmp}/n_true.json"], "n_true.json: n must be an integer >= 1, got True"),
+    # a negative --seed used to fail in numpy, in release after calibrating
+    (["simulate", "--config", "{tmp}/cfg.json", "--seed", "-1"],
+     "cfg.json: seed must be >= 0, got -1"),
+    (["release", "{tmp}/full.json", "--config", "{tmp}/budget.json", "--seed", "-1"],
+     "budget.json: seed must be >= 0, got -1"),
 ], ids=["account_losses", "report", "release", "report_not_json", "release_list",
         "release_no_steps", "report_redacted", "release_redacted", "release_null_epsilon",
         "account_directory", "account_npz_as_jsonl", "report_losses_npz",
@@ -421,7 +428,8 @@ def test_account_missing_file(tmp_path):
         "release_eps_string", "release_orders_short", "release_orders_float",
         "release_orders_one", "release_worst_x", "report_worst_x", "release_worst_null",
         "report_worst_null", "release_steps_many", "release_delta_x", "release_order_x",
-        "release_config_list", "release_n_true"])
+        "release_config_list", "release_n_true", "simulate_negative_seed",
+        "release_negative_seed"])
 def test_missing_or_malformed_input_is_validation_failure(tmp_path, capsys, argv, message):
     sim_out = tmp_path / "sim"
     assert main(["simulate", "--config", _sim_config(tmp_path),

@@ -7,16 +7,16 @@ the refresh that closes it, in refresh order.  A read adds the steps since
 the last refresh last and closes nothing, so the reference does not depend
 on when, or how often, the ledger was read, and every interleaving also
 checks that reads do not change later results.  Steps come one at a time
-or several at once.  Every read must equal the reference bit for bit, and
-the ledger's held bytes must stay under its documented bound.
-A coarse grid (r = C/2, so 2 buckets) at n = 50 makes one charge about
-1.1 KB against a 26 KB state, so runs reach several held charges, the fold
-at a quarter of the state, the fold after a full query and the fold into an
-existing state (a scripted run shows each); exactness mode (r = 0), where
-one charge can be the state's size, is drawn too.  A quiet run reads only
-``counts()`` until its teardown query, so no refresh follows a query and
-its charges pile up to the quarter-size fold.  The scripted run and a shorter
-random one are repeated with every summing pass split across two threads.
+(``record_step``) or several at once (``record_steps``).  Every read must
+equal the reference bit for bit, and the ledger's held charges must stay
+under a quarter of its state, the one rule that folds them.  A coarse grid
+(r = C/2, so 2 buckets) at n = 50 makes one charge about 1.1 KB against a
+26 KB state, so runs reach several held charges, the first fold at a
+quarter of the state, more held charges, and a second fold onto the
+existing state; exactness mode (r = 0), where one charge can be the
+state's size, is drawn too.  Scripted runs show both folds in both modes,
+and they and a shorter random run are repeated with every summing pass
+split across two threads.
 
 The trace properties check that both file formats read back what was
 written, bit for bit, and that replaying a trace read back from disk gives
@@ -62,9 +62,8 @@ _SPECIAL = np.asarray([0.0, 5e-324, CLIP / 2, CLIP, 2.5 * CLIP, 1e300])
 
 class LedgerMachine(RuleBasedStateMachine):
 
-    @initialize(exact=st.booleans(), frequency=st.integers(1, 2), quiet=st.booleans())
-    def build(self, exact, frequency, quiet):
-        self.quiet = quiet
+    @initialize(exact=st.booleans(), frequency=st.integers(1, 2))
+    def build(self, exact, frequency):
         self.config = AccountantConfig(noise_std=1.0, max_clip=CLIP, sampling_prob=0.1,
                                        rounding=0.0 if exact else CLIP / 2,
                                        frequency=frequency)
@@ -105,12 +104,11 @@ class LedgerMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.rows is not None)
     @rule(k=st.integers(2, 6))
     def record_steps(self, k):
-        # several steps in one rule, so random runs reach pending charges
+        # several steps in one call, so random runs reach pending charges
         # long enough that splitting them would round differently
-        for _ in range(k):
-            self.step()
+        self.ledger.record_steps(self.ledger.steps, k)
+        self.pending += k
 
-    @precondition(lambda self: not self.quiet)
     @rule(delta=st.sampled_from([1e-5, 1e-3, 0.1]))
     def epsilons(self, delta):
         eps, best = self.ledger.epsilons(delta)
@@ -124,12 +122,10 @@ class LedgerMachine(RuleBasedStateMachine):
 
     @invariant()
     def memory_bounded(self):
-        # under 1.25 x n x orders x 8 bytes plus one refresh's charge
+        # the held charges stay under a quarter of the state: any more fold
         ledger = self.ledger
-        charges = [table.nbytes + assign.nbytes for table, assign in ledger._held]
-        state = N * self.config.orders.size * 8
-        held = sum(charges) + (state if ledger._rdp is not None else 0)
-        assert held <= 1.25 * state + max(charges, default=0)
+        held = sum(table.nbytes + assign.nbytes for table, assign in ledger._held)
+        assert 4 * held < N * self.config.orders.size * 8
 
     def teardown(self):
         self.epsilons(self.config.delta)
@@ -140,9 +136,10 @@ LedgerMachine.TestCase.settings = settings(max_examples=60, stateful_step_count=
 test_ledger_matches_eager_running_sum = LedgerMachine.TestCase
 
 
-def test_scripted_machine_reaches_every_fold_trigger():
+def test_scripted_machine_folds_twice_in_both_modes():
     # random runs reach the grid's quarter-size fold only now and then, so
-    # one scripted run of the same rules shows that each trigger is reached
+    # scripted runs of the same rules show a first fold and a second one
+    # onto the existing state, in both modes
     _scripted_run()
 
 
@@ -162,29 +159,43 @@ def _scripted_run():
             call()
             machine.memory_bounded()
 
-    quiet = LedgerMachine()
-    quiet.build(exact=False, frequency=1, quiet=True)
-    ledger = quiet.ledger
-    for seed in range(6):
-        run(quiet, lambda: quiet.refresh(seed=seed, special=0.3), quiet.step, quiet.counts)
-        assert ledger._rdp is None and len(ledger._held) == seed     # held charges
-    run(quiet, lambda: quiet.refresh(seed=6, special=0.3))
-    assert ledger._rdp is not None and not ledger._queried           # a quarter of the state
-    run(quiet, quiet.step, lambda: quiet.refresh(seed=7, special=0.3), quiet.step)
-    assert ledger._held == []                                        # into the state
-    quiet.teardown()
+    def refresh(machine, seed):
+        return lambda: machine.refresh(seed=seed, special=0.3)
 
-    watched = LedgerMachine()
-    watched.build(exact=False, frequency=2, quiet=False)
-    ledger = watched.ledger
-    run(watched, lambda: watched.refresh(seed=0, special=0.0), watched.step,
-        lambda: watched.epsilons(1e-5), watched.step, lambda: watched.epsilons(0.1))
-    assert ledger._rdp is None and ledger._held == []                # queries close nothing
-    assert ledger._pending == 2
-    run(watched, lambda: watched.refresh(seed=1, special=1.0))
-    assert ledger._rdp is not None and ledger._held == []            # after a query
-    run(watched, watched.step, watched.counts, lambda: watched.epsilons(0.1))
-    watched.teardown()
+    # grid: five 1,090-byte charges stay held against a 26,000-byte state,
+    # the sixth reaches a quarter of it and folds, and so on
+    grid = LedgerMachine()
+    grid.build(exact=False, frequency=1)
+    ledger = grid.ledger
+    for seed in range(6):
+        run(grid, refresh(grid, seed), grid.step, grid.counts, lambda: grid.epsilons(0.1))
+        assert ledger._rdp is None and len(ledger._held) == seed         # held charges
+    run(grid, refresh(grid, 6))
+    assert ledger._rdp is not None and ledger._held == []               # the first fold
+    state = ledger._rdp
+    for seed in range(7, 12):
+        run(grid, lambda: grid.record_steps(2), refresh(grid, seed), grid.counts,
+            lambda: grid.epsilons(1e-5))
+        assert ledger._rdp is state and len(ledger._held) == seed - 6    # held again
+    run(grid, grid.step, refresh(grid, 12), grid.step)
+    assert ledger._rdp is state and ledger._held == []                  # onto the state
+    grid.teardown()
+
+    # exactness: a charge holds a curve per distinct norm, so it is about the
+    # state's size and folds at the refresh that closes it
+    exact = LedgerMachine()
+    exact.build(exact=True, frequency=2)
+    ledger = exact.ledger
+    run(exact, refresh(exact, 0), exact.step, exact.counts, lambda: exact.epsilons(0.1),
+        exact.step)
+    assert ledger._rdp is None and ledger._held == [] and ledger._pending == 2
+    run(exact, refresh(exact, 1))
+    assert ledger._rdp is not None and ledger._held == []               # the first fold
+    state = ledger._rdp
+    run(exact, lambda: exact.record_steps(2), exact.counts, refresh(exact, 2))
+    assert ledger._rdp is state and ledger._held == []                  # onto the state
+    run(exact, exact.step, lambda: exact.epsilons(1e-3))
+    exact.teardown()
 
 
 # ------------------------------------------------------------- traces ---

@@ -342,6 +342,7 @@ def test_release_config_validation():
         ("quantile_lr", math.inf, "quantile_lr must be finite"),
         ("quantile_steps", 2.0, "quantile_steps must be an integer"),
         ("seed", 1.5, "seed must be an integer"),
+        ("seed", -1, "seed must be >= 0, got -1"),        # used to fail in numpy
         ("quantiles", (0.1, 0.5, 0.5), "quantiles must be distinct"),
     ]:
         with pytest.raises(ValueError, match=message):

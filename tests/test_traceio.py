@@ -6,6 +6,7 @@ from __future__ import annotations
 import io
 import json
 import re
+import time
 import tracemalloc
 import zipfile
 from pathlib import Path
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from idpacct._fileio import atomic_write
-from idpacct.accountant import AccountantConfig, IndividualLedger
+from idpacct.accountant import AccountantConfig, IndividualLedger, worst_case_epsilon
 from idpacct.cli import EXIT_VALIDATION, main
 from idpacct.rdp_math import RdpCurve, rdp_to_dp, sgm_rdp_curve
 from idpacct.traceio import (
@@ -557,6 +558,26 @@ def test_replay_matches_direct_ledger():
     a, _ = replayed.epsilons()
     b, _ = direct.epsilons()
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("steps", [10 ** 6, 10 ** 12])
+def test_replay_records_each_refresh_in_one_call(tmp_path, steps):
+    # a two-line trace whose one refresh covers every step: replay used to
+    # record them one call per step (about 31 hours for 10**12 steps at the
+    # 113 ns a step measured at 10**6), and the example saturated at C is
+    # charged exactly the worst case
+    header = _header(n=2, sampling_prob=0.01, frequency=steps, steps=steps)
+    path = str(tmp_path / "t.jsonl")
+    write_trace(path, header, np.asarray([[0.3, 2.0]]))
+    assert Path(path).stat().st_size < 200
+    start = time.perf_counter()
+    ledger = replay_trace(*read_trace(path))
+    eps, best = ledger.epsilons()
+    assert time.perf_counter() - start < 1.0
+    assert ledger.steps == steps
+    worst, order = worst_case_epsilon(ledger.config, steps, with_order=True)
+    assert eps[1] == worst and best[1] == order
+    assert eps[0] < worst
 
 
 

@@ -649,6 +649,10 @@ class PrivacyReport:
         if np.any(self.epsilons > self.worst_epsilon + 1e-9):
             raise ValueError("per-example epsilon exceeds the worst-case bound")
         self.best_orders = np.asarray(self.best_orders, dtype=np.int64)
+        if self.best_orders.shape != (self.n,):
+            raise ValueError(f"expected {self.n} best orders, got shape {self.best_orders.shape}")
+        if not np.all(self.best_orders >= 2):
+            raise ValueError("an order must be an integer >= 2")
         self.summary = {
             "mean": float(np.mean(self.epsilons)),
             "min": float(np.min(self.epsilons)),

@@ -39,7 +39,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from ._fileio import atomic_open, atomic_write
-from .accountant import AccountantConfig, IndividualLedger, _check_norms
+from .accountant import AccountantConfig, IndividualLedger, _check_norms, worst_case_epsilon
 from .rdp_math import _check_fields
 
 TRACE_VERSION = 2
@@ -70,8 +70,17 @@ class TraceHeader:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
-        # delegates range checks on the shared fields
-        self.to_config()
+        # delegates range checks on the shared fields; a report states the
+        # worst case, so one that is not finite is refused before any work
+        config = self.to_config()
+        try:
+            worst = worst_case_epsilon(config, self.steps)
+        except OverflowError:        # steps past the float64 range
+            worst = math.inf
+        if not math.isfinite(worst):
+            raise ValueError(f"the worst-case epsilon of {self.steps} steps at noise "
+                             f"multiplier noise_std / clip = {self.noise_std / self.clip!r} "
+                             "is not finite")
 
     def to_config(self, delta: float = 1e-5) -> AccountantConfig:
         return AccountantConfig(

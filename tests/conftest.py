@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+import idpacct
 from idpacct import accountant
 
 
@@ -15,6 +19,16 @@ def max_rel_diff(a, b) -> float:
     same = ((a == 0) & (b == 0)) | (np.isinf(a) & np.isinf(b))
     denom = np.where(same, 1.0, np.maximum(np.abs(a), np.abs(b)))
     return float(np.max(np.where(same, 0.0, np.abs(a - b) / denom)))
+
+
+def run_child(argv, cwd=None, timeout=None):
+    """``python argv`` in a child process, for checks of a process property
+    (peak RSS, CPU affinity, wall time) that this process would share.  The
+    child imports the same package as this process, installed or not."""
+    src = os.path.dirname(os.path.dirname(idpacct.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          cwd=cwd, env={**os.environ, "PYTHONPATH": path}, timeout=timeout)
 
 
 @pytest.fixture(scope="session")

@@ -1069,6 +1069,18 @@ def test_report_rejects_epsilon_above_worst_case():
                       n=1, config={})
 
 
+@pytest.mark.parametrize("best_orders, message", [
+    ([2, 2], "expected 3 best orders, got shape (2,)"),
+    ([[2, 2, 2]], "expected 3 best orders, got shape (1, 3)"),
+    ([2, 1, 2], "an order must be an integer >= 2"),
+], ids=["short", "2-d", "order_1"])
+def test_report_rejects_bad_best_orders(best_orders, message):
+    # each used to be accepted; to_json then wrote a file that from_json refuses
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PrivacyReport(epsilons=[1.0] * 3, best_orders=best_orders, worst_epsilon=2.0,
+                      worst_order=2, delta=1e-5, steps=3, n=3, config={})
+
+
 # ----------------------------------------------------- property tests ---
 
 @settings(max_examples=25, deadline=None)

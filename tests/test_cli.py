@@ -7,15 +7,12 @@ import errno
 import io
 import json
 import os
-import subprocess
-import sys
 import tracemalloc
 import zipfile
 
 import numpy as np
 import pytest
 
-import idpacct
 from idpacct import cli
 from idpacct.accountant import PrivacyReport
 from idpacct.cli import (
@@ -28,11 +25,14 @@ from idpacct.cli import (
 )
 from idpacct.traceio import (
     TraceHeader,
+    read_any_trace,
     read_trace,
     write_losses_csv,
     write_trace,
     write_trace_npz,
 )
+
+from conftest import run_child
 
 
 def _write_config(tmp_path, name="cfg.json", **fields):
@@ -51,6 +51,11 @@ def _sim_config(tmp_path, **overrides):
 def _read(path):
     with open(path, "rb") as f:
         return f.read()
+
+
+def _tree(root):
+    """Every path under ``root``, with each file's bytes."""
+    return {p: None if p.is_dir() else _read(p) for p in root.rglob("*")}
 
 
 # ------------------------------------------------------------- simulate ---
@@ -155,8 +160,14 @@ def test_simulate_rejects_invalid_values(tmp_path):
     ({"track_ids": [3, -1]}, "integers in [0, n = 100), got [3, -1]"),
     # used to exit 1 with numpy's "expected non-negative integer"
     ({"seed": -1}, "seed must be >= 0, got -1"),
+    # an infinite worst case used to write a report holding Infinity, then exit 1
+    ({"clip": 1e300, "noise_std": 1.0}, "the worst-case epsilon of 20 steps at noise "
+     "multiplier noise_std / clip = 1e-300 is not finite"),
+    ({"clip": 1.0, "noise_std": 1e-300}, "the worst-case epsilon of 20 steps at noise "
+     "multiplier noise_std / clip = 1e-300 is not finite"),
 ], ids=["noise_std_nan", "lr_nan", "n_fraction", "epochs_fraction", "epochs_bool",
-        "track_ids_fraction", "track_ids_above_n", "track_ids_negative", "seed_negative"])
+        "track_ids_fraction", "track_ids_above_n", "track_ids_negative", "seed_negative",
+        "clip_huge", "noise_std_tiny"])
 def test_simulate_rejects_bad_config_values(tmp_path, capsys, fields, message):
     cfg = _sim_config(tmp_path, **fields)
     out = tmp_path / "out"
@@ -199,19 +210,72 @@ def test_simulate_flag_overrides_config(tmp_path):
 
 # -------------------------------------------------------------- account ---
 
-@pytest.mark.parametrize("trace, flags", [("trace.jsonl", []),
-                                          ("trace.npz", ["--binary-trace"])],
-                         ids=["jsonl", "npz"])
-def test_account_round_trip_reproduces_report(tmp_path, trace, flags):
-    cfg = _sim_config(tmp_path)
-    sim_out, acct_out = tmp_path / "sim", tmp_path / "acct"
-    assert main(["simulate", "--config", cfg, "--out", str(sim_out),
-                 "--unsafe-export-per-example", *flags]) == EXIT_OK
-    assert main(["account", str(sim_out / trace),
-                 "--losses", str(sim_out / "losses.csv"),
-                 "--out", str(acct_out), "--unsafe-export-per-example"]) == EXIT_OK
-    assert (json.loads((sim_out / "report.json").read_text())
-            == json.loads((acct_out / "report.json").read_text()))
+_OFFGRID = {"clip": 1.0, "rounding": 0.03}       # the top bucket is C itself
+_MLP = {"model": "mlp", "hidden": 8, "epochs": 3}
+
+# simulate's config and flags for each pipeline run, at simulate's default
+# shape: each clipping mode and trace format, exactness mode (rounding off),
+# a clip that is not a multiple of the rounding, and the one-hidden-layer MLP
+_PIPELINE = {
+    "jsonl": ({}, []),
+    "npz": ({}, ["--binary-trace"]),
+    "individual": ({}, ["--clipping", "individual"]),
+    "exact": ({}, ["--rounding", "0"]),
+    "offgrid": (_OFFGRID, []),
+    "offgrid_npz": (_OFFGRID, ["--binary-trace"]),
+    "offgrid_individual": (_OFFGRID, ["--clipping", "individual"]),
+    "mlp": (_MLP, []),
+    "mlp_individual_npz": (_MLP, ["--clipping", "individual", "--binary-trace"]),
+}
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """A directory holding, for each _PIPELINE run, simulate's outputs in
+    ``<run>/sim`` and account's from its trace in ``<run>/acct``; then
+    ``rel``, released from the jsonl run's account report, and ``rep``, that
+    report's analysis."""
+    root = tmp_path_factory.mktemp("pipeline")
+    for name, (fields, flags) in _PIPELINE.items():
+        sim = root / name / "sim"
+        assert main(["simulate", "--config", _write_config(root, f"{name}.json", **fields),
+                     "--out", str(sim), "--unsafe-export-per-example", *flags]) == EXIT_OK
+        trace = sim / ("trace.npz" if "--binary-trace" in flags else "trace.jsonl")
+        assert main(["account", str(trace), "--losses", str(sim / "losses.csv"),
+                     "--out", str(root / name / "acct"),
+                     "--unsafe-export-per-example"]) == EXIT_OK
+    report = str(root / "jsonl" / "acct" / "report.json")
+    budget = _write_config(root, "budget.json", epsilon=1.0, bound=40.0)
+    assert main(["release", report, "--config", budget, "--out", str(root / "rel")]) == EXIT_OK
+    assert main(["report", report, "--losses", str(root / "jsonl" / "sim" / "losses.csv"),
+                 "--out", str(root / "rep")]) == EXIT_OK
+    return root
+
+
+@pytest.mark.parametrize("run", list(_PIPELINE))
+def test_account_round_trip_reproduces_report(pipeline, run):
+    # simulate's report is the replay of the trace it wrote, as account's is
+    sim, acct = pipeline / run / "sim", pipeline / run / "acct"
+    assert _read(sim / "report.json") == _read(acct / "report.json")
+
+
+def test_trace_writers_agree_bit_for_bit(pipeline):
+    # the jsonl and npz runs train identically, so their traces must agree
+    (ha, a), (hb, b) = (read_any_trace(str(pipeline / run / "sim" / trace))
+                        for run, trace in (("jsonl", "trace.jsonl"), ("npz", "trace.npz")))
+    assert ha.to_dict() == hb.to_dict()
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_release_of_an_account_report_keeps_its_budget(pipeline):
+    doc = json.loads((pipeline / "rel" / "release.json").read_text())
+    assert doc["version"] == 3
+    assert doc["budget"]["realized_epsilon"] <= doc["budget"]["configured_epsilon"]
+
+
+def test_pipeline_leaves_no_temp_files(pipeline):
+    # every atomic write renamed or removed its temp file
+    assert list(pipeline.rglob(".tmp-*")) == []
 
 
 def test_account_reproduces_report_at_simulate_delta(tmp_path):
@@ -245,6 +309,76 @@ def test_account_saturated_trace_hits_worst_case(tmp_path):
                  "--unsafe-export-per-example"]) == EXIT_OK
     report = PrivacyReport.from_json(str(out / "report.json"))
     assert np.allclose(report.epsilons, report.worst_epsilon, rtol=0, atol=1e-9)
+
+
+def _header_line(**fields) -> str:
+    doc = dict(n=2, clip=1.0, noise_std=1.0, sampling_prob=0.1, frequency=1, rounding=0.01,
+               steps=1)
+    return json.dumps(TraceHeader(**dict(doc, **fields)).to_dict())
+
+
+def test_negative_zero_norm_accounts_as_zero_in_exactness_mode(tmp_path):
+    # with rounding off, -0.0 gets the zero curve of +0.0, not a multiplier of -inf
+    reports = []
+    for z in ("-0.0", "0.0"):
+        trace, out = tmp_path / f"z{z}.jsonl", tmp_path / f"z{z}"
+        trace.write_text(f"{_header_line(rounding=0.0)}\n[{z}, 0.5]\n")
+        assert main(["account", str(trace), "--out", str(out),
+                     "--unsafe-export-per-example"]) == EXIT_OK
+        reports.append(_read(out / "report.json"))
+    assert reports[0] == reports[1]
+
+
+def test_trace_of_10_to_the_12_steps_accounts_through_the_cli(tmp_path):
+    # one refresh covers every step; replay used to record them one call at
+    # a time, about 31 hours here, so a child's timeout fails the test
+    # rather than hanging it
+    (tmp_path / "trace.jsonl").write_text(
+        f"{_header_line(sampling_prob=0.01, frequency=10 ** 12, steps=10 ** 12)}\n[0.3, 2.0]\n")
+    out = run_child(["-m", "idpacct.cli", "account", "trace.jsonl", "--out", "acct"],
+                    cwd=tmp_path, timeout=60)
+    assert out.returncode == EXIT_OK, out.stderr
+    assert (tmp_path / "acct" / "report.json").exists()
+
+
+_CORES_PROBE = """
+import json, os, sys
+import numpy as np
+if sys.argv[1] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from idpacct import accountant
+from idpacct.cli import main
+from idpacct.rdp_math import _eps_from_rdp
+from idpacct.traceio import read_any_trace, replay_trace
+code = main(["account", "trace.npz", "--out", sys.argv[1], "--unsafe-export-per-example"])
+# the pruned query equals the full conversion of every row, bit for bit
+ledger = replay_trace(*read_any_trace("trace.npz"))
+eps, best = ledger.epsilons()
+want_eps, want_best = _eps_from_rdp(ledger.counts(), ledger.config.orders, ledger.config.delta)
+print(json.dumps({"exit": code, "cores": accountant._cores(), "monotone": ledger._monotone,
+                  "full_pass": bool(np.array_equal(eps, want_eps)
+                                    and np.array_equal(best, want_best))}))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+def test_ledger_pass_split_across_cores_matches_a_one_core_run(tmp_path):
+    # n = 200,000 is large enough that the summing pass runs on every core;
+    # the other child may use one core only
+    header = TraceHeader(n=200_000, clip=1.0, noise_std=1.0, sampling_prob=0.01,
+                         frequency=10, rounding=0.01, steps=30)
+    write_trace_npz(str(tmp_path / "trace.npz"), header,
+                    np.random.default_rng(0).gamma(4.0, 0.25, (3, header.n)))
+    seen = {}
+    for cores in ("all", "one"):
+        out = run_child(["-c", _CORES_PROBE, cores], cwd=tmp_path)
+        assert out.returncode == 0, out.stderr
+        seen[cores] = json.loads(out.stdout.splitlines()[-1])
+    assert seen["all"]["cores"] == len(os.sched_getaffinity(0))
+    assert seen["one"]["cores"] == 1
+    for probe in seen.values():
+        assert (probe["exit"], probe["monotone"], probe["full_pass"]) == (EXIT_OK, True, True)
+    assert _read(tmp_path / "all" / "report.json") == _read(tmp_path / "one" / "report.json")
 
 
 def test_account_malformed_trace_reports_line(tmp_path, capsys):
@@ -284,6 +418,8 @@ def test_account_detects_flipped_bit_in_stored_npz(tmp_path, capsys):
     ("clip", float("nan")),
     ("rounding", 1e-9),                  # a 10^9-point grid
     ("noise_std", True),                 # used to account with noise_std 1.0
+    # past a float64, so the worst case is infinite, not an OverflowError
+    pytest.param("steps", 10 ** 400, id="steps-10**400"),
 ])
 def test_account_rejects_bad_header_values(tmp_path, capsys, field, value):
     trace = tmp_path / "t.jsonl"
@@ -376,6 +512,14 @@ def test_account_missing_file(tmp_path):
      "minus_inf.npz: binary trace norms must be finite and >= 0: example 1 in row 6 is -inf"),
     (["account", "{tmp}/negative.npz"],
      "negative.npz: binary trace norms must be finite and >= 0: example 1 in row 6 is -5e-324"),
+    # a header whose worst case is infinite used to account to a report
+    # holding Infinity, which release and report then refused
+    (["account", "{tmp}/inf_worst.jsonl"],
+     "inf_worst.jsonl: line 1: invalid header values: the worst-case epsilon of 20 steps at "
+     "noise multiplier noise_std / clip = 1e-300 is not finite"),
+    (["account", "{tmp}/inf_worst.npz"],
+     "inf_worst.npz: line 1: invalid header values: the worst-case epsilon of 20 steps at "
+     "noise multiplier noise_std / clip = 1e-300 is not finite"),
     # an --out that names a file, or a path through one, used to exit 2
     # with a FileExistsError or a NotADirectoryError
     (["account", "{sim}/trace.jsonl", "--out", "{tmp}/list.json"],
@@ -423,7 +567,8 @@ def test_account_missing_file(tmp_path):
         "simulate_config_latin1", "account_huge_steps", "account_huge_n",
         "account_huge_steps_npz", "account_huge_n_npz", "account_huge_member_npz",
         "account_f4_npz", "account_fortran_npz", "account_truncated_npz", "account_nan_npz",
-        "account_inf_npz", "account_minus_inf_npz", "account_negative_npz", "account_out_file",
+        "account_inf_npz", "account_minus_inf_npz", "account_negative_npz",
+        "account_infinite_worst_case", "account_infinite_worst_case_npz", "account_out_file",
         "simulate_out_under_file", "report_label_float", "report_label_bool",
         "release_eps_string", "release_orders_short", "release_orders_float",
         "release_orders_one", "release_worst_x", "report_worst_x", "release_worst_null",
@@ -490,6 +635,10 @@ def test_missing_or_malformed_input_is_validation_failure(tmp_path, capsys, argv
         bad[-1, 1] = value
         np.savez(tmp_path / f"{name}.npz", norm=bad,
                  header=np.frombuffer(json.dumps(header.to_dict()).encode(), dtype=np.uint8))
+    inf_worst = json.dumps(dict(header.to_dict(), clip=1.0, noise_std=1e-300, rounding=0.01))
+    (tmp_path / "inf_worst.jsonl").write_text(f"{inf_worst}\n{json.dumps(norms[0].tolist())}\n")
+    np.savez(tmp_path / "inf_worst.npz", norm=norms,
+             header=np.frombuffer(inf_worst.encode(), dtype=np.uint8))
     (tmp_path / "npz.jsonl").write_bytes((tmp_path / "trace.npz").read_bytes())
     (tmp_path / "latin1.json").write_bytes('{"seed": "\xe9"}'.encode("latin-1"))
     del doc["steps"]                                      # used to exit 2
@@ -497,8 +646,10 @@ def test_missing_or_malformed_input_is_validation_failure(tmp_path, capsys, argv
     argv = [a.format(sim=sim_out, tmp=tmp_path) for a in argv]
     if "--out" not in argv:
         argv += ["--out", str(tmp_path / "out")]
+    before = _tree(tmp_path)
     assert main(argv) == EXIT_VALIDATION
     assert message.format(tmp=tmp_path) in capsys.readouterr().err
+    assert _tree(tmp_path) == before          # a refused input writes nothing
 
 
 def test_permission_denied_input_names_its_path():
@@ -721,16 +872,8 @@ def test_flag_a_subcommand_does_not_read_is_rejected(tmp_path, capsys, argv, fla
     assert not out.exists()
 
 
-def _run_child(argv, cwd=None):
-    # the child imports the same package as this process, installed or not
-    src = os.path.dirname(os.path.dirname(idpacct.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
-                          cwd=cwd, env={**os.environ, "PYTHONPATH": path})
-
-
 def test_console_entry_point_runs():
-    out = _run_child(["-m", "idpacct.cli", "--help"])
+    out = run_child(["-m", "idpacct.cli", "--help"])
     assert out.returncode == 0
     assert "simulate" in out.stdout and "verify" in out.stdout
 
@@ -760,7 +903,7 @@ def test_pipeline_loads_no_scipy_until_the_quadrature_oracle(tmp_path):
     # quadrature oracle behind `verify` needs it
     _sim_config(tmp_path, n=400)
     _write_config(tmp_path, name="rel.json", epsilon=2.0, bound=40.0)
-    out = _run_child(["-c", _SCIPY_PROBE], cwd=tmp_path)
+    out = run_child(["-c", _SCIPY_PROBE], cwd=tmp_path)
     assert out.returncode == 0, out.stderr
     seen = json.loads(out.stdout.splitlines()[-1])
     assert seen.pop("import") == []

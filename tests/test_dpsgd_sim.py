@@ -28,7 +28,7 @@ from idpacct.dpsgd_sim import (
     train,
 )
 
-from conftest import max_rel_diff
+from conftest import max_rel_diff, run_child
 
 
 # ----------------------------------------------------------- synthetic ---
@@ -391,6 +391,29 @@ def test_exact_reference_memory_bounded_by_block():
     # chunk, and the (m, orders) total with the conversion's copies of it
     bound = 2 * block + 12 * kernel._CHUNK_CELLS * 8 + 4 * norms.shape[1] * orders * 8
     assert peak <= bound
+
+
+_RSS_PROBE = """
+import resource
+import numpy as np
+from idpacct.accountant import AccountantConfig
+from idpacct.dpsgd_sim import exact_reference_accounting
+cfg = AccountantConfig(noise_std=20.0, max_clip=1.0, sampling_prob=0.05, rounding=0.0)
+norms = np.random.default_rng(0).uniform(0.5, 1.0, (1000, 1000))
+assert np.unique(norms).size == norms.size
+eps, _ = exact_reference_accounting(norms, cfg)
+assert np.all(np.isfinite(eps))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
+
+def test_exact_reference_peak_rss_bounded_at_a_million_distinct_cells():
+    # 1,000 steps x 1,000 examples, every norm distinct: one curve table for
+    # all 10^6 cells would take 520 MB on its own; run in a child, whose
+    # peak RSS is this run's alone (Linux reports ru_maxrss in KiB)
+    out = run_child(["-c", _RSS_PROBE])
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout) < 200
 
 
 def test_exact_reference_rejects_bad_input():

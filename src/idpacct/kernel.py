@@ -38,11 +38,14 @@ table has under 2^22 columns, so a direct sum stays below
 would keep it finite).  From the first column that holds a subnormal or
 flushed weight (log w_k below log(tiny) + 1 for an order with k <= a) on,
 the cutoff is 36 nats (below).  The cutoff never rises with k while e_k
-does, so the large terms form a suffix of each row; rows are sorted by
-1/s^2, so within a chunk the rows with a large term at k = a form a
-prefix.  The log-space pass runs once per group, over one (rows x orders x
-columns) slab of e_k + log w_k, where the -inf weights cut each order off
-at k = a.  Any finite multiplier is handled without overflow.
+does, so the large terms form a suffix of each row, and a row holds a
+large term exactly when its last column does.  Rows are sorted by 1/s^2,
+largest first, so within a chunk those rows are a prefix of p rows, and
+only they are masked: the rows from p on take one plain expm1.  All
+groups' sums take one log1p per chunk.  The log-space pass, skipped when
+p = 0, runs once per group over the first p rows at most, in one (rows x
+orders x columns) slab of e_k + log w_k, where the -inf weights cut each
+order off at k = a.  Any finite multiplier is handled without overflow.
 
 Each (row, order) sum of large terms is shifted by its largest term, which
 then contributes exactly 1, and every shifted term below -700 is raised to
@@ -66,6 +69,15 @@ ulp of w_k relative, and so is its direct term at any e_k up to 600.
 A table holds orders x (largest order - 1) cells per (q, orders).  A grid
 over 2^22 cells (32 MB per table) is rejected with ValueError; q = 0 and
 q = 1 need no table and take any grid.
+
+Memory bound.  Beyond its output, one call allocates one chunk's
+workspace, which every chunk reuses: e_k and its expm1, each rows x
+(largest order - 1) float64, with rows = min(live rows, 2^17 / (largest
+order - 1)); the rows x orders sums; one float64 slab of rows x the
+largest (orders in a group x (its largest order - 1)); and the bool mask
+of the first p rows.  On the default grid that is 514 rows and 4.3 MB.
+Add O(n) per-row vectors (1/s^2, the row order) and a few rows x (orders
+in a group) arrays while a group is summed.
 """
 
 from __future__ import annotations
@@ -147,8 +159,10 @@ def sgm_rdp_matrix(q: float, noise_multipliers, orders) -> np.ndarray:
     alphas = np.asarray(orders)
     if alphas.ndim != 1:
         raise ValueError("orders must be one-dimensional")
+    # a non-finite order, or one outside int64, is refused here rather than
+    # by the cast to int64
     if not np.issubdtype(alphas.dtype, np.integer):
-        if not np.all(alphas == np.floor(alphas)):
+        if not np.all((alphas == np.floor(alphas)) & (np.abs(alphas) < 2.0 ** 63)):
             raise ValueError("orders must be integers")
         alphas = alphas.astype(np.int64)
     if np.any(alphas < 2):
@@ -172,35 +186,54 @@ def sgm_rdp_matrix(q: float, noise_multipliers, orders) -> np.ndarray:
     live = np.flatnonzero(x > 0.0)
     if live.size == 0:
         return out
-    # largest x first: within a chunk the rows with a large term at k = a
-    # then form a prefix
+    # largest x first: within a chunk the rows with a large term then form
+    # a prefix
     live = live[np.argsort(-x[live], kind="stable")]
     kk, log_w, w_t, cut, denom, groups = _order_tables(q, tuple(alphas.tolist()))
 
-    rows = max(1, _CHUNK_CELLS // kk.shape[0])
+    # one workspace per call, sized to one chunk (module docstring)
+    rows = min(live.shape[0], max(1, _CHUNK_CELLS // kk.shape[0]))
+    e_buf = np.empty((rows, kk.shape[0]))
+    em_buf = np.empty((rows, kk.shape[0]))
+    res_buf = np.empty((rows, denom.shape[0]))
+    slab_buf = np.empty(rows * max((j1 - j0) * (c_hi + 1) for j0, j1, c_hi in groups))
+    c_his = np.asarray([c_hi for _, _, c_hi in groups])
     # e overflowing to inf, inf - inf and log(0) below all have their intended limits
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for lo in range(0, live.shape[0], rows):
             idx = live[lo:lo + rows]
-            e = x[idx, None] * kk
-            small = e <= cut
-            n_small = np.count_nonzero(small, axis=1)   # e rises with k
-            em = np.expm1(e, out=np.zeros_like(e), where=small)
-            k0 = int(n_small[0])
-            has_inf = e[0, -1] == np.inf                # the chunk's largest term
-            np.copyto(e, -np.inf, where=small)          # e now holds the large terms only
-            res = np.empty((idx.shape[0], denom.shape[0]))
+            n_rows = idx.shape[0]
+            e, em, res = e_buf[:n_rows], em_buf[:n_rows], res_buf[:n_rows]
+            np.multiply(x[idx, None], kk, out=e)
+            # a row holds a large term exactly when its last column does
+            # (the large terms are a suffix), and those rows come first
+            p = int(np.count_nonzero(e[:, -1] > cut[-1]))
+            np.expm1(e[p:], out=em[p:])
+            nbs = ()                                    # p = 0: no log-space pass
+            if p:
+                small = e[:p] <= cut
+                n_small = np.count_nonzero(small, axis=1)   # e rises with k
+                em[:p] = 0.0
+                np.expm1(e[:p], out=em[:p], where=small)
+                k0 = int(n_small[0])
+                has_inf = e[0, -1] == np.inf            # the chunk's largest term
+                np.copyto(e[:p], -np.inf, where=small)  # e[:p] now holds the large terms only
+                # rows from p on have no large term, so every nb <= p
+                nbs = np.searchsorted(n_small, c_his, side="right").tolist()
             for j0, j1, c_hi in groups:
-                r = res[:, j0:j1]
-                np.matmul(em[:, :c_hi + 1], w_t[:c_hi + 1, j0:j1], out=r)
-                np.log1p(r, out=r)
-                nb = int(np.searchsorted(n_small, c_hi, side="right"))
+                np.matmul(em[:, :c_hi + 1], w_t[:c_hi + 1, j0:j1], out=res[:, j0:j1])
+            np.log1p(res, out=res)
+            for (j0, j1, c_hi), nb in zip(groups, nbs):
                 if nb == 0:
                     continue
-                # e = +inf past k = a gives inf + (-inf) = nan: no term there
-                log_t = e[:nb, None, k0:c_hi + 1] + log_w[j0:j1, k0:c_hi + 1]
+                r = res[:nb, j0:j1]
+                log_t = slab_buf[:nb * (j1 - j0) * (c_hi + 1 - k0)].reshape(
+                    nb, j1 - j0, c_hi + 1 - k0)
+                np.add(e[:nb, None, k0:c_hi + 1], log_w[j0:j1, k0:c_hi + 1], out=log_t)
                 if has_inf:
-                    log_t[np.isnan(log_t)] = -np.inf
+                    # e = +inf past k = a gives inf + (-inf) = nan: no term
+                    # there.  fmax turns nan into -inf and keeps every other value
+                    np.fmax(log_t, -np.inf, out=log_t)
                 # the max is -inf for an order with no large term in the row,
                 # or +inf where e overflowed; shifting by 0 there instead
                 # gives l_big = -inf (set below), or log(inf) = +inf
@@ -213,6 +246,7 @@ def sgm_rdp_matrix(q: float, noise_multipliers, orders) -> np.ndarray:
                 np.exp(log_t, out=log_t)
                 l_big = m[:, :, 0] + np.log(np.sum(log_t, axis=2))
                 l_big[no_large] = -np.inf
-                r[:nb] = np.logaddexp(r[:nb], l_big)
-            out[idx] = res / denom
+                np.logaddexp(r, l_big, out=r)
+            np.divide(res, denom, out=res)
+            out[idx] = res
     return out

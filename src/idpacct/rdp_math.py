@@ -38,8 +38,10 @@ def _check_orders(orders) -> np.ndarray:
     a = np.asarray(orders)
     if a.ndim != 1 or a.size == 0:
         raise ValueError("order grid must be a non-empty 1-D sequence")
+    # a non-finite order, or one outside int64, is refused here rather than
+    # by the cast to int64
     if not np.issubdtype(a.dtype, np.integer):
-        if not np.all(a == np.floor(a)):
+        if not np.all((a == np.floor(a)) & (np.abs(a) < 2.0 ** 63)):
             raise ValueError("order grid must contain integers")
     a = a.astype(np.int64)
     if np.any(a < 2):

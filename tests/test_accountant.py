@@ -7,6 +7,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -171,6 +172,16 @@ def test_config_validation():
             _config(**{name: True})
     assert len(BucketCache(_config(rounding=0.01))) == 100
     assert len(BucketCache(_config(rounding=0.0))) == 0
+
+
+@pytest.mark.parametrize("orders", [[2, 2 ** 70], [2.0, math.inf], [2.0, 1e20]],
+                         ids=["2**70", "inf", "1e20"])
+def test_config_rejects_orders_beyond_int64(orders):
+    # refused before the cast to int64, which would overflow or warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="order grid must contain integers"):
+            _config(orders=orders)
 
 
 def test_config_dict_round_trip():

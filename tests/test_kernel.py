@@ -176,6 +176,110 @@ def test_batch_matches_single_row_calls(rng):
     assert np.all(got[tiny] == np.inf) and np.all(single[tiny] == np.inf)
 
 
+def _masked_reference(q, sigmas, orders):
+    """The kernel's chunk loop with every row of every chunk masked, fresh
+    arrays per chunk and one log1p per group: the reference the prefix
+    split must match bit for bit.  For 0 < q < 1 and a valid grid only."""
+    sig = np.asarray(sigmas, dtype=np.float64)
+    out = np.zeros((sig.shape[0], len(orders)))
+    with np.errstate(divide="ignore", over="ignore"):
+        x = 1.0 / (sig * sig)
+    live = np.flatnonzero(x > 0.0)
+    live = live[np.argsort(-x[live], kind="stable")]
+    kk, log_w, w_t, cut, denom, groups = kernel._order_tables(q, tuple(orders))
+    rows = max(1, kernel._CHUNK_CELLS // kk.shape[0])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for lo in range(0, live.shape[0], rows):
+            idx = live[lo:lo + rows]
+            e = x[idx, None] * kk
+            small = e <= cut
+            n_small = np.count_nonzero(small, axis=1)
+            em = np.expm1(e, out=np.zeros_like(e), where=small)
+            k0 = int(n_small[0])
+            has_inf = e[0, -1] == np.inf
+            np.copyto(e, -np.inf, where=small)
+            res = np.empty((idx.shape[0], denom.shape[0]))
+            for j0, j1, c_hi in groups:
+                r = res[:, j0:j1]
+                np.matmul(em[:, :c_hi + 1], w_t[:c_hi + 1, j0:j1], out=r)
+                np.log1p(r, out=r)
+                nb = int(np.searchsorted(n_small, c_hi, side="right"))
+                if nb == 0:
+                    continue
+                log_t = e[:nb, None, k0:c_hi + 1] + log_w[j0:j1, k0:c_hi + 1]
+                if has_inf:
+                    log_t[np.isnan(log_t)] = -np.inf
+                m = np.max(log_t, axis=2, keepdims=True)
+                no_large = m[:, :, 0] == -np.inf
+                m[~np.isfinite(m)] = 0.0
+                log_t -= m
+                np.maximum(log_t, kernel._LOG_FLOOR, out=log_t)
+                np.exp(log_t, out=log_t)
+                l_big = m[:, :, 0] + np.log(np.sum(log_t, axis=2))
+                l_big[no_large] = -np.inf
+                r[:nb] = np.logaddexp(r[:nb], l_big)
+            out[idx] = res / denom
+    return out
+
+
+_DEFAULT = tuple(default_orders().tolist())
+_CHUNK_ROWS = kernel._CHUNK_CELLS // (max(_DEFAULT) - 1)
+
+
+@pytest.mark.parametrize("q, sigmas, large_rows", [
+    (0.1, np.geomspace(8.0, 300.0, 50), "none"),
+    (0.1, np.geomspace(0.05, 1.0, 50), "all"),
+    (1e-150, np.concatenate([np.geomspace(0.02, 300.0, 200), [np.inf, 1e-200]]), "some"),
+    (1 - 1e-9, np.concatenate([np.geomspace(0.02, 300.0, 200), [np.inf, 1e-200]]), "some"),
+    (0.1, np.geomspace(0.02, 300.0, 3 * _CHUNK_ROWS + 17), "some"),
+], ids=["no_large_term", "only_large_terms", "mixed_q_tiny", "mixed_q_near_1",
+        "three_chunks"])
+def test_prefix_split_matches_masking_every_row(q, sigmas, large_rows, rng):
+    # the kernel masks only the rows that hold a large term (a prefix of
+    # each chunk); masking every row must give the same bits
+    sigmas = rng.permutation(sigmas)
+    tables = kernel._order_tables(q, _DEFAULT)
+    with np.errstate(divide="ignore", over="ignore"):
+        last = tables.kk[-1] / (sigmas * sigmas)
+    held = np.count_nonzero(last > tables.cut[-1])
+    if large_rows == "none":
+        assert held == 0
+    elif large_rows == "all":
+        assert held == sigmas.size
+    else:
+        assert 0 < held < sigmas.size
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sgm_rdp_matrix(q, sigmas, _DEFAULT)
+        want = _masked_reference(q, sigmas, _DEFAULT)
+    assert np.array_equal(got, want)
+
+
+def test_call_memory_bounded_by_one_chunk_workspace():
+    # the bound the kernel module docstring states: beyond its output, one
+    # chunk's workspace plus O(n) per-row vectors, however many chunks
+    q, orders = 0.1, _DEFAULT
+    groups = kernel._order_tables(q, orders).groups
+    sgm_rdp_matrix(q, [1.0], orders)        # build the cached tables first
+    n_k, rows = max(orders) - 1, _CHUNK_ROWS
+    workspace = rows * (2 * n_k * 8 + len(orders) * 8 + n_k
+                        + max((j1 - j0) * (c_hi + 1) for j0, j1, c_hi in groups) * 8)
+    extra = {}
+    for n in (2_000, 20_000):
+        sigmas = np.geomspace(0.05, 50.0, n)    # n distinct multipliers
+        tracemalloc.start()
+        try:
+            out = sgm_rdp_matrix(q, sigmas, orders)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra[n] = peak - out.nbytes
+        # a few (rows x group orders) arrays per group, and per-row vectors
+        assert extra[n] <= workspace + 8 * rows * kernel._GROUP_SPAN * 8 + 4 * 8 * n, n
+    # the same workspace at both sizes: only the per-row vectors grow
+    assert extra[20_000] - extra[2_000] <= 4 * 8 * 18_000
+
+
 @pytest.mark.parametrize("q", [1e-4, 0.1, 0.9])
 @pytest.mark.parametrize("orders", [default_orders(), np.asarray([256, 2, 64, 3, 65, 128, 5])],
                          ids=["default", "unsorted"])
@@ -334,10 +438,27 @@ def test_full_sampling_reduces_to_gaussian():
     lambda: sgm_rdp_matrix(np.bool_(False), np.asarray([1.0]), np.asarray([2])),
     lambda: sgm_rdp_matrix(np.asarray([0.5]), np.asarray([1.0]), np.asarray([2])),
     lambda: sgm_rdp_matrix([0.1, 0.2], np.asarray([1.0]), np.asarray([2])),
+    # not finite or outside int64: refused before the cast to int64
+    lambda: sgm_rdp_matrix(0.5, np.asarray([1.0]), [2.0, np.inf]),
+    lambda: sgm_rdp_matrix(0.5, np.asarray([1.0]), [2.0, 1e20]),
+    lambda: sgm_rdp_matrix(0.5, np.asarray([1.0]), [2, 2 ** 63]),
+    lambda: sgm_rdp_matrix(0.5, np.asarray([1.0]), [2, 2 ** 70]),
 ])
 def test_rejects_bad_inputs(bad_call):
-    with pytest.raises((ValueError, TypeError)):
-        bad_call()
+    # a precise error, with no RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises((ValueError, TypeError)):
+            bad_call()
+
+
+@pytest.mark.parametrize("orders", [[2.0, np.inf], [2.0, np.nan], [2.0, 1e20], [2.0, -1e20],
+                                    [2, 2 ** 63], [2, 2 ** 70]])
+def test_orders_beyond_int64_are_not_integers(orders):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="orders must be integers$"):
+            sgm_rdp_matrix(0.1, [1.0], orders)
 
 
 @settings(max_examples=60, deadline=None)

@@ -439,7 +439,21 @@ class IndividualLedger:
         summed sees the same takes and adds as in a full pass, and the
         smallest order wins ties, so each row's result is the same bit for
         bit and depends only on its own charges, though which orders are
-        summed depends on its group."""
+        summed depends on its group.
+
+        Memory bound.  Beyond its two n-length outputs, a query allocates
+        once each summed table cut to the coarse orders, the pending steps'
+        table, and the conversion terms tiled over one coarse block
+        ((coarse orders + 1) x _COARSE_BLOCK float64).  Each worker adds
+        its three float64 block buffers and its bool buffer (max(coarse
+        orders x _COARSE_BLOCK, _GROUP_CELLS) cells each, the third
+        _GROUP_CELLS), each summed table cut to one group's orders (two
+        groups' while the next cut is made), and row indices and per-block
+        vectors of at most _GROUP_CELLS + 8 x _COARSE_BLOCK int64 or
+        float64.  In grid mode,
+        where a table has a row per bucket, none of it grows with n: at
+        n = 50,000 with 100 buckets a query allocates 1.9 MB with 3 tables
+        summed and 2.5 MB with 41."""
         delta = self.config.delta if delta is None else delta
         if not 0.0 < delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {delta}")

@@ -357,12 +357,12 @@ def train(config: SimConfig, dataset: Optional[Dataset] = None) -> TrainOutput:
 
 
 # (step, example) cells the exact reference curves at once.  A block holds
-# its curve table and its gathered rows, each at most 4.3 MB at 65 orders.
-# Since the kernel reuses one workspace per call, half this size is no
-# slower on a 2-core host: level at 1,000 steps x 500 examples (2.08
-# against 2.06 s, medians of 5) and 6-13% faster at 60 x 400 (two rounds,
-# medians of 25).  The size stays: it sets which multipliers share a call
-_REFERENCE_BLOCK_CELLS = 8192
+# its curve table and its gathered rows, each at most 2.1 MB at 65 orders.
+# Since the kernel reuses one workspace per call, this size is no slower
+# than twice it on a 2-core host, at about half the traced peak: 0.048
+# against 0.050 s at 60 steps x 400 examples, 0.46 against 0.48 s at
+# 1,000 x 500 (medians of alternated calls).
+_REFERENCE_BLOCK_CELLS = 4096
 
 
 def exact_reference_accounting(norms: np.ndarray, config: AccountantConfig):
@@ -375,9 +375,16 @@ def exact_reference_accounting(norms: np.ndarray, config: AccountantConfig):
     the full-matrix input).  Examples are taken in blocks of about
     ``_REFERENCE_BLOCK_CELLS`` cells, at least one example each; each
     distinct noise multiplier in a block has its curve computed once, and
-    every example's curves are summed in step order.  So memory beyond the
-    input is O(m x orders) for the RDP total plus one block's curves and
-    gathered rows, whatever the number of steps x examples.
+    every example's curves are summed in step order.
+
+    Memory bound.  Beyond its input, the (m x orders) total and the
+    conversion's copies of that total, the reference holds one block's
+    curve table and, on top of it, the larger of one kernel call's
+    workspace (4.3 MB on the default grid; see the ``kernel`` module
+    docstring) and one block's gathered rows.  A block holds at most
+    max(steps, ``_REFERENCE_BLOCK_CELLS``) cells, so the table and the
+    gathered rows each take at most that many float64 rows of orders:
+    2.1 MB on the default grid up to 4,096 steps, however many examples.
     """
     norms = np.asarray(norms, dtype=np.float64)
     if norms.ndim != 2 or norms.shape[0] < 1:
@@ -395,6 +402,7 @@ def exact_reference_accounting(norms: np.ndarray, config: AccountantConfig):
         rows = sgm_rdp_matrix(config.sampling_prob, uniq, config.orders)
         # a reduction over the outer axis adds the steps one by one, in order
         np.sum(rows[inv.reshape(z.shape)], axis=0, out=rdp[lo:lo + width])
+        del rows        # before the next block's kernel call allocates its own
     return _eps_from_rdp(rdp, config.orders, config.delta)
 
 

@@ -179,6 +179,10 @@ def read_trace(path: str) -> tuple[TraceHeader, np.ndarray]:
     the row's step.  A header whose matrix cannot fit in the rest of the
     file (every norm takes at least two bytes: a digit and a comma or
     bracket) is refused before the matrix is allocated.
+
+    Memory bound: beyond the matrix, a read holds one row's text and the
+    Python floats it parses to, about 62 bytes per example, plus a few
+    tens of KB of file buffers.
     """
     with open(path) as f:
         first = f.readline()
@@ -248,6 +252,14 @@ def _load_member(z: np.lib.npyio.NpzFile, key: str, dtype: str,
 
 
 def read_trace_npz(path: str) -> tuple[TraceHeader, np.ndarray]:
+    """Parse and validate a binary trace, as ``read_trace`` does a
+    JSON-Lines one; each member is checked before it is allocated
+    (``_load_member``).
+
+    Memory bound: beyond the matrix, a read allocates under 1 MB, since
+    numpy reads an archive member in chunks of 256 KB, each copied into
+    the matrix.
+    """
     try:
         z = np.load(path)
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:

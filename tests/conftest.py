@@ -4,12 +4,13 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import idpacct
-from idpacct import accountant
+from idpacct import accountant, kernel
 
 
 def max_rel_diff(a, b) -> float:
@@ -29,6 +30,31 @@ def run_child(argv, cwd=None, timeout=None):
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
                           cwd=cwd, env={**os.environ, "PYTHONPATH": path}, timeout=timeout)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` under tracemalloc: its result, and the peak
+    of traced bytes above what was traced on entry."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def kernel_call_bound(q, orders, n) -> int:
+    """Bytes one kernel call over n distinct multipliers may allocate beyond
+    its output, as the ``kernel`` module docstring states: one chunk's
+    workspace, a few (rows x orders in a group) arrays while a group is
+    summed, and per-row vectors."""
+    groups = kernel._order_tables(q, tuple(np.asarray(orders).tolist())).groups
+    n_k = max(orders) - 1
+    rows = kernel._CHUNK_CELLS // n_k
+    workspace = rows * (2 * n_k * 8 + len(orders) * 8 + n_k
+                        + max((j1 - j0) * (c_hi + 1) for j0, j1, c_hi in groups) * 8)
+    return workspace + 8 * rows * kernel._GROUP_SPAN * 8 + 4 * 8 * n
 
 
 @pytest.fixture(scope="session")

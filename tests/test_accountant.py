@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -44,6 +43,8 @@ from idpacct.rdp_math import (
     sgm_rdp_curve,
 )
 from idpacct.traceio import TraceHeader, replay_trace
+
+from conftest import traced_peak
 
 
 def _config(**overrides) -> AccountantConfig:
@@ -609,16 +610,17 @@ def test_ledger_memory_bounded_by_fold_point(rounding, n, refreshes):
 
     def peak_bytes(refreshes):
         ledger = IndividualLedger(n, cfg)
-        tracemalloc.start()
-        try:
+
+        def run():
             for r in range(refreshes):
                 ledger.update_assignments(norms[r], step=2 * r)
                 ledger.record_step(2 * r)
                 ledger.record_step(2 * r + 1)
             ledger.epsilons()
-            return tracemalloc.get_traced_memory()[1], ledger._rdp is not None
-        finally:
-            tracemalloc.stop()
+            return ledger._rdp is not None
+
+        folded, peak = traced_peak(run)
+        return peak, folded
 
     one, _ = peak_bytes(1)
     if rounding:
@@ -632,6 +634,32 @@ def test_ledger_memory_bounded_by_fold_point(rounding, n, refreshes):
         # replaces remain, where each charge left held would add another
         long, folded = peak_bytes(refreshes)
         assert folded and long <= 2 * state + one
+
+
+@pytest.mark.parametrize("held", [2, 40])
+def test_query_memory_bounded_by_block_buffers_and_tables(held):
+    # the bound the epsilons() docstring states for a grid-mode query: its
+    # buffers and the summed tables' cuts, whatever n; a sum of all rows at
+    # every order, as counts() makes, would take 26 MB here
+    n, cfg = 50_000, _config()
+    norms = np.random.default_rng(7).uniform(0.0, 1.5, (held + 1, n))
+    ledger = IndividualLedger(n, cfg)
+    for r in range(held + 1):
+        ledger.update_assignments(norms[r], step=r)
+        ledger.record_step(r)
+    charges, _ = ledger._charges()          # the held tables, then the pending one
+    assert len(charges) == held + 1 and ledger._rdp is None
+    assert n < 2 * accountant._WORKER_ROWS    # one worker
+    (eps, best), peak = traced_peak(ledger.epsilons)
+    orders, coarse = cfg.orders.size, ledger._coarse.size
+    block, group = accountant._COARSE_BLOCK, accountant._GROUP_CELLS
+    cells = max(coarse * block, group)
+    # each table cut to the coarse orders, and to two groups' orders at most
+    tables = sum(table.shape[0] for table, _ in charges) * (coarse + 2 * orders) * 8
+    pending = charges[-1][0].nbytes
+    tile = (coarse + 1) * block * 8
+    worker = (2 * cells + group) * 8 + cells + (group + 8 * block) * 8
+    assert peak - eps.nbytes - best.nbytes <= tables + pending + tile + worker
 
 
 # ------------------------------------------------------------ epsilon ---

@@ -7,7 +7,6 @@ import errno
 import io
 import json
 import os
-import tracemalloc
 import zipfile
 
 import numpy as np
@@ -32,7 +31,7 @@ from idpacct.traceio import (
     write_trace_npz,
 )
 
-from conftest import run_child
+from conftest import run_child, traced_peak
 
 
 def _write_config(tmp_path, name="cfg.json", **fields):
@@ -131,12 +130,7 @@ def test_simulate_rejects_oversized_order_grid(tmp_path, capsys):
     # (test_kernel covers the kernel's own cap on table size)
     cfg = _sim_config(tmp_path, orders=[2, 100_000_000])
     out = tmp_path / "out"
-    tracemalloc.start()
-    try:
-        code = main(["simulate", "--config", cfg, "--out", str(out)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(main, ["simulate", "--config", cfg, "--out", str(out)])
     assert code == EXIT_VALIDATION
     assert "unknown config keys ['orders']" in capsys.readouterr().err
     assert peak < 16 << 20

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import functools
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,7 +17,7 @@ from idpacct import kernel
 from idpacct.kernel import sgm_rdp_matrix
 from idpacct.rdp_math import default_orders
 
-from conftest import max_rel_diff
+from conftest import kernel_call_bound, max_rel_diff, traced_peak
 
 # 60-digit arbitrary-precision evaluations of
 #   rho_alpha = log(sum_k C(alpha,k) (1-q)^(alpha-k) q^k e^{k(k-1)/(2 s^2)})
@@ -259,23 +258,14 @@ def test_call_memory_bounded_by_one_chunk_workspace():
     # the bound the kernel module docstring states: beyond its output, one
     # chunk's workspace plus O(n) per-row vectors, however many chunks
     q, orders = 0.1, _DEFAULT
-    groups = kernel._order_tables(q, orders).groups
     sgm_rdp_matrix(q, [1.0], orders)        # build the cached tables first
-    n_k, rows = max(orders) - 1, _CHUNK_ROWS
-    workspace = rows * (2 * n_k * 8 + len(orders) * 8 + n_k
-                        + max((j1 - j0) * (c_hi + 1) for j0, j1, c_hi in groups) * 8)
     extra = {}
     for n in (2_000, 20_000):
         sigmas = np.geomspace(0.05, 50.0, n)    # n distinct multipliers
-        tracemalloc.start()
-        try:
-            out = sgm_rdp_matrix(q, sigmas, orders)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(sgm_rdp_matrix, q, sigmas, orders)
         extra[n] = peak - out.nbytes
         # a few (rows x group orders) arrays per group, and per-row vectors
-        assert extra[n] <= workspace + 8 * rows * kernel._GROUP_SPAN * 8 + 4 * 8 * n, n
+        assert extra[n] <= kernel_call_bound(q, orders, n), n
     # the same workspace at both sizes: only the per-row vectors grow
     assert extra[20_000] - extra[2_000] <= 4 * 8 * 18_000
 
@@ -400,14 +390,12 @@ def test_terms_far_below_the_maximum_do_not_move_rho(q, sigma, alpha):
 def test_oversized_order_grid_rejected_before_allocating():
     # the per-(q, orders) tables hold orders x (largest order - 1) cells
     cap = kernel._MAX_TABLE_CELLS
-    tracemalloc.start()
-    try:
+
+    def oversized():
         with pytest.raises(ValueError, match=r"2 orders x 100000001 binomial terms"):
             sgm_rdp_matrix(0.01, [1.0], [2, 100_000_002])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+
+    assert traced_peak(oversized)[1] < 1 << 20
     with pytest.raises(ValueError, match=rf"2 orders x {cap // 2 + 1} binomial terms"):
         sgm_rdp_matrix(0.01, [1.0], [2, cap // 2 + 2])
     with pytest.raises(ValueError, match=r"2999 orders x 2999 binomial terms"):

@@ -7,7 +7,6 @@ import io
 import json
 import re
 import time
-import tracemalloc
 import zipfile
 from pathlib import Path
 
@@ -31,6 +30,8 @@ from idpacct.traceio import (
     write_trace,
     write_trace_npz,
 )
+
+from conftest import traced_peak
 
 
 def _header(**overrides) -> TraceHeader:
@@ -230,15 +231,28 @@ def test_trace_writer_memory_is_bounded(tmp_path, writer, reader, n, bound):
     header = _header(n=n, steps=64, frequency=1)
     norms = _norms(header, seed=6)
     path = str(tmp_path / "t")
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        writer(path, header, norms)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(writer, path, header, norms)
     assert peak < bound * norms.nbytes, peak / norms.nbytes
     assert np.array_equal(reader(path)[1], norms)
+
+
+@pytest.mark.parametrize("writer, reader, n, refreshes, per_example, constant", [
+    (write_trace_npz, read_trace_npz, 20_000, 20, 0, 1 << 20),
+    (write_trace_npz, read_trace_npz, 50_000, 10, 0, 1 << 20),
+    # tracemalloc traces every Python float: keep the text case small
+    (write_trace, read_trace, 2_000, 64, 64, 32 << 10),
+], ids=["npz-20k", "npz-50k", "jsonl"])
+def test_trace_reader_memory_is_bounded(tmp_path, writer, reader, n, refreshes,
+                                        per_example, constant):
+    # the bounds the readers' docstrings state: beyond the matrix, under
+    # 1 MB for npz, and one row's text and floats for JSON-Lines
+    header = _header(n=n, steps=refreshes, frequency=1)
+    norms = _norms(header, seed=6)
+    path = str(tmp_path / "t")
+    writer(path, header, norms)
+    (_, got), peak = traced_peak(reader, path)
+    assert np.array_equal(got, norms)
+    assert peak - got.nbytes <= per_example * n + constant, (peak - got.nbytes) / n
 
 
 # -------------------------------------------------------- atomic writes ---

@@ -1,4 +1,4 @@
-"""Command-line pipeline: simulate / account / report / release / verify.
+"""Command-line pipeline: simulate / account / release / verify.
 
 Exit codes: 0 success, 1 validation failure, 2 runtime failure,
 3 verification failure.
@@ -134,7 +134,6 @@ def cmd_simulate(args) -> int:
     report = out.ledger.report(group_labels=dataset.groups)
     report.to_json(_out_path(args, "report.json"),
                    unsafe_export_per_example=args.unsafe_export_per_example)
-    _write_analysis_outputs(args, report, out.losses, dataset.groups)
     print(json.dumps({"steps": out.steps, "n": config.n,
                       "worst_epsilon": report.worst_epsilon,
                       "mean_epsilon": report.summary["mean"],
@@ -155,24 +154,12 @@ def cmd_account(args) -> int:
     report = ledger.report(group_labels=labels)
     report.to_json(_out_path(args, "report.json"),
                    unsafe_export_per_example=args.unsafe_export_per_example)
+    if args.losses:
+        _write_analysis_outputs(args, report, losses, labels)
     print(json.dumps({"steps": report.steps, "n": report.n,
                       "worst_epsilon": report.worst_epsilon,
                       "mean_epsilon": report.summary["mean"],
                       "delta": report.delta}))
-    return EXIT_OK
-
-
-def cmd_report(args) -> int:
-    report = _read_input(PrivacyReport.from_json, args.report)
-    losses, groups = _read_input(traceio.read_losses_csv, args.losses)
-    if losses.size != report.n:
-        raise ValidationFailure(
-            f"{args.losses}: losses file has {losses.size} rows but the report "
-            f"covers {report.n}")
-    if groups is None and report.group_labels is not None:
-        groups = report.group_labels
-    _write_analysis_outputs(args, report, losses, groups)
-    print(json.dumps({"n": report.n, "out": args.out}))
     return EXIT_OK
 
 
@@ -216,13 +203,11 @@ def _suite_adaptive() -> dict:
     return {"pass": bool(worst <= 1e-12), "max_abs_diff": worst, "tolerance": 1e-12}
 
 
-def _suite_sim(corrupt_cache: bool = False) -> dict:
+def _suite_sim() -> dict:
     config = SimConfig(n=120, d=8, epochs=3, sampling_prob=0.1, noise_std=0.8,
                        clip=1.0, rounding=0.0, gamma=10 ** 9, seed=7,
                        track_ids=range(120))
     out = dpsgd_sim.train(config)
-    if corrupt_cache:
-        out.ledger.cache.corrupt_for_testing()
     eps_ledger, _ = out.ledger.epsilons()
     acct_cfg = out.ledger.config
     exact_eps, _ = exact_reference_accounting(out.tracked_norms, acct_cfg)
@@ -235,16 +220,8 @@ _SUITES = {"oracle": _suite_oracle, "adaptive": _suite_adaptive, "sim": _suite_s
 
 def cmd_verify(args) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
-    if args.corrupt_cache and "sim" not in names:
-        raise ValidationFailure(
-            f"--corrupt-cache applies only to the sim suite, not --suite {args.suite}")
-    results = {}
     t0 = time.perf_counter()
-    for name in names:
-        if name == "sim":
-            results[name] = _suite_sim(corrupt_cache=args.corrupt_cache)
-        else:
-            results[name] = _SUITES[name]()
+    results = {name: _SUITES[name]() for name in names}
     summary = {
         "pass": all(r["pass"] for r in results.values()),
         "suites": results,
@@ -287,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "refresh steps x n norm matrix")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("account", help="build a privacy report from a norm trace")
+    p = sub.add_parser("account", help="build a privacy report from a norm trace; "
+                                       "with --losses, also its analysis outputs")
     common(p, "--out", "--unsafe-export-per-example")
     p.add_argument("trace", help="trace file (.jsonl or .npz)")
     p.add_argument("--delta", type=float, metavar="REAL", default=1e-5,
@@ -295,14 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "so a simulate run at another delta needs the same "
                         "--delta here to reproduce its report")
     p.add_argument("--losses", metavar="PATH",
-                   help="optional losses CSV supplying group labels")
+                   help="losses CSV: supplies group labels and writes "
+                        "analysis.json and histogram.csv (scatter.csv with "
+                        "--unsafe-export-per-example)")
     p.set_defaults(func=cmd_account)
-
-    p = sub.add_parser("report", help="regenerate analysis outputs from a report")
-    common(p, "--out", "--unsafe-export-per-example")
-    p.add_argument("report", help="report JSON (with per-example values)")
-    p.add_argument("--losses", metavar="PATH", required=True)
-    p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("release", help="differentially private epsilon statistics")
     common(p, "--config", "--seed", "--delta", "--out")
@@ -313,9 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the numerical oracle suites")
     p.add_argument("--suite", choices=["all"] + sorted(_SUITES), default="all")
-    p.add_argument("--corrupt-cache", action="store_true",
-                   help="negative-control test hook: corrupt a cached curve "
-                        "and confirm the mismatch is detected (sim suite only)")
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -377,6 +377,13 @@ def exact_reference_accounting(norms: np.ndarray, config: AccountantConfig):
     distinct noise multiplier in a block has its curve computed once, and
     every example's curves are summed in step order.
 
+    "Exact" means no rounding and no staleness, not bit-exact: the last bit
+    of a kernel row depends on which multipliers share its call, so the
+    result can move by an ulp with the block size (1.9e-16 relative
+    between 4,096- and 8,192-cell blocks at 250 steps x 400 examples).
+    Comparisons against it use a tolerance, 1e-9 in ``verify``'s sim
+    suite, not bit equality.
+
     Memory bound.  Beyond its input, the (m x orders) total and the
     conversion's copies of that total, the reference holds one block's
     curve table and, on top of it, the larger of one kernel call's

@@ -3,6 +3,7 @@ exit codes, determinism, and file round trips."""
 
 from __future__ import annotations
 
+import csv
 import errno
 import io
 import json
@@ -12,7 +13,7 @@ import zipfile
 import numpy as np
 import pytest
 
-from idpacct import cli
+from idpacct import analysis, cli, dpsgd_sim
 from idpacct.accountant import PrivacyReport
 from idpacct.cli import (
     EXIT_OK,
@@ -22,6 +23,7 @@ from idpacct.cli import (
     _read_input,
     main,
 )
+from idpacct.dpsgd_sim import SimConfig
 from idpacct.traceio import (
     TraceHeader,
     read_any_trace,
@@ -57,6 +59,10 @@ def _tree(root):
     return {p: None if p.is_dir() else _read(p) for p in root.rglob("*")}
 
 
+# what `account --losses --unsafe-export-per-example` writes beside report.json
+_ANALYSIS_FILES = ("analysis.json", "histogram.csv", "scatter.csv")
+
+
 # ------------------------------------------------------------- simulate ---
 
 def test_simulate_smoke_writes_full_report(tmp_path):
@@ -68,10 +74,8 @@ def test_simulate_smoke_writes_full_report(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["n"] == 100
     assert len(report["epsilons"]) == 100
-    assert (out / "trace.jsonl").exists()
-    assert (out / "losses.csv").exists()
-    assert (out / "analysis.json").exists()
-    assert (out / "scatter.csv").exists()
+    # the analysis of a run comes from `account --losses` on its trace
+    assert sorted(os.listdir(out)) == ["losses.csv", "report.json", "trace.jsonl"]
 
 
 def test_simulate_redacts_per_example_by_default(tmp_path):
@@ -81,7 +85,7 @@ def test_simulate_redacts_per_example_by_default(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert "epsilons" not in report
     assert report["summary"]["mean"] > 0
-    assert not (out / "scatter.csv").exists()
+    assert sorted(os.listdir(out)) == ["losses.csv", "report.json", "trace.jsonl"]
 
 
 def test_simulate_byte_identical_under_same_seed(tmp_path):
@@ -90,8 +94,8 @@ def test_simulate_byte_identical_under_same_seed(tmp_path):
     for out in (out1, out2):
         assert main(["simulate", "--config", cfg, "--out", str(out),
                      "--unsafe-export-per-example"]) == EXIT_OK
-    for name in ("trace.jsonl", "losses.csv", "report.json",
-                 "analysis.json", "histogram.csv", "scatter.csv"):
+    assert sorted(os.listdir(out1)) == ["losses.csv", "report.json", "trace.jsonl"]
+    for name in ("trace.jsonl", "losses.csv", "report.json"):
         assert _read(out1 / name) == _read(out2 / name), name
 
 
@@ -174,10 +178,8 @@ def test_simulate_rejects_bad_config_values(tmp_path, capsys, fields, message):
 @pytest.mark.parametrize("argv, message", [
     (["simulate", "--out", "{tmp}/afile/x"], "--out {tmp}/afile/x: not a directory"),
     (["account", "{tmp}/trace.jsonl", "--out", "{tmp}/afile"], "--out {tmp}/afile: file exists"),
-    (["report", "{tmp}/report.json", "--losses", "{tmp}/losses.csv", "--out", "{tmp}/afile/x"],
-     "--out {tmp}/afile/x: not a directory"),
     (["release", "{tmp}/report.json", "--out", "{tmp}/afile"], "--out {tmp}/afile: file exists"),
-], ids=["simulate", "account", "report", "release"])
+], ids=["simulate", "account", "release"])
 def test_bad_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, message):
     # a bad --out used to be refused at the first write: after the whole run
     # was trained, or the whole trace read and replayed
@@ -226,9 +228,8 @@ _PIPELINE = {
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """A directory holding, for each _PIPELINE run, simulate's outputs in
-    ``<run>/sim`` and account's from its trace in ``<run>/acct``; then
-    ``rel``, released from the jsonl run's account report, and ``rep``, that
-    report's analysis."""
+    ``<run>/sim`` and account's from its trace and losses in ``<run>/acct``;
+    then ``rel``, released from the jsonl run's account report."""
     root = tmp_path_factory.mktemp("pipeline")
     for name, (fields, flags) in _PIPELINE.items():
         sim = root / name / "sim"
@@ -241,8 +242,6 @@ def pipeline(tmp_path_factory):
     report = str(root / "jsonl" / "acct" / "report.json")
     budget = _write_config(root, "budget.json", epsilon=1.0, bound=40.0)
     assert main(["release", report, "--config", budget, "--out", str(root / "rel")]) == EXIT_OK
-    assert main(["report", report, "--losses", str(root / "jsonl" / "sim" / "losses.csv"),
-                 "--out", str(root / "rep")]) == EXIT_OK
     return root
 
 
@@ -259,6 +258,13 @@ def test_trace_writers_agree_bit_for_bit(pipeline):
                         for run, trace in (("jsonl", "trace.jsonl"), ("npz", "trace.npz")))
     assert ha.to_dict() == hb.to_dict()
     assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_analysis_of_either_trace_format_agrees_byte_for_byte(pipeline):
+    # so must the analysis account writes from either trace and the losses
+    jsonl, npz = pipeline / "jsonl" / "acct", pipeline / "npz" / "acct"
+    for name in _ANALYSIS_FILES:
+        assert _read(jsonl / name) == _read(npz / name), name
 
 
 def test_release_of_an_account_report_keeps_its_budget(pipeline):
@@ -447,21 +453,40 @@ def test_account_rejects_losses_of_another_size(tmp_path, capsys, groups):
     assert not (out / "report.json").exists()
 
 
+def test_report_rejects_losses_of_another_size(tmp_path, capsys):
+    # a losses file one row longer than the run it came from: the report
+    # it would join covers 100 examples, and none is written
+    sim_out = tmp_path / "sim"
+    assert main(["simulate", "--config", _sim_config(tmp_path),
+                 "--out", str(sim_out)]) == EXIT_OK
+    with open(sim_out / "losses.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    losses = tmp_path / "losses.csv"
+    write_losses_csv(str(losses), [float(r["final_loss"]) for r in rows] + [0.5],
+                     [int(r["group"]) for r in rows] + [0])
+    out = tmp_path / "out"
+    assert main(["account", str(sim_out / "trace.jsonl"), "--losses", str(losses),
+                 "--out", str(out)]) == EXIT_VALIDATION
+    assert (f"{losses}: losses file has 101 rows but the trace covers 100"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_account_missing_file(tmp_path):
     assert main(["account", str(tmp_path / "nope.jsonl")]) == EXIT_VALIDATION
 
 
 @pytest.mark.parametrize("argv, message", [
     (["account", "{sim}/trace.jsonl", "--losses", "{tmp}/nope.csv"], "nope.csv: no such file"),
-    (["report", "{tmp}/nope.json", "--losses", "{sim}/losses.csv"], "nope.json: no such file"),
     (["release", "{tmp}/nope.json"], "nope.json: no such file"),
-    (["report", "{sim}/losses.csv", "--losses", "{sim}/losses.csv"],
-     "losses.csv:1: Expecting value"),                  # not a JSON report
+    # the report is read, and refused, before the budget beside it
+    (["release", "{tmp}/nope.json", "--config", "{tmp}/budget.json"], "nope.json: no such file"),
+    (["release", "{sim}/losses.csv"], "losses.csv:1: Expecting value"),    # not a JSON report
     (["release", "{tmp}/list.json"], "list.json: not a privacy report file"),
     (["release", "{tmp}/no_steps.json"], "no_steps.json: report is missing steps"),
-    (["report", "{sim}/report.json", "--losses", "{sim}/losses.csv"],
-     "report.json: report was exported without per-example values"),
     (["release", "{sim}/report.json", "--config", "{tmp}/budget.json"],
+     "report.json: report was exported without per-example values"),
+    (["release", "{sim}/report.json"],
      "report.json: report was exported without per-example values"),
     (["release", "{tmp}/null_epsilon.json"],           # used to release a NaN mean
      "per-example epsilon must be a number >= 0"),
@@ -469,7 +494,7 @@ def test_account_missing_file(tmp_path):
     # bare "'utf-8' codec can't decode" naming neither file nor field
     (["account", "{sim}"], "sim: is a directory"),
     (["account", "{tmp}/npz.jsonl"], "npz.jsonl: not utf-8 text"),
-    (["report", "{tmp}/full.json", "--losses", "{tmp}/trace.npz"],
+    (["account", "{sim}/trace.jsonl", "--losses", "{tmp}/trace.npz"],
      "trace.npz: not utf-8 text"),
     (["simulate", "--config", "{tmp}/latin1.json"], "latin1.json: not utf-8 text"),
     (["account", "{tmp}/huge_steps.jsonl"],
@@ -521,9 +546,9 @@ def test_account_missing_file(tmp_path):
     (["simulate", "--config", "{tmp}/cfg.json", "--out", "{tmp}/list.json/x"],
      "--out {tmp}/list.json/x: not a directory"),
     # per-example fields of the wrong type or length used to load, truncated
-    (["report", "{tmp}/label_float.json", "--losses", "{sim}/losses.csv"],
+    (["release", "{tmp}/label_float.json"],
      "label_float.json: group_labels[1]: a group label must be an integer, got 1.7"),
-    (["report", "{tmp}/label_bool.json", "--losses", "{sim}/losses.csv"],
+    (["release", "{tmp}/label_bool.json"],
      "label_bool.json: group_labels[1]: a group label must be an integer, got True"),
     (["release", "{tmp}/eps_string.json"],
      "eps_string.json: epsilons[1]: per-example epsilon must be a number >= 0, got '4.6'"),
@@ -537,11 +562,11 @@ def test_account_missing_file(tmp_path):
     # TypeError, n = true to exit 1 naming "n = True values", the rest to exit 0
     (["release", "{tmp}/worst_x.json"],
      "worst_x.json: worst_case.epsilon must be a finite number > 0, got 'x'"),
-    (["report", "{tmp}/worst_x.json", "--losses", "{sim}/losses.csv"],
+    (["release", "{tmp}/worst_x.json", "--config", "{tmp}/budget.json"],
      "worst_x.json: worst_case.epsilon must be a finite number > 0, got 'x'"),
     (["release", "{tmp}/worst_null.json"],
      "worst_null.json: worst_case.epsilon must be a finite number > 0, got None"),
-    (["report", "{tmp}/worst_null.json", "--losses", "{sim}/losses.csv"],
+    (["release", "{tmp}/worst_null.json", "--config", "{tmp}/budget.json"],
      "worst_null.json: worst_case.epsilon must be a finite number > 0, got None"),
     (["release", "{tmp}/steps_many.json"],
      "steps_many.json: steps must be an integer >= 1, got 'many'"),
@@ -555,15 +580,15 @@ def test_account_missing_file(tmp_path):
      "cfg.json: seed must be >= 0, got -1"),
     (["release", "{tmp}/full.json", "--config", "{tmp}/budget.json", "--seed", "-1"],
      "budget.json: seed must be >= 0, got -1"),
-], ids=["account_losses", "report", "release", "report_not_json", "release_list",
-        "release_no_steps", "report_redacted", "release_redacted", "release_null_epsilon",
-        "account_directory", "account_npz_as_jsonl", "report_losses_npz",
+], ids=["account_losses", "release", "report", "release_not_json", "release_list",
+        "release_no_steps", "release_redacted", "report_redacted", "release_null_epsilon",
+        "account_directory", "account_npz_as_jsonl", "account_losses_npz",
         "simulate_config_latin1", "account_huge_steps", "account_huge_n",
         "account_huge_steps_npz", "account_huge_n_npz", "account_huge_member_npz",
         "account_f4_npz", "account_fortran_npz", "account_truncated_npz", "account_nan_npz",
         "account_inf_npz", "account_minus_inf_npz", "account_negative_npz",
         "account_infinite_worst_case", "account_infinite_worst_case_npz", "account_out_file",
-        "simulate_out_under_file", "report_label_float", "report_label_bool",
+        "simulate_out_under_file", "release_label_float", "release_label_bool",
         "release_eps_string", "release_orders_short", "release_orders_float",
         "release_orders_one", "release_worst_x", "report_worst_x", "release_worst_null",
         "report_worst_null", "release_steps_many", "release_delta_x", "release_order_x",
@@ -655,18 +680,79 @@ def test_permission_denied_input_names_its_path():
         _read_input(denied, "secret.json")
 
 
-# --------------------------------------------------------------- report ---
+# ------------------------------------------------------------- analysis ---
 
-def test_report_subcommand_regenerates_analysis(tmp_path):
-    cfg = _sim_config(tmp_path)
-    sim_out, rep_out = tmp_path / "sim", tmp_path / "rep"
-    assert main(["simulate", "--config", cfg, "--out", str(sim_out),
+def test_account_losses_writes_the_analysis_of_the_run(tmp_path):
+    # what account writes from a run's trace and losses.csv is the analysis
+    # of the report, losses and groups that training returned
+    with open(_sim_config(tmp_path)) as f:
+        config = SimConfig(**json.load(f))
+    dataset = dpsgd_sim.generate_synthetic(config)
+    run = dpsgd_sim.train(config, dataset)
+    trace, losses = tmp_path / "trace.jsonl", tmp_path / "losses.csv"
+    write_trace(str(trace), run.header, run.trace_norms)
+    write_losses_csv(str(losses), run.losses, dataset.groups)
+    report = run.ledger.report(group_labels=dataset.groups)
+    hist = analysis.histogram(report)
+    want = tmp_path / "want"
+    want.mkdir()
+    analysis.write_analysis_json(str(want / "analysis.json"),
+                                 analysis.eps_loss_correlation(report, run.losses),
+                                 analysis.group_summary(report, run.losses, dataset.groups),
+                                 hist)
+    analysis.write_histogram_csv(str(want / "histogram.csv"), hist)
+    analysis.write_scatter_csv(str(want / "scatter.csv"), report, run.losses, dataset.groups)
+    acct = tmp_path / "acct"
+    assert main(["account", str(trace), "--losses", str(losses), "--out", str(acct),
                  "--unsafe-export-per-example"]) == EXIT_OK
-    assert main(["report", str(sim_out / "report.json"),
-                 "--losses", str(sim_out / "losses.csv"),
-                 "--out", str(rep_out)]) == EXIT_OK
-    assert (_read(rep_out / "analysis.json") == _read(sim_out / "analysis.json"))
-    assert (_read(rep_out / "histogram.csv") == _read(sim_out / "histogram.csv"))
+    for name in _ANALYSIS_FILES:
+        assert _read(acct / name) == _read(want / name), name
+
+
+def _value_counts(path):
+    """How many values each JSON array in a .json file holds, at any depth,
+    or each column of a .csv file."""
+    text = path.read_text()
+    if path.suffix == ".csv":
+        return {len(list(csv.reader(io.StringIO(text)))) - 1}     # rows below the header
+    counts, stack = set(), [json.loads(text)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, list):
+            counts.add(len(node))
+            stack.extend(node)
+        elif isinstance(node, dict):
+            stack.extend(node.values())
+    return counts
+
+
+def test_account_losses_writes_no_per_example_values_by_default(tmp_path):
+    # the aggregates need no per-example file: without the flag, no output
+    # holds n values; with it, report.json and scatter.csv do
+    n = 100
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", _sim_config(tmp_path, n=n), "--out", str(sim)]) == EXIT_OK
+    outs = {}
+    for name, flags in (("safe", []), ("unsafe", ["--unsafe-export-per-example"])):
+        outs[name] = tmp_path / name
+        assert main(["account", str(sim / "trace.jsonl"), "--losses", str(sim / "losses.csv"),
+                     "--out", str(outs[name]), *flags]) == EXIT_OK
+    safe, unsafe = outs["safe"], outs["unsafe"]
+    assert sorted(os.listdir(safe)) == ["analysis.json", "histogram.csv", "report.json"]
+    for name in os.listdir(safe):
+        assert n not in _value_counts(safe / name), name
+    assert sorted(os.listdir(unsafe)) == sorted(["report.json", *_ANALYSIS_FILES])
+    assert n in _value_counts(unsafe / "report.json")
+    assert _value_counts(unsafe / "scatter.csv") == {n}
+
+
+def test_account_without_losses_writes_the_report_only(tmp_path):
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", _sim_config(tmp_path), "--out", str(sim)]) == EXIT_OK
+    out = tmp_path / "acct"
+    assert main(["account", str(sim / "trace.jsonl"), "--out", str(out),
+                 "--unsafe-export-per-example"]) == EXIT_OK
+    assert os.listdir(out) == ["report.json"]
 
 
 def test_one_example_run_has_no_correlation(tmp_path):
@@ -674,42 +760,30 @@ def test_one_example_run_has_no_correlation(tmp_path):
     # report.json and the trace, then exit 1
     cfg = _write_config(tmp_path, n=1, group_proportions=[1.0], group_noise_scales=[1.0],
                         clip=1.0)
-    sim_out, rep_out = tmp_path / "sim", tmp_path / "rep"
+    sim_out, acct_out = tmp_path / "sim", tmp_path / "acct"
     assert main(["simulate", "--config", cfg, "--out", str(sim_out),
                  "--unsafe-export-per-example"]) == EXIT_OK
-    assert json.loads((sim_out / "analysis.json").read_text())["correlation"] is None
-    assert main(["report", str(sim_out / "report.json"), "--losses", str(sim_out / "losses.csv"),
-                 "--out", str(rep_out)]) == EXIT_OK
-    assert _read(rep_out / "analysis.json") == _read(sim_out / "analysis.json")
+    assert main(["account", str(sim_out / "trace.jsonl"), "--losses", str(sim_out / "losses.csv"),
+                 "--out", str(acct_out), "--unsafe-export-per-example"]) == EXIT_OK
+    assert json.loads((acct_out / "analysis.json").read_text())["correlation"] is None
 
 
-def test_report_rejects_losses_of_another_size(tmp_path, capsys):
+def test_account_rejects_losses_out_of_example_order(tmp_path, capsys):
     sim_out = tmp_path / "sim"
-    assert main(["simulate", "--config", _sim_config(tmp_path), "--out", str(sim_out),
-                 "--unsafe-export-per-example"]) == EXIT_OK
-    losses = tmp_path / "losses.csv"
-    write_losses_csv(str(losses), [0.1, 0.2])
-    code = main(["report", str(sim_out / "report.json"), "--losses", str(losses),
-                 "--out", str(tmp_path / "rep")])
-    assert code == EXIT_VALIDATION
-    assert (f"{losses}: losses file has 2 rows but the report covers 100"
-            in capsys.readouterr().err)
-
-
-def test_report_rejects_losses_out_of_example_order(tmp_path, capsys):
-    cfg = _sim_config(tmp_path)
-    sim_out = tmp_path / "sim"
-    assert main(["simulate", "--config", cfg, "--out", str(sim_out),
-                 "--unsafe-export-per-example"]) == EXIT_OK
+    assert main(["simulate", "--config", _sim_config(tmp_path), "--out", str(sim_out)]) == EXIT_OK
     losses = sim_out / "losses.csv"
     head, *rows = losses.read_text().splitlines()
     rows.sort(key=lambda r: float(r.split(",")[2]))     # sorted by loss, ids kept
     losses.write_text("\n".join([head, *rows]) + "\n")
-    code = main(["report", str(sim_out / "report.json"), "--losses", str(losses),
-                 "--out", str(tmp_path / "rep")])
+    out = tmp_path / "acct"
+    code = main(["account", str(sim_out / "trace.jsonl"), "--losses", str(losses),
+                 "--out", str(out)])
     assert code == EXIT_VALIDATION
     assert "example_id" in capsys.readouterr().err
+    assert not out.exists()
 
+
+# -------------------------------------------------------------- release ---
 
 def test_report_aggregates_derived_not_read_back(tmp_path):
     sim_out = tmp_path / "sim"
@@ -728,8 +802,6 @@ def test_report_aggregates_derived_not_read_back(tmp_path):
                                   for g in np.unique(labels)}
     assert (report.summary, {str(g): m for g, m in report.group_means.items()}) == written
 
-
-# -------------------------------------------------------------- release ---
 
 @pytest.fixture()
 def sim_report(tmp_path):
@@ -806,18 +878,27 @@ def test_verify_full_suite_passes(tmp_path, capsys):
     assert summary["elapsed_seconds"] < 300
 
 
-def test_verify_detects_corrupted_cache(tmp_path, capsys):
-    assert main(["verify", "--suite", "sim", "--corrupt-cache"]) == EXIT_VERIFICATION
+def test_verify_detects_corrupted_cache(capsys, monkeypatch):
+    # the negative control: a corrupted curve in the sim suite's ledger fails it
+    train = cli.dpsgd_sim.train
+
+    def corrupted(*args, **kwargs):
+        out = train(*args, **kwargs)
+        out.ledger.cache.corrupt_for_testing()
+        return out
+
+    monkeypatch.setattr(cli.dpsgd_sim, "train", corrupted)
+    assert main(["verify", "--suite", "sim"]) == EXIT_VERIFICATION
     summary = json.loads(capsys.readouterr().out)
     assert summary["pass"] is False
 
 
 @pytest.mark.parametrize("suite", ["oracle", "adaptive"])
 def test_verify_rejects_corrupt_cache_without_sim_suite(capsys, suite):
-    # the hook corrupts the sim suite's ledger; elsewhere it used to be ignored
+    # the sim suite's negative control is a test, so no suite takes the flag
     assert main(["verify", "--suite", suite, "--corrupt-cache"]) == EXIT_VALIDATION
     captured = capsys.readouterr()
-    assert "--corrupt-cache applies only to the sim suite" in captured.err
+    assert "unrecognized arguments: --corrupt-cache" in captured.err
     assert captured.out == ""
 
 
@@ -830,23 +911,18 @@ def test_unknown_subcommand_is_validation_failure():
 @pytest.mark.parametrize("argv, flag", [
     (["account", "{sim}/trace.jsonl", "--config", "{cfg}"], "--config"),
     (["account", "{sim}/trace.jsonl", "--seed", "3"], "--seed"),
-    (["report", "{sim}/report.json", "--losses", "{sim}/losses.csv",
-      "--config", "{cfg}"], "--config"),
-    (["report", "{sim}/report.json", "--losses", "{sim}/losses.csv",
-      "--seed", "3"], "--seed"),
-    (["report", "{sim}/report.json", "--losses", "{sim}/losses.csv",
-      "--delta", "1e-6"], "--delta"),
     (["verify", "--suite", "oracle", "--config", "{cfg}"], "--config"),
     (["verify", "--suite", "oracle", "--seed", "3"], "--seed"),
     (["verify", "--suite", "oracle", "--delta", "1e-6"], "--delta"),
     (["verify", "--suite", "oracle", "--out", "{out}"], "--out"),
     (["verify", "--suite", "oracle", "--unsafe-export-per-example"],
      "--unsafe-export-per-example"),
+    # the sim suite's negative control is a test, not a flag
+    (["verify", "--suite", "sim", "--corrupt-cache"], "--corrupt-cache"),
     (["release", "{sim}/report.json", "--config", "{rel}", "--zero-noise",
       "--unsafe-export-per-example"], "--unsafe-export-per-example"),
-], ids=["account_config", "account_seed", "report_config", "report_seed",
-        "report_delta", "verify_config", "verify_seed", "verify_delta", "verify_out",
-        "verify_unsafe_export", "release_unsafe_export"])
+], ids=["account_config", "account_seed", "verify_config", "verify_seed", "verify_delta",
+        "verify_out", "verify_unsafe_export", "verify_corrupt_cache", "release_unsafe_export"])
 def test_flag_a_subcommand_does_not_read_is_rejected(tmp_path, capsys, argv, flag):
     # each of these flags used to be accepted and never read (exit 0)
     sim_out = tmp_path / "sim"
@@ -869,7 +945,16 @@ def test_flag_a_subcommand_does_not_read_is_rejected(tmp_path, capsys, argv, fla
 def test_console_entry_point_runs():
     out = run_child(["-m", "idpacct.cli", "--help"])
     assert out.returncode == 0
-    assert "simulate" in out.stdout and "verify" in out.stdout
+    assert "{simulate,account,release,verify}" in out.stdout
+
+
+def test_report_subcommand_is_gone(tmp_path, capsys):
+    # `account --losses` writes the analysis outputs that `report` re-derived
+    out = tmp_path / "out"
+    assert main(["report", str(tmp_path / "report.json"), "--losses",
+                 str(tmp_path / "losses.csv"), "--out", str(out)]) == EXIT_VALIDATION
+    assert "invalid choice: 'report'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 _SCIPY_PROBE = """
@@ -883,7 +968,6 @@ for argv in [
     ["simulate", "--config", "cfg.json", "--out", "sim", "--unsafe-export-per-example"],
     ["account", "sim/trace.jsonl", "--losses", "sim/losses.csv", "--out", "acct",
      "--unsafe-export-per-example"],
-    ["report", "acct/report.json", "--losses", "sim/losses.csv", "--out", "rep"],
     ["release", "acct/report.json", "--config", "rel.json", "--out", "rel"],
 ]:
     seen[argv[0]] = [main(argv), scipy_modules()]
@@ -903,4 +987,4 @@ def test_pipeline_loads_no_scipy_until_the_quadrature_oracle(tmp_path):
     assert seen.pop("import") == []
     assert seen.pop("verify") == EXIT_OK
     assert seen == {cmd: [EXIT_OK, []]
-                    for cmd in ("simulate", "account", "report", "release")}
+                    for cmd in ("simulate", "account", "release")}

@@ -53,6 +53,7 @@ _BLOCK = 1_024            # rows per summing block: keeps the gathered curves in
 _COARSE_BLOCK = 4_096     # rows per block of a query's coarse pass, about a dozen orders wide
 _GROUP_CELLS = 32_768     # (rows x orders) per block of a query's grouped pass
 _WORKER_ROWS = 65_536     # rows per summing thread: smaller ledgers stay on one
+DEFAULT_DELTA = 1e-5      # the accounting delta of a config, a trace replay or a run
 
 
 def _coarse_orders(orders: np.ndarray) -> np.ndarray:
@@ -96,7 +97,7 @@ class AccountantConfig:
     sampling_prob: float
     rounding: float
     frequency: int = 1
-    delta: float = 1e-5
+    delta: float = DEFAULT_DELTA
     orders: np.ndarray = field(default_factory=default_orders)
 
     def __post_init__(self):
@@ -420,10 +421,10 @@ class IndividualLedger:
         self._pass(lambda lo, hi: self._sum_rows(lo, hi, charges, out))
         return out
 
-    def epsilons(self, delta: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
-        """(epsilon, best order) for all examples, summed and converted in
-        blocks of rows so the extra memory is O(block x orders), not
-        O(n x orders).  Changes nothing.
+    def epsilons(self) -> tuple[np.ndarray, np.ndarray]:
+        """(epsilon, best order) at the config's delta for all examples,
+        summed and converted in blocks of rows so the extra memory is
+        O(block x orders), not O(n x orders).  Changes nothing.
 
         A query sums only the orders that can win.  A first pass sums and
         converts each row at the coarse orders a_m (``_coarse_orders``) and
@@ -454,13 +455,10 @@ class IndividualLedger:
         where a table has a row per bucket, none of it grows with n: at
         n = 50,000 with 100 buckets a query allocates 1.9 MB with 3 tables
         summed and 2.5 MB with 41."""
-        delta = self.config.delta if delta is None else delta
-        if not 0.0 < delta < 1.0:
-            raise ValueError(f"delta must be in (0, 1), got {delta}")
         eps = np.empty(self.n)
         best = np.empty(self.n, dtype=np.int64)
         charges, monotone = self._charges()
-        terms = _conversion_terms(self.config.orders, delta)
+        terms = _conversion_terms(self.config.orders, self.config.delta)
         coarse = self._coarse
         narrow = [(table[:, coarse], assign) for table, assign in charges]
         # the terms at the coarse orders, then inf, in one column per row of
@@ -548,15 +546,12 @@ class IndividualLedger:
             np.invert(low, out=best[start:start + k])
         return rows_of, gaps_of
 
-    def report(self, delta: Optional[float] = None,
-               group_labels: Optional[Sequence[int]] = None) -> "PrivacyReport":
-        delta = self.config.delta if delta is None else delta
-        eps, orders = self.epsilons(delta)
-        worst_eps, worst_order = worst_case_epsilon(self.config, self.steps, delta,
-                                                   with_order=True)
+    def report(self, group_labels: Optional[Sequence[int]] = None) -> "PrivacyReport":
+        eps, orders = self.epsilons()
+        worst_eps, worst_order = worst_case_epsilon(self.config, self.steps, with_order=True)
         return PrivacyReport(
             epsilons=eps, best_orders=orders, worst_epsilon=worst_eps,
-            worst_order=worst_order, delta=delta, steps=self.steps, n=self.n,
+            worst_order=worst_order, delta=self.config.delta, steps=self.steps, n=self.n,
             config=self.config.to_dict(), group_labels=group_labels)
 
 
@@ -589,16 +584,14 @@ def _first_min(total: np.ndarray, flags: np.ndarray,
     return floor, last - np.multiply(flags, rank).max(axis=0).astype(np.intp)
 
 
-def worst_case_epsilon(config: AccountantConfig, steps: int,
-                       delta: Optional[float] = None, with_order: bool = False):
-    """Uniform DP-SGD guarantee: every example at sensitivity C for all
-    steps."""
+def worst_case_epsilon(config: AccountantConfig, steps: int, with_order: bool = False):
+    """Uniform DP-SGD guarantee at the config's delta: every example at
+    sensitivity C for all steps."""
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    delta = config.delta if delta is None else delta
     mult = config.noise_std / config.max_clip
     row = sgm_rdp_matrix(config.sampling_prob, np.asarray([mult]), config.orders)[0]
-    eps, order = rdp_to_dp(RdpCurve(config.orders, row * steps), delta)
+    eps, order = rdp_to_dp(RdpCurve(config.orders, row * steps), config.delta)
     return (eps, order) if with_order else eps
 
 

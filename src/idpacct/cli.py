@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import analysis, dpsgd_sim, release, traceio
-from .accountant import PrivacyReport
+from .accountant import DEFAULT_DELTA, PrivacyReport
 from .adaptive_oracle import coin_chain_spec, enumerate_adaptive_vs_fixed, random_spec
 from .dpsgd_sim import SimConfig, exact_reference_accounting
 from .rdp_math import sgm_rdp_int, sgm_rdp_quadrature_oracle
@@ -62,7 +62,11 @@ def _json_file(path: str) -> dict:
         return json.load(f)
 
 
-def _build_config(cls, doc: dict, overrides: dict, path: str):
+def _build_config(cls, path: str):
+    """The ``cls`` that the JSON object in the file at ``path`` sets."""
+    doc = _read_input(_json_file, path)
+    if not isinstance(doc, dict):
+        raise ValidationFailure(f"{path}: config must be a JSON object")
     fields = dataclasses.fields(cls)
     known = {f.name for f in fields}
     unknown = set(doc) - known
@@ -70,14 +74,12 @@ def _build_config(cls, doc: dict, overrides: dict, path: str):
         raise ValidationFailure(
             f"{path}: unknown config keys {sorted(unknown)} "
             f"(known: {sorted(known)})")
-    merged = dict(doc)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
     missing = {f.name for f in fields if f.default is dataclasses.MISSING
-               and f.default_factory is dataclasses.MISSING} - set(merged)
+               and f.default_factory is dataclasses.MISSING} - set(doc)
     if missing:
         raise ValidationFailure(f"{path}: missing config keys {sorted(missing)}")
     try:
-        return cls(**merged)
+        return cls(**doc)
     except (TypeError, ValueError) as exc:
         raise ValidationFailure(f"{path}: {exc}")
 
@@ -117,10 +119,7 @@ def _write_analysis_outputs(args, report: PrivacyReport, losses, groups) -> None
 
 
 def cmd_simulate(args) -> int:
-    doc = _read_input(_json_file, args.config) if args.config else {}
-    overrides = {"seed": args.seed, "delta": args.delta, "clipping": args.clipping,
-                 "rounding": args.rounding, "gamma": args.gamma}
-    config: SimConfig = _build_config(SimConfig, doc, overrides, args.config or "<defaults>")
+    config = _build_config(SimConfig, args.config) if args.config else SimConfig()
     dataset = dpsgd_sim.generate_synthetic(config)
     out = dpsgd_sim.train(config, dataset)
     traceio.write_losses_csv(_out_path(args, "losses.csv"), out.losses, dataset.groups)
@@ -165,12 +164,7 @@ def cmd_account(args) -> int:
 
 def cmd_release(args) -> int:
     report = _read_input(PrivacyReport.from_json, args.report)
-    doc = _read_input(_json_file, args.config) if args.config else {}
-    overrides = {"seed": args.seed, "delta": args.delta}
-    if args.zero_noise:
-        overrides["zero_noise"] = True
-    config: ReleaseConfig = _build_config(ReleaseConfig, doc, overrides,
-                                          args.config or "<defaults>")
+    config = _build_config(ReleaseConfig, args.config)
     try:
         stats = release.release_all(report.epsilons, config)
     except release.BudgetInfeasibleError as exc:
@@ -240,8 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     shared = {
         "--config": dict(metavar="PATH", help="JSON config file"),
-        "--seed": dict(type=int, metavar="U64"),
-        "--delta": dict(type=float, metavar="REAL"),
         "--out": dict(metavar="DIR", default=".",
                       help="output directory (default: current)"),
         "--unsafe-export-per-example": dict(
@@ -253,12 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **shared[flag])
 
     p = sub.add_parser("simulate", help="train on synthetic data with accounting")
-    common(p, "--config", "--seed", "--delta", "--out", "--unsafe-export-per-example")
-    p.add_argument("--clipping", choices=["max", "individual"])
-    p.add_argument("--rounding", type=float, metavar="REAL",
-                   help="sensitivity grid spacing r (0 disables rounding)")
-    p.add_argument("--gamma", type=int, metavar="INT",
-                   help="norm refreshes per epoch")
+    common(p, "--config", "--out", "--unsafe-export-per-example")
     p.add_argument("--binary-trace", action="store_true",
                    help="write the trace as .npz: the header and the "
                         "refresh steps x n norm matrix")
@@ -268,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
                                        "with --losses, also its analysis outputs")
     common(p, "--out", "--unsafe-export-per-example")
     p.add_argument("trace", help="trace file (.jsonl or .npz)")
-    p.add_argument("--delta", type=float, metavar="REAL", default=1e-5,
-                   help="target delta (default: 1e-5); a trace holds no delta, "
+    p.add_argument("--delta", type=float, metavar="REAL", default=DEFAULT_DELTA,
+                   help="target delta (default: %(default)s); a trace holds no delta, "
                         "so a simulate run at another delta needs the same "
                         "--delta here to reproduce its report")
     p.add_argument("--losses", metavar="PATH",
@@ -279,9 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_account)
 
     p = sub.add_parser("release", help="differentially private epsilon statistics")
-    common(p, "--config", "--seed", "--delta", "--out")
-    p.add_argument("--zero-noise", action="store_true",
-                   help="skip noise injection (debugging only; not private)")
+    p.add_argument("--config", required=True, **shared["--config"])
+    common(p, "--out")
     p.add_argument("report", help="report JSON (with per-example values)")
     p.set_defaults(func=cmd_release)
 

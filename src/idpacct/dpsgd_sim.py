@@ -19,7 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .accountant import AccountantConfig, IndividualLedger, _check_norms, sensitivity_buckets
+from .accountant import (DEFAULT_DELTA, AccountantConfig, IndividualLedger, _check_norms,
+                         sensitivity_buckets)
 from .kernel import sgm_rdp_matrix
 from .rdp_math import _check_fields, _eps_from_rdp
 from .traceio import TraceHeader, replay_trace
@@ -60,7 +61,7 @@ class SimConfig:
     gamma: int = 3
     rounding: Optional[float] = None      # None: 0.01 * clip; 0 disables
     clipping: str = "max"
-    delta: float = 1e-5
+    delta: float = DEFAULT_DELTA
     seed: int = 0
     track_ids: Optional[Sequence[int]] = None
 

@@ -39,7 +39,8 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from ._fileio import atomic_open, atomic_write
-from .accountant import AccountantConfig, IndividualLedger, _check_norms, worst_case_epsilon
+from .accountant import (DEFAULT_DELTA, AccountantConfig, IndividualLedger, _check_norms,
+                         worst_case_epsilon)
 from .rdp_math import _check_fields
 
 TRACE_VERSION = 2
@@ -82,7 +83,7 @@ class TraceHeader:
                              f"multiplier noise_std / clip = {self.noise_std / self.clip!r} "
                              "is not finite")
 
-    def to_config(self, delta: float = 1e-5) -> AccountantConfig:
+    def to_config(self, delta: float = DEFAULT_DELTA) -> AccountantConfig:
         return AccountantConfig(
             noise_std=self.noise_std, max_clip=self.clip,
             sampling_prob=self.sampling_prob, rounding=self.rounding,
@@ -292,7 +293,7 @@ def read_any_trace(path: str) -> tuple[TraceHeader, np.ndarray]:
 
 
 def replay_trace(header: TraceHeader, norms: np.ndarray,
-                 delta: float = 1e-5) -> IndividualLedger:
+                 delta: float = DEFAULT_DELTA) -> IndividualLedger:
     """Drive a fresh ledger through the recorded run: an assignment refresh
     at every row's step, then one call that charges the steps up to the
     next.  Each refresh checks its own row's values; a bad norm is reported

@@ -163,6 +163,9 @@ def test_config_validation():
         _config(rounding=2.0)        # above max_clip
     with pytest.raises(ValueError):
         _config(frequency=0)
+    for delta in (0.0, 1.0, 1.5):        # a ledger answers at this delta only
+        with pytest.raises(ValueError, match=f"delta must be in \\(0, 1\\), got {delta}"):
+            _config(delta=delta)
     for name, value in [("noise_std", math.inf), ("noise_std", math.nan),
                         ("max_clip", math.inf), ("max_clip", math.nan),
                         ("rounding", math.nan), ("rounding", math.inf)]:
@@ -592,10 +595,6 @@ def test_repeated_queries_fold_held_charges_once():
         for t in range(r * frequency, (r + 1) * frequency):
             ledger.record_step(t)
         want += frequency * rows[idx]
-        before = state()
-        with pytest.raises(ValueError, match="delta"):
-            ledger.epsilons(1.5)
-        assert state() == before
         assert query() == query() == len(ledger._held) + 1
 
 
@@ -735,8 +734,8 @@ def test_worst_case_strictly_increasing_in_steps():
 def test_worst_case_calibration_round_trip():
     sigma = calibrate_noise(8.0, 1e-5, q=0.05, steps=400)
     cfg = AccountantConfig(noise_std=sigma, max_clip=1.0, sampling_prob=0.05,
-                           rounding=0.01)
-    eps = worst_case_epsilon(cfg, 400, delta=1e-5)
+                           rounding=0.01, delta=1e-5)
+    eps = worst_case_epsilon(cfg, 400)
     assert 8.0 - 1e-3 <= eps <= 8.0
 
 
@@ -829,14 +828,14 @@ def test_epsilons_equal_the_full_pass_bit_for_bit(two_workers, monkeypatch, orde
     monkeypatch.setattr(accountant, "_COARSE_BLOCK", 8)
     monkeypatch.setattr(accountant, "_GROUP_CELLS", 24)
     cfg = AccountantConfig(noise_std=noise, max_clip=1.0, sampling_prob=q, rounding=rounding,
-                           frequency=2, delta=1e-5, orders=orders)
+                           frequency=2, delta=delta, orders=orders)
     ledger = IndividualLedger(n, cfg)
     rng = np.random.default_rng(seed)
     queries = _count_queries(monkeypatch)
 
     def check():
         queries.clear()
-        eps, best = ledger.epsilons(delta)
+        eps, best = ledger.epsilons()
         assert queries          # the one query path, on every grid
         want_eps, want_best = _eps_from_rdp(ledger.counts(), cfg.orders, delta)
         assert np.array_equal(eps, want_eps) and np.array_equal(best, want_best)

@@ -3,12 +3,15 @@ exit codes, determinism, and file round trips."""
 
 from __future__ import annotations
 
+import argparse
 import csv
 import errno
 import io
 import json
 import os
+import re
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,10 +106,9 @@ def test_simulate_clipping_modes_reach_similar_loss(tmp_path):
     losses = {}
     for mode in ("max", "individual"):
         cfg = _sim_config(tmp_path, name=f"{mode}.json", n=300, d=10,
-                          separation=4.0, noise_std=0.5, epochs=8, lr=0.05)
+                          separation=4.0, noise_std=0.5, epochs=8, lr=0.05, clipping=mode)
         out = tmp_path / mode
-        assert main(["simulate", "--config", cfg, "--clipping", mode,
-                     "--out", str(out)]) == EXIT_OK
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
         table = np.genfromtxt(out / "losses.csv", delimiter=",", names=True)
         losses[mode] = float(np.mean(table["final_loss"]))
     rel = abs(losses["max"] - losses["individual"]) / losses["max"]
@@ -178,7 +180,8 @@ def test_simulate_rejects_bad_config_values(tmp_path, capsys, fields, message):
 @pytest.mark.parametrize("argv, message", [
     (["simulate", "--out", "{tmp}/afile/x"], "--out {tmp}/afile/x: not a directory"),
     (["account", "{tmp}/trace.jsonl", "--out", "{tmp}/afile"], "--out {tmp}/afile: file exists"),
-    (["release", "{tmp}/report.json", "--out", "{tmp}/afile"], "--out {tmp}/afile: file exists"),
+    (["release", "{tmp}/report.json", "--config", "{tmp}/budget.json", "--out", "{tmp}/afile"],
+     "--out {tmp}/afile: file exists"),
 ], ids=["simulate", "account", "release"])
 def test_bad_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, message):
     # a bad --out used to be refused at the first write: after the whole run
@@ -194,11 +197,10 @@ def test_bad_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv,
     assert message.format(tmp=tmp_path) in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["afile"]
 
-def test_simulate_flag_overrides_config(tmp_path):
-    cfg = _sim_config(tmp_path)
+def test_simulate_config_sets_the_trace_header(tmp_path):
+    cfg = _sim_config(tmp_path, gamma=1, rounding=0.05)
     out = tmp_path / "out"
-    assert main(["simulate", "--config", cfg, "--gamma", "1", "--rounding",
-                 "0.05", "--out", str(out)]) == EXIT_OK
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
     header = json.loads((out / "trace.jsonl").read_text().splitlines()[0])
     assert header["rounding"] == 0.05
     assert header["frequency"] == 10         # steps_per_epoch / gamma
@@ -208,6 +210,7 @@ def test_simulate_flag_overrides_config(tmp_path):
 
 _OFFGRID = {"clip": 1.0, "rounding": 0.03}       # the top bucket is C itself
 _MLP = {"model": "mlp", "hidden": 8, "epochs": 3}
+_INDIVIDUAL = {"clipping": "individual"}
 
 # simulate's config and flags for each pipeline run, at simulate's default
 # shape: each clipping mode and trace format, exactness mode (rounding off),
@@ -215,13 +218,13 @@ _MLP = {"model": "mlp", "hidden": 8, "epochs": 3}
 _PIPELINE = {
     "jsonl": ({}, []),
     "npz": ({}, ["--binary-trace"]),
-    "individual": ({}, ["--clipping", "individual"]),
-    "exact": ({}, ["--rounding", "0"]),
+    "individual": (_INDIVIDUAL, []),
+    "exact": ({"rounding": 0.0}, []),
     "offgrid": (_OFFGRID, []),
     "offgrid_npz": (_OFFGRID, ["--binary-trace"]),
-    "offgrid_individual": (_OFFGRID, ["--clipping", "individual"]),
+    "offgrid_individual": ({**_OFFGRID, **_INDIVIDUAL}, []),
     "mlp": (_MLP, []),
-    "mlp_individual_npz": (_MLP, ["--clipping", "individual", "--binary-trace"]),
+    "mlp_individual_npz": ({**_MLP, **_INDIVIDUAL}, ["--binary-trace"]),
 }
 
 
@@ -247,9 +250,13 @@ def pipeline(tmp_path_factory):
 
 @pytest.mark.parametrize("run", list(_PIPELINE))
 def test_account_round_trip_reproduces_report(pipeline, run):
-    # simulate's report is the replay of the trace it wrote, as account's is
+    # simulate's report is the replay of the trace it wrote, as account's is,
+    # and each answers at its config's delta
     sim, acct = pipeline / run / "sim", pipeline / run / "acct"
     assert _read(sim / "report.json") == _read(acct / "report.json")
+    for out in (sim, acct):
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["delta"] == doc["config"]["delta"]
 
 
 def test_trace_writers_agree_bit_for_bit(pipeline):
@@ -294,6 +301,7 @@ def test_account_reproduces_report_at_simulate_delta(tmp_path):
                      "--unsafe-export-per-example", *flags]) == EXIT_OK
         reports[name] = json.loads((out / "report.json").read_text())
     assert reports["same"] == expected
+    assert expected["delta"] == expected["config"]["delta"] == 1e-6
     assert reports["default"]["delta"] == 1e-5
     assert reports["default"]["worst_case"]["epsilon"] < expected["worst_case"]["epsilon"]
 
@@ -476,17 +484,26 @@ def test_account_missing_file(tmp_path):
     assert main(["account", str(tmp_path / "nope.jsonl")]) == EXIT_VALIDATION
 
 
+# config files that hold JSON but not an object
+_NOT_OBJECTS = {"number.json": "5", "null.json": "null", "nested_list.json": "[[1]]",
+                "string.json": '"ab"'}
+
+
 @pytest.mark.parametrize("argv, message", [
     (["account", "{sim}/trace.jsonl", "--losses", "{tmp}/nope.csv"], "nope.csv: no such file"),
-    (["release", "{tmp}/nope.json"], "nope.json: no such file"),
-    # the report is read, and refused, before the budget beside it
+    # a delta outside (0, 1) is refused by the config the trace is replayed at
+    (["account", "{sim}/trace.jsonl", "--delta", "1.5"], "delta must be in (0, 1), got 1.5"),
     (["release", "{tmp}/nope.json", "--config", "{tmp}/budget.json"], "nope.json: no such file"),
+    # the report is read, and refused, before the budget beside it: a
+    # missing budget would be refused too
+    (["release", "{tmp}/nope.json", "--config", "{tmp}/no_budget.json"],
+     "nope.json: no such file"),
     (["release", "{sim}/losses.csv"], "losses.csv:1: Expecting value"),    # not a JSON report
     (["release", "{tmp}/list.json"], "list.json: not a privacy report file"),
     (["release", "{tmp}/no_steps.json"], "no_steps.json: report is missing steps"),
     (["release", "{sim}/report.json", "--config", "{tmp}/budget.json"],
      "report.json: report was exported without per-example values"),
-    (["release", "{sim}/report.json"],
+    (["release", "{sim}/report.json", "--config", "{tmp}/no_budget.json"],
      "report.json: report was exported without per-example values"),
     (["release", "{tmp}/null_epsilon.json"],           # used to release a NaN mean
      "per-example epsilon must be a number >= 0"),
@@ -560,13 +577,13 @@ def test_account_missing_file(tmp_path):
      "orders_one.json: best_orders[1]: an order must be an integer >= 2, got 1"),
     # malformed scalars: a bad worst-case epsilon used to exit 2 with a
     # TypeError, n = true to exit 1 naming "n = True values", the rest to exit 0
-    (["release", "{tmp}/worst_x.json"],
-     "worst_x.json: worst_case.epsilon must be a finite number > 0, got 'x'"),
     (["release", "{tmp}/worst_x.json", "--config", "{tmp}/budget.json"],
      "worst_x.json: worst_case.epsilon must be a finite number > 0, got 'x'"),
-    (["release", "{tmp}/worst_null.json"],
-     "worst_null.json: worst_case.epsilon must be a finite number > 0, got None"),
+    (["release", "{tmp}/worst_x.json", "--config", "{tmp}/no_budget.json"],
+     "worst_x.json: worst_case.epsilon must be a finite number > 0, got 'x'"),
     (["release", "{tmp}/worst_null.json", "--config", "{tmp}/budget.json"],
+     "worst_null.json: worst_case.epsilon must be a finite number > 0, got None"),
+    (["release", "{tmp}/worst_null.json", "--config", "{tmp}/no_budget.json"],
      "worst_null.json: worst_case.epsilon must be a finite number > 0, got None"),
     (["release", "{tmp}/steps_many.json"],
      "steps_many.json: steps must be an integer >= 1, got 'many'"),
@@ -575,14 +592,19 @@ def test_account_missing_file(tmp_path):
      "order_x.json: worst_case.order must be an integer >= 2, got 'x'"),
     (["release", "{tmp}/config_list.json"], "config_list.json: config must be an object, got [1]"),
     (["release", "{tmp}/n_true.json"], "n_true.json: n must be an integer >= 1, got True"),
-    # a negative --seed used to fail in numpy, in release after calibrating
-    (["simulate", "--config", "{tmp}/cfg.json", "--seed", "-1"],
-     "cfg.json: seed must be >= 0, got -1"),
-    (["release", "{tmp}/full.json", "--config", "{tmp}/budget.json", "--seed", "-1"],
-     "budget.json: seed must be >= 0, got -1"),
-], ids=["account_losses", "release", "report", "release_not_json", "release_list",
-        "release_no_steps", "release_redacted", "report_redacted", "release_null_epsilon",
-        "account_directory", "account_npz_as_jsonl", "account_losses_npz",
+    # a negative seed used to fail in numpy, in release after calibrating
+    (["simulate", "--config", "{tmp}/seed_negative.json"],
+     "seed_negative.json: seed must be >= 0, got -1"),
+    (["release", "{tmp}/full.json", "--config", "{tmp}/budget_seed_negative.json"],
+     "budget_seed_negative.json: seed must be >= 0, got -1"),
+    # a config that is JSON but not an object used to exit 2 with a
+    # TypeError, or, as a string, to exit 1 naming its letters as keys
+    *[([cmd, *report, "--config", "{tmp}/" + name], name + ": config must be a JSON object")
+      for cmd, report in (("simulate", []), ("release", ["{tmp}/full.json"]))
+      for name in _NOT_OBJECTS],
+], ids=["account_losses", "account_delta_1_5", "release", "report", "release_not_json",
+        "release_list", "release_no_steps", "release_redacted", "report_redacted",
+        "release_null_epsilon", "account_directory", "account_npz_as_jsonl", "account_losses_npz",
         "simulate_config_latin1", "account_huge_steps", "account_huge_n",
         "account_huge_steps_npz", "account_huge_n_npz", "account_huge_member_npz",
         "account_f4_npz", "account_fortran_npz", "account_truncated_npz", "account_nan_npz",
@@ -593,14 +615,21 @@ def test_account_missing_file(tmp_path):
         "release_orders_one", "release_worst_x", "report_worst_x", "release_worst_null",
         "report_worst_null", "release_steps_many", "release_delta_x", "release_order_x",
         "release_config_list", "release_n_true", "simulate_negative_seed",
-        "release_negative_seed"])
+        "release_negative_seed",
+        *[f"{cmd}_config_{name[:-5]}" for cmd in ("simulate", "release")
+          for name in _NOT_OBJECTS]])
 def test_missing_or_malformed_input_is_validation_failure(tmp_path, capsys, argv, message):
     sim_out = tmp_path / "sim"
     assert main(["simulate", "--config", _sim_config(tmp_path),
                  "--out", str(sim_out)]) == EXIT_OK
     capsys.readouterr()
     (tmp_path / "list.json").write_text("[]")             # used to exit 2
-    (tmp_path / "budget.json").write_text(json.dumps({"epsilon": 1.0, "bound": 40.0}))
+    budget = {"epsilon": 1.0, "bound": 40.0}
+    (tmp_path / "budget.json").write_text(json.dumps(budget))
+    (tmp_path / "budget_seed_negative.json").write_text(json.dumps(dict(budget, seed=-1)))
+    (tmp_path / "seed_negative.json").write_text(json.dumps({"seed": -1}))
+    for name, text in _NOT_OBJECTS.items():
+        (tmp_path / name).write_text(text)
     doc = json.loads((sim_out / "report.json").read_text())
     (tmp_path / "null_epsilon.json").write_text(json.dumps(
         dict(doc, epsilons=[None] * doc["n"], best_orders=[2] * doc["n"])))
@@ -665,6 +694,8 @@ def test_missing_or_malformed_input_is_validation_failure(tmp_path, capsys, argv
     argv = [a.format(sim=sim_out, tmp=tmp_path) for a in argv]
     if "--out" not in argv:
         argv += ["--out", str(tmp_path / "out")]
+    if argv[0] == "release" and "--config" not in argv:      # release needs a budget
+        argv += ["--config", str(tmp_path / "budget.json")]
     before = _tree(tmp_path)
     assert main(argv) == EXIT_VALIDATION
     assert message.format(tmp=tmp_path) in capsys.readouterr().err
@@ -815,10 +846,9 @@ def sim_report(tmp_path):
 def test_release_zero_noise_exact_mean(tmp_path, sim_report):
     report = PrivacyReport.from_json(str(sim_report))
     bound = report.worst_epsilon
-    cfg = _write_config(tmp_path, name="rel.json", epsilon=0.5, bound=bound)
+    cfg = _write_config(tmp_path, name="rel.json", epsilon=0.5, bound=bound, zero_noise=True)
     out = tmp_path / "rel"
-    assert main(["release", str(sim_report), "--config", cfg, "--zero-noise",
-                 "--out", str(out)]) == EXIT_OK
+    assert main(["release", str(sim_report), "--config", cfg, "--out", str(out)]) == EXIT_OK
     doc = json.loads((out / "release.json").read_text())
     expected = float(np.mean(np.clip(report.epsilons, 0, bound)))
     assert doc["mean"] == expected
@@ -826,11 +856,11 @@ def test_release_zero_noise_exact_mean(tmp_path, sim_report):
 
 
 def test_release_budget_echo_and_reproducibility(tmp_path, sim_report):
-    cfg = _write_config(tmp_path, name="rel.json", epsilon=2.0, bound=40.0)
+    cfg = _write_config(tmp_path, name="rel.json", epsilon=2.0, bound=40.0, seed=9)
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     for out in (out1, out2):
         assert main(["release", str(sim_report), "--config", cfg,
-                     "--seed", "9", "--out", str(out)]) == EXIT_OK
+                     "--out", str(out)]) == EXIT_OK
     a = json.loads((out1 / "release.json").read_text())
     b = json.loads((out2 / "release.json").read_text())
     assert a == b
@@ -856,13 +886,12 @@ def test_release_rejects_bad_config_values(tmp_path, capsys, sim_report, fields,
 
 
 @pytest.mark.parametrize("fields, missing", [
-    (None, "<defaults>: missing config keys ['bound', 'epsilon']"),
+    ({}, "rel.json: missing config keys ['bound', 'epsilon']"),     # a config of no keys
     ({"epsilon": 1.0}, "rel.json: missing config keys ['bound']"),
 ], ids=["no_config", "no_bound"])
 def test_release_names_missing_config_keys(tmp_path, capsys, sim_report, fields, missing):
-    flags = [] if fields is None else ["--config",
-                                       _write_config(tmp_path, name="rel.json", **fields)]
-    assert main(["release", str(sim_report), *flags,
+    cfg = _write_config(tmp_path, name="rel.json", **fields)
+    assert main(["release", str(sim_report), "--config", cfg,
                  "--out", str(tmp_path / "rel")]) == EXIT_VALIDATION
     assert missing in capsys.readouterr().err
     assert not (tmp_path / "rel").exists()
@@ -908,23 +937,44 @@ def test_unknown_subcommand_is_validation_failure():
     assert main(["frobnicate"]) == EXIT_VALIDATION
 
 
-@pytest.mark.parametrize("argv, flag", [
-    (["account", "{sim}/trace.jsonl", "--config", "{cfg}"], "--config"),
-    (["account", "{sim}/trace.jsonl", "--seed", "3"], "--seed"),
-    (["verify", "--suite", "oracle", "--config", "{cfg}"], "--config"),
-    (["verify", "--suite", "oracle", "--seed", "3"], "--seed"),
-    (["verify", "--suite", "oracle", "--delta", "1e-6"], "--delta"),
-    (["verify", "--suite", "oracle", "--out", "{out}"], "--out"),
+_UNREAD = "unrecognized arguments: "
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["account", "{sim}/trace.jsonl", "--config", "{cfg}"], _UNREAD + "--config"),
+    (["account", "{sim}/trace.jsonl", "--seed", "3"], _UNREAD + "--seed"),
+    (["verify", "--suite", "oracle", "--config", "{cfg}"], _UNREAD + "--config"),
+    (["verify", "--suite", "oracle", "--seed", "3"], _UNREAD + "--seed"),
+    (["verify", "--suite", "oracle", "--delta", "1e-6"], _UNREAD + "--delta"),
+    (["verify", "--suite", "oracle", "--out", "{out}"], _UNREAD + "--out"),
     (["verify", "--suite", "oracle", "--unsafe-export-per-example"],
-     "--unsafe-export-per-example"),
+     _UNREAD + "--unsafe-export-per-example"),
     # the sim suite's negative control is a test, not a flag
-    (["verify", "--suite", "sim", "--corrupt-cache"], "--corrupt-cache"),
-    (["release", "{sim}/report.json", "--config", "{rel}", "--zero-noise",
-      "--unsafe-export-per-example"], "--unsafe-export-per-example"),
+    (["verify", "--suite", "sim", "--corrupt-cache"], _UNREAD + "--corrupt-cache"),
+    (["release", "{sim}/report.json", "--config", "{rel}", "--unsafe-export-per-example"],
+     _UNREAD + "--unsafe-export-per-example"),
+    # run parameters come from the config file alone: these flags used to
+    # override its keys
+    (["simulate", "--config", "{cfg}", "--seed", "3"], _UNREAD + "--seed"),
+    (["simulate", "--config", "{cfg}", "--delta", "1e-6"], _UNREAD + "--delta"),
+    (["simulate", "--config", "{cfg}", "--clipping", "individual"], _UNREAD + "--clipping"),
+    (["simulate", "--config", "{cfg}", "--rounding", "0"], _UNREAD + "--rounding"),
+    (["simulate", "--config", "{cfg}", "--gamma", "1"], _UNREAD + "--gamma"),
+    (["release", "{sim}/report.json", "--config", "{rel}", "--seed", "3"], _UNREAD + "--seed"),
+    (["release", "{sim}/report.json", "--config", "{rel}", "--delta", "1e-6"],
+     _UNREAD + "--delta"),
+    (["release", "{sim}/report.json", "--config", "{rel}", "--zero-noise"],
+     _UNREAD + "--zero-noise"),
+    # the release budget has no default
+    (["release", "{sim}/report.json"], "the following arguments are required: --config"),
 ], ids=["account_config", "account_seed", "verify_config", "verify_seed", "verify_delta",
-        "verify_out", "verify_unsafe_export", "verify_corrupt_cache", "release_unsafe_export"])
-def test_flag_a_subcommand_does_not_read_is_rejected(tmp_path, capsys, argv, flag):
-    # each of these flags used to be accepted and never read (exit 0)
+        "verify_out", "verify_unsafe_export", "verify_corrupt_cache", "release_unsafe_export",
+        "simulate_seed", "simulate_delta", "simulate_clipping", "simulate_rounding",
+        "simulate_gamma", "release_seed", "release_delta", "release_zero_noise",
+        "release_no_config"])
+def test_flag_a_subcommand_does_not_read_is_rejected(tmp_path, capsys, argv, message):
+    # each of these flags used to be accepted and never read (exit 0), or,
+    # for simulate and release, to set a config key
     sim_out = tmp_path / "sim"
     assert main(["simulate", "--config", _sim_config(tmp_path), "--out", str(sim_out),
                  "--unsafe-export-per-example"]) == EXIT_OK
@@ -937,9 +987,25 @@ def test_flag_a_subcommand_does_not_read_is_rejected(tmp_path, capsys, argv, fla
         argv += ["--out", str(out)]
     assert main(argv) == EXIT_VALIDATION
     captured = capsys.readouterr()
-    assert "unrecognized arguments: " + flag in captured.err
+    assert message in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_readme_flag_list_matches_the_parser():
+    # the README lists each subcommand's flags; any drift fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = {cmd: set(flags.split())
+              for cmd, flags in re.findall(r"^- `(\w+)[^`\n]*`: `([^`]*)`", readme, re.M)}
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {cmd: {flag for action in p._actions for flag in action.option_strings
+                    if flag.startswith("--") and flag != "--help"}
+              for cmd, p in sub.choices.items()}
+    assert listed == parsed
+    assert parsed["simulate"] == {"--config", "--out", "--unsafe-export-per-example",
+                                  "--binary-trace"}
+    assert parsed["release"] == {"--config", "--out"}
 
 
 def test_console_entry_point_runs():

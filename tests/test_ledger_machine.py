@@ -14,9 +14,10 @@ under a quarter of its state, the one rule that folds them.  A coarse grid
 26 KB state, so runs reach several held charges, the first fold at a
 quarter of the state, more held charges, and a second fold onto the
 existing state; exactness mode (r = 0), where one charge can be the
-state's size, is drawn too.  Scripted runs show both folds in both modes,
-and they and a shorter random run are repeated with every summing pass
-split across two threads.
+state's size, is drawn too.  A ledger answers at its config's delta, so
+each run builds its ledger at one of three deltas.  Scripted runs show
+both folds in both modes at each delta, and they and a shorter random run
+are repeated with every summing pass split across two threads.
 
 The trace properties check that both file formats read back what was
 written, bit for bit, and that replaying a trace read back from disk gives
@@ -58,15 +59,18 @@ CLIP = 1.0
 # zero, subnormal (its multiplier overflows to inf, as zero's does), on a
 # grid point, at C and above it
 _SPECIAL = np.asarray([0.0, 5e-324, CLIP / 2, CLIP, 2.5 * CLIP, 1e300])
+# a ledger answers at its config's delta, so each run builds at one of these
+_DELTAS = (1e-5, 1e-3, 0.1)
 
 
 class LedgerMachine(RuleBasedStateMachine):
 
-    @initialize(exact=st.booleans(), frequency=st.integers(1, 2))
-    def build(self, exact, frequency):
+    @initialize(exact=st.booleans(), frequency=st.integers(1, 2),
+                delta=st.sampled_from(_DELTAS))
+    def build(self, exact, frequency, delta):
         self.config = AccountantConfig(noise_std=1.0, max_clip=CLIP, sampling_prob=0.1,
                                        rounding=0.0 if exact else CLIP / 2,
-                                       frequency=frequency)
+                                       frequency=frequency, delta=delta)
         self.ledger = IndividualLedger(N, self.config)
         self.want = np.zeros((N, self.config.orders.size))   # closed charges
         self.rows = None          # each example's current curve
@@ -109,10 +113,11 @@ class LedgerMachine(RuleBasedStateMachine):
         self.ledger.record_steps(self.ledger.steps, k)
         self.pending += k
 
-    @rule(delta=st.sampled_from([1e-5, 1e-3, 0.1]))
-    def epsilons(self, delta):
-        eps, best = self.ledger.epsilons(delta)
-        want_eps, want_best = _eps_from_rdp(self._read(), self.config.orders, delta)
+    @rule()
+    def epsilons(self):
+        eps, best = self.ledger.epsilons()
+        want_eps, want_best = _eps_from_rdp(self._read(), self.config.orders,
+                                            self.config.delta)
         assert np.array_equal(eps, want_eps)
         assert np.array_equal(best, want_best)
 
@@ -128,7 +133,7 @@ class LedgerMachine(RuleBasedStateMachine):
         assert 4 * held < N * self.config.orders.size * 8
 
     def teardown(self):
-        self.epsilons(self.config.delta)
+        self.epsilons()
 
 
 LedgerMachine.TestCase.settings = settings(max_examples=60, stateful_step_count=40,
@@ -154,6 +159,11 @@ def test_machine_on_two_workers(monkeypatch, two_workers):
 
 
 def _scripted_run():
+    for delta in _DELTAS:
+        _scripted_folds(delta)
+
+
+def _scripted_folds(delta):
     def run(machine, *calls):
         for call in calls:
             call()
@@ -165,17 +175,17 @@ def _scripted_run():
     # grid: five 1,090-byte charges stay held against a 26,000-byte state,
     # the sixth reaches a quarter of it and folds, and so on
     grid = LedgerMachine()
-    grid.build(exact=False, frequency=1)
+    grid.build(exact=False, frequency=1, delta=delta)
     ledger = grid.ledger
     for seed in range(6):
-        run(grid, refresh(grid, seed), grid.step, grid.counts, lambda: grid.epsilons(0.1))
+        run(grid, refresh(grid, seed), grid.step, grid.counts, grid.epsilons)
         assert ledger._rdp is None and len(ledger._held) == seed         # held charges
     run(grid, refresh(grid, 6))
     assert ledger._rdp is not None and ledger._held == []               # the first fold
     state = ledger._rdp
     for seed in range(7, 12):
         run(grid, lambda: grid.record_steps(2), refresh(grid, seed), grid.counts,
-            lambda: grid.epsilons(1e-5))
+            grid.epsilons)
         assert ledger._rdp is state and len(ledger._held) == seed - 6    # held again
     run(grid, grid.step, refresh(grid, 12), grid.step)
     assert ledger._rdp is state and ledger._held == []                  # onto the state
@@ -184,17 +194,16 @@ def _scripted_run():
     # exactness: a charge holds a curve per distinct norm, so it is about the
     # state's size and folds at the refresh that closes it
     exact = LedgerMachine()
-    exact.build(exact=True, frequency=2)
+    exact.build(exact=True, frequency=2, delta=delta)
     ledger = exact.ledger
-    run(exact, refresh(exact, 0), exact.step, exact.counts, lambda: exact.epsilons(0.1),
-        exact.step)
+    run(exact, refresh(exact, 0), exact.step, exact.counts, exact.epsilons, exact.step)
     assert ledger._rdp is None and ledger._held == [] and ledger._pending == 2
     run(exact, refresh(exact, 1))
     assert ledger._rdp is not None and ledger._held == []               # the first fold
     state = ledger._rdp
     run(exact, lambda: exact.record_steps(2), exact.counts, refresh(exact, 2))
     assert ledger._rdp is state and ledger._held == []                  # onto the state
-    run(exact, exact.step, lambda: exact.epsilons(1e-3))
+    run(exact, exact.step, exact.epsilons)
     exact.teardown()
 
 

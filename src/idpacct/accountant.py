@@ -43,9 +43,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._fileio import atomic_write
-from .kernel import sgm_rdp_matrix
-from .rdp_math import (RdpCurve, _check_fields, _check_orders, _conversion_terms,
-                       default_orders, rdp_to_dp)
+from .kernel import _check_orders, sgm_rdp_matrix
+from .rdp_math import RdpCurve, _check_fields, _conversion_terms, default_orders, rdp_to_dp
 
 
 MAX_BUCKETS = 10_000      # ceil(C/r) bound: the grid's curves are built up front

@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 validation failure, 2 runtime failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -20,7 +19,7 @@ from . import analysis, dpsgd_sim, release, traceio
 from .accountant import DEFAULT_DELTA, PrivacyReport
 from .adaptive_oracle import coin_chain_spec, enumerate_adaptive_vs_fixed, random_spec
 from .dpsgd_sim import SimConfig, exact_reference_accounting
-from .rdp_math import sgm_rdp_int, sgm_rdp_quadrature_oracle
+from .rdp_math import _from_json, sgm_rdp_int, sgm_rdp_quadrature_oracle
 from .release import ReleaseConfig
 
 EXIT_OK = 0
@@ -64,23 +63,9 @@ def _json_file(path: str) -> dict:
 
 def _build_config(cls, path: str):
     """The ``cls`` that the JSON object in the file at ``path`` sets."""
-    doc = _read_input(_json_file, path)
-    if not isinstance(doc, dict):
-        raise ValidationFailure(f"{path}: config must be a JSON object")
-    fields = dataclasses.fields(cls)
-    known = {f.name for f in fields}
-    unknown = set(doc) - known
-    if unknown:
-        raise ValidationFailure(
-            f"{path}: unknown config keys {sorted(unknown)} "
-            f"(known: {sorted(known)})")
-    missing = {f.name for f in fields if f.default is dataclasses.MISSING
-               and f.default_factory is dataclasses.MISSING} - set(doc)
-    if missing:
-        raise ValidationFailure(f"{path}: missing config keys {sorted(missing)}")
     try:
-        return cls(**doc)
-    except (TypeError, ValueError) as exc:
+        return _from_json(cls, _read_input(_json_file, path), "config")
+    except ValueError as exc:
         raise ValidationFailure(f"{path}: {exc}")
 
 
@@ -104,18 +89,29 @@ def _out_path(args, name: str) -> str:
     return os.path.join(args.out, name)
 
 
-def _write_analysis_outputs(args, report: PrivacyReport, losses, groups) -> None:
-    try:
-        corr = analysis.eps_loss_correlation(report, losses)
-    except analysis.DegenerateVarianceError:
-        corr = None
-    summary = analysis.group_summary(report, losses, groups) if groups is not None else None
-    hist = analysis.histogram(report)
-    analysis.write_analysis_json(_out_path(args, "analysis.json"), corr, summary, hist)
-    analysis.write_histogram_csv(_out_path(args, "histogram.csv"), hist)
-    if args.unsafe_export_per_example:
-        analysis.write_scatter_csv(_out_path(args, "scatter.csv"), report,
-                                   losses, groups)
+def _write_outputs(args, ledger, labels, losses=None) -> None:
+    """``report.json`` from ``ledger``, then, when ``losses`` are given, the
+    analysis outputs, then the run's summary line on stdout."""
+    report = ledger.report(group_labels=labels)
+    report.to_json(_out_path(args, "report.json"),
+                   unsafe_export_per_example=args.unsafe_export_per_example)
+    if losses is not None:
+        try:
+            corr = analysis.eps_loss_correlation(report, losses)
+        except analysis.DegenerateVarianceError:
+            corr = None
+        summary = (analysis.group_summary(report, losses, labels)
+                   if labels is not None else None)
+        hist = analysis.histogram(report)
+        analysis.write_analysis_json(_out_path(args, "analysis.json"), corr, summary, hist)
+        analysis.write_histogram_csv(_out_path(args, "histogram.csv"), hist)
+        if args.unsafe_export_per_example:
+            analysis.write_scatter_csv(_out_path(args, "scatter.csv"), report,
+                                       losses, labels)
+    print(json.dumps({"steps": report.steps, "n": report.n,
+                      "worst_epsilon": report.worst_epsilon,
+                      "mean_epsilon": report.summary["mean"],
+                      "delta": report.delta}))
 
 
 def cmd_simulate(args) -> int:
@@ -130,35 +126,21 @@ def cmd_simulate(args) -> int:
         traceio.write_trace_npz(_out_path(args, "trace.npz"), out.header, out.trace_norms)
     else:
         traceio.write_trace(_out_path(args, "trace.jsonl"), out.header, out.trace_norms)
-    report = out.ledger.report(group_labels=dataset.groups)
-    report.to_json(_out_path(args, "report.json"),
-                   unsafe_export_per_example=args.unsafe_export_per_example)
-    print(json.dumps({"steps": out.steps, "n": config.n,
-                      "worst_epsilon": report.worst_epsilon,
-                      "mean_epsilon": report.summary["mean"],
-                      "delta": report.delta, "out": args.out}))
+    _write_outputs(args, out.ledger, dataset.groups)
     return EXIT_OK
 
 
 def cmd_account(args) -> int:
     header, norms = _read_input(traceio.read_any_trace, args.trace)
-    labels = None
+    losses = labels = None
     if args.losses:
         losses, labels = _read_input(traceio.read_losses_csv, args.losses)
         if losses.size != header.n:
             raise ValidationFailure(
                 f"{args.losses}: losses file has {losses.size} rows but the "
                 f"trace covers {header.n} examples")
-    ledger = traceio.replay_trace(header, norms, delta=args.delta)
-    report = ledger.report(group_labels=labels)
-    report.to_json(_out_path(args, "report.json"),
-                   unsafe_export_per_example=args.unsafe_export_per_example)
-    if args.losses:
-        _write_analysis_outputs(args, report, losses, labels)
-    print(json.dumps({"steps": report.steps, "n": report.n,
-                      "worst_epsilon": report.worst_epsilon,
-                      "mean_epsilon": report.summary["mean"],
-                      "delta": report.delta}))
+    _write_outputs(args, traceio.replay_trace(header, norms, delta=args.delta),
+                   labels, losses)
     return EXIT_OK
 
 

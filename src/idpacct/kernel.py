@@ -22,10 +22,11 @@ and 2.4e-12.  Against the gammaln table the output moves by at most
 Everything that depends only on (q, orders) is built once per (q, orders)
 and cached read-only: the half-products k(k-1)/2, the (orders x K)
 log-weight table, which is -inf where k > a, its exponent, the per-column
-cutoff (below) and the groups of orders.  A group is a run of at most
-_GROUP_SPAN consecutive orders whose k = a columns lie within _GROUP_SPAN
-of each other; the default grid makes eight groups over 2..64, then 128
-and 256 alone.
+cutoff (below) and the groups of orders.  The grid is strictly increasing
+(``_check_orders``), so a group is a run of at most _GROUP_SPAN orders whose
+last, which sets its highest k = a column, lies under _GROUP_SPAN above its
+first.  The default grid makes eight groups over 2..64, then 128 and 256
+alone.
 
 The terms e_k depend only on the row and k, so each chunk of rows computes
 them once for k = 2..max(orders).  A term with e_k at most its column's
@@ -107,10 +108,29 @@ class _OrderTables(NamedTuple):
     groups: tuple           # (first order, stop order, highest k = a column)
 
 
+def _check_orders(orders) -> np.ndarray:
+    """A non-empty, strictly increasing 1-D grid of integers >= 2, as int64."""
+    a = np.asarray(orders)
+    if a.ndim != 1 or a.size == 0:
+        raise ValueError("order grid must be a non-empty 1-D sequence")
+    # a non-finite order, or one outside int64, is refused here rather than
+    # by the cast to int64
+    if not np.issubdtype(a.dtype, np.integer):
+        if not np.all((a == np.floor(a)) & (np.abs(a) < 2.0 ** 63)):
+            raise ValueError("order grid must contain integers")
+    a = a.astype(np.int64)
+    if np.any(a < 2):
+        raise ValueError("orders must be integers >= 2")
+    if np.any(np.diff(a) <= 0):
+        raise ValueError("orders must be strictly increasing")
+    return a
+
+
 @functools.lru_cache(maxsize=32)
 def _order_tables(q: float, orders: tuple) -> _OrderTables:
+    """Tables for a grid that ``_check_orders`` accepts."""
     alphas = np.asarray(orders, dtype=np.int64)
-    a_max = int(alphas.max())
+    a_max = int(orders[-1])
     lf = np.fromiter(map(math.lgamma, range(1, a_max + 2)), np.float64, a_max + 1)
     # lf[m] = log m!.  Each step lf[m] - lf[m-1] should be log m, so the
     # running sum of the steps' misses is lgamma's own error (module docstring)
@@ -125,8 +145,8 @@ def _order_tables(q: float, orders: tuple) -> _OrderTables:
     j0 = 0
     for j in range(1, alphas.shape[0] + 1):
         if (j == alphas.shape[0] or j - j0 == _GROUP_SPAN
-                or np.ptp(last[j0:j + 1]) >= _GROUP_SPAN):
-            groups.append((j0, j, int(last[j0:j].max())))
+                or last[j] - last[j0] >= _GROUP_SPAN):
+            groups.append((j0, j, int(last[j - 1])))
             j0 = j
     kk = 0.5 * k * (k - 1.0)
     w_t = np.exp(log_w).T
@@ -146,7 +166,7 @@ def _order_tables(q: float, orders: tuple) -> _OrderTables:
 def sgm_rdp_matrix(q: float, noise_multipliers, orders) -> np.ndarray:
     """Batched subsampled-Gaussian RDP: one row per noise multiplier, one
     column per integer order. Multipliers must be > 0 (+inf allowed and
-    yields zero cost); orders must be integers >= 2."""
+    yields zero cost); orders must pass ``_check_orders``."""
     if np.ndim(q) != 0 or np.asarray(q).dtype == bool:
         raise ValueError(f"sampling probability must be a real scalar, got {q!r}")
     if not 0.0 <= q <= 1.0:
@@ -156,19 +176,8 @@ def sgm_rdp_matrix(q: float, noise_multipliers, orders) -> np.ndarray:
         raise ValueError("noise_multipliers must be one-dimensional")
     if np.any(np.isnan(sig)) or np.any(sig <= 0.0):
         raise ValueError("noise multipliers must be positive (inf allowed)")
-    alphas = np.asarray(orders)
-    if alphas.ndim != 1:
-        raise ValueError("orders must be one-dimensional")
-    # a non-finite order, or one outside int64, is refused here rather than
-    # by the cast to int64
-    if not np.issubdtype(alphas.dtype, np.integer):
-        if not np.all((alphas == np.floor(alphas)) & (np.abs(alphas) < 2.0 ** 63)):
-            raise ValueError("orders must be integers")
-        alphas = alphas.astype(np.int64)
-    if np.any(alphas < 2):
-        raise ValueError("orders must be >= 2")
+    alphas = _check_orders(orders)
     q = float(q)
-    alphas = alphas.astype(np.int64)
 
     out = np.zeros((sig.shape[0], alphas.shape[0]))
     if out.size == 0 or q == 0.0:
@@ -177,7 +186,7 @@ def sgm_rdp_matrix(q: float, noise_multipliers, orders) -> np.ndarray:
         x = 1.0 / (sig * sig)           # s = inf -> x = 0 -> rho = 0; tiny s -> x = inf
     if q == 1.0:
         return 0.5 * x[:, None] * alphas[None, :].astype(np.float64)
-    n_cols = int(alphas.max()) - 1
+    n_cols = int(alphas[-1]) - 1
     if alphas.shape[0] * n_cols > _MAX_TABLE_CELLS:
         raise ValueError(
             f"order grid too large: {alphas.shape[0]} orders x {n_cols} binomial terms "

@@ -9,12 +9,14 @@ real order > 1 and is the independent check on the closed form).
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import typing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import sgm_rdp_matrix
+from .kernel import _check_orders, sgm_rdp_matrix
 
 
 class CalibrationError(RuntimeError):
@@ -34,23 +36,6 @@ def default_orders() -> np.ndarray:
     return np.concatenate([np.arange(2, 65), [128, 256]])
 
 
-def _check_orders(orders) -> np.ndarray:
-    a = np.asarray(orders)
-    if a.ndim != 1 or a.size == 0:
-        raise ValueError("order grid must be a non-empty 1-D sequence")
-    # a non-finite order, or one outside int64, is refused here rather than
-    # by the cast to int64
-    if not np.issubdtype(a.dtype, np.integer):
-        if not np.all((a == np.floor(a)) & (np.abs(a) < 2.0 ** 63)):
-            raise ValueError("order grid must contain integers")
-    a = a.astype(np.int64)
-    if np.any(a < 2):
-        raise ValueError("orders must be integers >= 2")
-    if np.any(np.diff(a) <= 0):
-        raise ValueError("orders must be strictly increasing")
-    return a
-
-
 def _check_fields(obj, numbers=(), finite=(), integers=()) -> None:
     """Type checks shared by the config dataclasses; each message names the
     field.  ``numbers`` reject booleans, ``finite`` reject NaN and
@@ -65,6 +50,36 @@ def _check_fields(obj, numbers=(), finite=(), integers=()) -> None:
         value = getattr(obj, name)
         if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _from_json(cls, doc, what: str):
+    """The ``cls`` that the JSON object ``doc`` sets, with an integer in a
+    float field stored as that float.  Each refusal is a ValueError naming
+    ``what`` ("config", say); the caller adds where ``doc`` came from."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    fields = dataclasses.fields(cls)
+    known = {f.name for f in fields}
+    unknown = set(doc) - known
+    if unknown:
+        raise ValueError(f"unknown {what} keys {sorted(unknown)} (known: {sorted(known)})")
+    missing = {f.name for f in fields if f.default is dataclasses.MISSING
+               and f.default_factory is dataclasses.MISSING} - set(doc)
+    if missing:
+        raise ValueError(f"missing {what} keys {sorted(missing)}")
+    hints = typing.get_type_hints(cls)
+    values = dict(doc)
+    for name, value in doc.items():
+        # bool is an int subclass, so compare exact types
+        if type(value) is int and hints[name] in (float, typing.Optional[float]):
+            try:
+                values[name] = float(value)
+            except OverflowError:
+                raise ValueError(f"{name} is an integer too large for a float64")
+    try:
+        return cls(**values)
+    except TypeError as exc:
+        raise ValueError(str(exc))
 
 
 @dataclass
@@ -93,15 +108,11 @@ class RdpCurve:
 def sgm_rdp_int(q: float, noise_multiplier: float, alpha: int) -> float:
     """Subsampled-Gaussian RDP at one integer order, via the log-space
     binomial sum (overflow-free by construction)."""
-    if alpha != int(alpha) or alpha < 2:
-        raise ValueError(f"order must be an integer >= 2, got {alpha}")
-    return float(sgm_rdp_matrix(q, np.array([noise_multiplier]), np.array([int(alpha)]))[0, 0])
+    return float(sgm_rdp_matrix(q, np.array([noise_multiplier]), [alpha])[0, 0])
 
 
 def sgm_rdp_curve(q: float, noise_multiplier: float, orders) -> RdpCurve:
-    orders = _check_orders(orders)
-    vals = sgm_rdp_matrix(q, np.array([noise_multiplier]), orders)[0]
-    return RdpCurve(orders, vals)
+    return RdpCurve(orders, sgm_rdp_matrix(q, np.array([noise_multiplier]), orders)[0])
 
 
 def _conversion_terms(orders: np.ndarray, delta: float) -> np.ndarray:

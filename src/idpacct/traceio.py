@@ -34,14 +34,14 @@ import json
 import math
 import os
 import zipfile
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from ._fileio import atomic_open, atomic_write
 from .accountant import (DEFAULT_DELTA, AccountantConfig, IndividualLedger, _check_norms,
                          worst_case_epsilon)
-from .rdp_math import _check_fields
+from .rdp_math import _check_fields, _from_json
 
 TRACE_VERSION = 2
 
@@ -137,16 +137,10 @@ def _parse_header(line: str) -> TraceHeader:
             f"unsupported trace version {doc['version']!r} "
             f"(this build reads version {TRACE_VERSION}); "
             "re-create it with `idpacct simulate`", line=1)
-    keys = {"version"} | {f.name for f in fields(TraceHeader)}
-    extra, missing = set(doc) - keys, keys - set(doc)
-    if extra or missing:
-        raise TraceFormatError(
-            f"bad header fields (unknown: {sorted(extra)}, missing: {sorted(missing)})",
-            line=1)
     try:
-        return TraceHeader(**{k: doc[k] for k in doc if k != "version"})
-    except (TypeError, ValueError) as exc:
-        raise TraceFormatError(f"invalid header values: {exc}", line=1)
+        return _from_json(TraceHeader, {k: doc[k] for k in doc if k != "version"}, "header")
+    except ValueError as exc:
+        raise TraceFormatError(str(exc), line=1)
 
 
 def _parse_row(raw: str, n: int, lineno: int) -> np.ndarray:

@@ -197,6 +197,44 @@ def test_bad_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv,
     assert message.format(tmp=tmp_path) in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["afile"]
 
+
+def test_simulate_without_noise_writes_losses_only(tmp_path, capsys):
+    # noise_std 0 disables the mechanism, so there is nothing to account
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", _sim_config(tmp_path, noise_std=0),
+                 "--out", str(out), "--unsafe-export-per-example"]) == EXIT_OK
+    assert os.listdir(out) == ["losses.csv"]
+    assert "accounting disabled" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["simulate", "account", "release"])
+def test_an_integer_in_a_float_field_writes_what_the_float_writes(tmp_path, command):
+    # a JSON integer in a float field used to be written back as an integer:
+    # "rounding": 0 into the trace header, "clip": 1 into the report's
+    # config, "epsilon": 2 into release.json
+    outs = []
+    for number in (int, float):
+        run = tmp_path / number.__name__
+        run.mkdir()
+        if command == "simulate":
+            argv = ["simulate", "--config", _sim_config(run, rounding=number(0))]
+        elif command == "account":
+            header = dict(version=2, n=2, clip=number(1), noise_std=number(1),
+                          sampling_prob=0.1, frequency=1, rounding=0.01, steps=2)
+            (run / "t.jsonl").write_text(f"{json.dumps(header)}\n[0.5, 2.0]\n[0.25, 0.0]\n")
+            argv = ["account", str(run / "t.jsonl")]
+        else:
+            assert main(["simulate", "--config", _sim_config(run, n=400), "--out",
+                         str(run / "sim"), "--unsafe-export-per-example"]) == EXIT_OK
+            budget = _write_config(run, "rel.json", epsilon=number(2), bound=number(40))
+            argv = ["release", str(run / "sim" / "report.json"), "--config", budget]
+        if command != "release":
+            argv.append("--unsafe-export-per-example")
+        assert main([*argv, "--out", str(run / "out")]) == EXIT_OK
+        outs.append({p.relative_to(run): data for p, data in _tree(run / "out").items()})
+    assert outs[0] == outs[1]
+
+
 def test_simulate_config_sets_the_trace_header(tmp_path):
     cfg = _sim_config(tmp_path, gamma=1, rounding=0.05)
     out = tmp_path / "out"
@@ -551,10 +589,10 @@ _NOT_OBJECTS = {"number.json": "5", "null.json": "null", "nested_list.json": "[[
     # a header whose worst case is infinite used to account to a report
     # holding Infinity, which release and report then refused
     (["account", "{tmp}/inf_worst.jsonl"],
-     "inf_worst.jsonl: line 1: invalid header values: the worst-case epsilon of 20 steps at "
+     "inf_worst.jsonl: line 1: the worst-case epsilon of 20 steps at "
      "noise multiplier noise_std / clip = 1e-300 is not finite"),
     (["account", "{tmp}/inf_worst.npz"],
-     "inf_worst.npz: line 1: invalid header values: the worst-case epsilon of 20 steps at "
+     "inf_worst.npz: line 1: the worst-case epsilon of 20 steps at "
      "noise multiplier noise_std / clip = 1e-300 is not finite"),
     # an --out that names a file, or a path through one, used to exit 2
     # with a FileExistsError or a NotADirectoryError
@@ -602,6 +640,24 @@ _NOT_OBJECTS = {"number.json": "5", "null.json": "null", "nested_list.json": "[[
     *[([cmd, *report, "--config", "{tmp}/" + name], name + ": config must be a JSON object")
       for cmd, report in (("simulate", []), ("release", ["{tmp}/full.json"]))
       for name in _NOT_OBJECTS],
+    (["account", "{tmp}/empty.jsonl"], "empty.jsonl: line 1: empty trace file"),
+    (["account", "{tmp}/header_not_json.jsonl"],
+     "header_not_json.jsonl: line 1: header is not valid JSON"),
+    (["account", "{tmp}/header_list.jsonl"],
+     "header_list.jsonl: line 1: first line must be a header object with a version"),
+    (["account", "{tmp}/npy.npz"], "npy.npz: not an .npz archive"),
+    (["account", "{sim}/trace.jsonl", "--losses", "{tmp}/columns.csv"],
+     "columns.csv: unexpected losses columns ['id', 'group', 'loss']"),
+    (["release", "{tmp}/full.json", "--config", "{tmp}/budget_tiny.json"],
+     "exceeds n/4 = 25.0; the noisy fractions would be meaningless"),
+    # an integer past the float64 range in a float field used to exit 2
+    # with an OverflowError
+    (["simulate", "--config", "{tmp}/noise_std_huge.json"],
+     "noise_std_huge.json: noise_std is an integer too large for a float64"),
+    (["account", "{tmp}/clip_huge.jsonl"],
+     "clip_huge.jsonl: line 1: clip is an integer too large for a float64"),
+    (["release", "{tmp}/full.json", "--config", "{tmp}/budget_huge.json"],
+     "budget_huge.json: epsilon is an integer too large for a float64"),
 ], ids=["account_losses", "account_delta_1_5", "release", "report", "release_not_json",
         "release_list", "release_no_steps", "release_redacted", "report_redacted",
         "release_null_epsilon", "account_directory", "account_npz_as_jsonl", "account_losses_npz",
@@ -617,7 +673,10 @@ _NOT_OBJECTS = {"number.json": "5", "null.json": "null", "nested_list.json": "[[
         "release_config_list", "release_n_true", "simulate_negative_seed",
         "release_negative_seed",
         *[f"{cmd}_config_{name[:-5]}" for cmd in ("simulate", "release")
-          for name in _NOT_OBJECTS]])
+          for name in _NOT_OBJECTS],
+        "account_empty_trace", "account_header_not_json", "account_header_list",
+        "account_npy_as_npz", "account_losses_columns", "release_budget_tiny",
+        "simulate_noise_std_huge_int", "account_clip_huge_int", "release_epsilon_huge_int"])
 def test_missing_or_malformed_input_is_validation_failure(tmp_path, capsys, argv, message):
     sim_out = tmp_path / "sim"
     assert main(["simulate", "--config", _sim_config(tmp_path),
@@ -628,6 +687,10 @@ def test_missing_or_malformed_input_is_validation_failure(tmp_path, capsys, argv
     (tmp_path / "budget.json").write_text(json.dumps(budget))
     (tmp_path / "budget_seed_negative.json").write_text(json.dumps(dict(budget, seed=-1)))
     (tmp_path / "seed_negative.json").write_text(json.dumps({"seed": -1}))
+    (tmp_path / "budget_tiny.json").write_text(json.dumps(dict(budget, epsilon=0.001)))
+    (tmp_path / "budget_huge.json").write_text(json.dumps(dict(budget, epsilon=10 ** 400)))
+    (tmp_path / "noise_std_huge.json").write_text(json.dumps({"noise_std": 10 ** 400}))
+    (tmp_path / "columns.csv").write_text("id,group,loss\n0,0,0.5\n")
     for name, text in _NOT_OBJECTS.items():
         (tmp_path / name).write_text(text)
     doc = json.loads((sim_out / "report.json").read_text())
@@ -688,6 +751,13 @@ def test_missing_or_malformed_input_is_validation_failure(tmp_path, capsys, argv
     np.savez(tmp_path / "inf_worst.npz", norm=norms,
              header=np.frombuffer(inf_worst.encode(), dtype=np.uint8))
     (tmp_path / "npz.jsonl").write_bytes((tmp_path / "trace.npz").read_bytes())
+    np.save(tmp_path / "npy.npy", norms)
+    (tmp_path / "npy.npy").rename(tmp_path / "npy.npz")
+    (tmp_path / "empty.jsonl").write_text("")
+    (tmp_path / "header_not_json.jsonl").write_text("{oops\n[0.5]\n")
+    (tmp_path / "header_list.jsonl").write_text("[1,2]\n[0.5]\n")
+    clip_huge = json.dumps(dict(header.to_dict(), clip=10 ** 400))
+    (tmp_path / "clip_huge.jsonl").write_text(f"{clip_huge}\n{json.dumps(norms[0].tolist())}\n")
     (tmp_path / "latin1.json").write_bytes('{"seed": "\xe9"}'.encode("latin-1"))
     del doc["steps"]                                      # used to exit 2
     (tmp_path / "no_steps.json").write_text(json.dumps(doc))
@@ -1006,6 +1076,49 @@ def test_readme_flag_list_matches_the_parser():
     assert parsed["simulate"] == {"--config", "--out", "--unsafe-export-per-example",
                                   "--binary-trace"}
     assert parsed["release"] == {"--config", "--out"}
+
+
+def _readme_file_table():
+    """(file names, producers) per row of the README's table of what each
+    command writes; a producer is a subcommand and the flags it needs."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("Each file the pipeline writes has one producer:\n\n")[1]
+    rows = table.split("\n\n")[0].splitlines()[2:]              # below the header rule
+    return [tuple(re.findall(r"`([^`]+)`", cell) for cell in row.split("|")[1:3])
+            for row in rows]
+
+
+# every run the table covers: a subcommand and its flags
+_TABLE_RUNS = [("simulate",), ("simulate", "--binary-trace"), ("account",),
+               ("account", "--losses"), ("account", "--unsafe-export-per-example"),
+               ("account", "--losses", "--unsafe-export-per-example"), ("release",)]
+
+
+def test_readme_file_table_matches_what_each_command_writes(tmp_path):
+    # each run writes exactly the files whose row names its subcommand with
+    # no flag it lacks; a row listing `a` or `b` means exactly one of them
+    table = _readme_file_table()
+    assert {name for files, _ in table for name in files} >= {"report.json", "release.json"}
+    sim = tmp_path / "simulate"
+    inputs = {"simulate": ["--config", _sim_config(tmp_path, n=400, epochs=1)],
+              "account": [str(sim / "trace.jsonl")],
+              "release": [str(tmp_path / "account--unsafe-export-per-example" / "report.json"),
+                          "--config", _write_config(tmp_path, "rel.json", epsilon=2.0,
+                                                    bound=40.0)]}
+    for command, *flags in _TABLE_RUNS:
+        out = tmp_path / "".join([command, *flags])
+        argv = [command, *inputs[command], *flags, "--out", str(out)]
+        if "--losses" in flags:
+            argv.insert(argv.index("--losses") + 1, str(sim / "losses.csv"))
+        assert main(argv) == EXIT_OK, argv
+        wrote, expected = set(os.listdir(out)), set()
+        for files, producers in table:
+            if any(p.split()[0] == command and set(p.split()[1:]) <= set(flags)
+                   for p in producers):
+                assert len(wrote & set(files)) == 1, (argv, files)
+                expected |= wrote & set(files)
+        assert wrote == expected, argv
+        assert ("trace.npz" in wrote) == ("--binary-trace" in flags)
 
 
 def test_console_entry_point_runs():

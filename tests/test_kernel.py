@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -14,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idpacct import kernel
+from idpacct.accountant import AccountantConfig
 from idpacct.kernel import sgm_rdp_matrix
-from idpacct.rdp_math import default_orders
+from idpacct.rdp_math import RdpCurve, calibrate_noise, default_orders
 
 from conftest import kernel_call_bound, max_rel_diff, traced_peak
 
@@ -55,9 +57,9 @@ def test_reference_values_numpy_backend(q, sigma, alpha, expected):
     # (masked out of the per-order pass) and neighbouring rows and orders
     # must not change the entry.
     sigmas = np.asarray([np.inf, sigma, 2.0 * sigma])
-    orders = np.asarray([2, alpha, alpha + 1], dtype=np.int64)
+    orders = np.unique([2, alpha, alpha + 1])
     got = sgm_rdp_matrix(q, sigmas, orders)
-    assert got[1, 1] == pytest.approx(expected, rel=1e-13, abs=0.0)
+    assert got[1, orders.tolist().index(alpha)] == pytest.approx(expected, rel=1e-13, abs=0.0)
     assert np.all(got[0] == 0.0)
 
 
@@ -159,8 +161,8 @@ def test_reference_values_across_regimes(q):
 def test_batch_matches_single_row_calls(rng):
     # more than one chunk of rows, unsorted, with zero-cost (s = inf) and
     # all-log-space (s = 1e-200, where 1/s^2 overflows, so every term is
-    # above either cutoff) rows mixed in, on an unsorted order grid
-    orders = np.asarray([256, 2, 64, 3])
+    # above either cutoff) rows mixed in
+    orders = np.asarray([2, 3, 64, 256])
     n = 2 * (kernel._CHUNK_CELLS // (orders.max() - 1)) + 37
     sigmas = np.geomspace(1e-3, 1e4, n)
     sigmas[rng.choice(n, 12, replace=False)] = np.inf
@@ -271,8 +273,8 @@ def test_call_memory_bounded_by_one_chunk_workspace():
 
 
 @pytest.mark.parametrize("q", [1e-4, 0.1, 0.9])
-@pytest.mark.parametrize("orders", [default_orders(), np.asarray([256, 2, 64, 3, 65, 128, 5])],
-                         ids=["default", "unsorted"])
+@pytest.mark.parametrize("orders", [default_orders(), np.asarray([2, 3, 5, 64, 65, 128, 256])],
+                         ids=["default", "sparse"])
 def test_order_groups_match_single_order_calls(q, orders):
     # a single-order call has no column past k = a, so a log-space group
     # that let such terms into an order would show here
@@ -445,8 +447,51 @@ def test_rejects_bad_inputs(bad_call):
 def test_orders_beyond_int64_are_not_integers(orders):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="orders must be integers$"):
+        with pytest.raises(ValueError, match="order grid must contain integers$"):
             sgm_rdp_matrix(0.1, [1.0], orders)
+
+
+# each caller of the order-grid rule, returning the grid it accepted
+_GRID_USERS = {
+    "sgm_rdp_matrix": lambda orders: sgm_rdp_matrix(0.01, [1.0], orders),
+    "RdpCurve": lambda orders: RdpCurve(orders, np.zeros(np.size(orders))).orders,
+    "AccountantConfig": lambda orders: AccountantConfig(
+        noise_std=1.0, max_clip=1.0, sampling_prob=0.01, rounding=0.01, orders=orders).orders,
+    "calibrate_noise": lambda orders: calibrate_noise(20.0, 1e-5, 0.01, 10, orders),
+}
+
+
+@pytest.mark.parametrize("orders, message", [
+    ([], "order grid must be a non-empty 1-D sequence"),
+    ([3, 2], "orders must be strictly increasing"),
+    ([5, 3, 3], "orders must be strictly increasing"),
+    ([2, 3, 3], "orders must be strictly increasing"),
+    ([[2, 3]], "order grid must be a non-empty 1-D sequence"),
+    ([2, 2.5], "order grid must contain integers"),
+    ([1, 2], "orders must be integers >= 2"),
+    ([2, 2 ** 70], "order grid must contain integers"),
+    ([2, 3, 64], None),
+    (np.asarray([2.0, 5.0]), None),
+    (default_orders(), None),
+], ids=["empty", "unsorted", "unsorted_repeat", "repeat", "2d", "fraction", "below_2",
+        "beyond_int64", "ints", "integral_floats", "default"])
+def test_every_user_of_an_order_grid_applies_the_one_rule(orders, message):
+    # the kernel used to refuse none of the empty, unsorted and repeated
+    # grids that the other three refused
+    for name, use in _GRID_USERS.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if message is None:
+                got = use(orders)
+                if name in ("RdpCurve", "AccountantConfig"):
+                    assert got.dtype == np.int64 and np.array_equal(got, orders), name
+                elif name == "sgm_rdp_matrix":
+                    assert got.shape == (1, len(orders)), name
+                else:
+                    assert got > 0.0, name
+            else:
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    use(orders)
 
 
 @settings(max_examples=60, deadline=None)

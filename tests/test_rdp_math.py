@@ -64,6 +64,17 @@ def test_sgm_rdp_int_hand_evaluated_three_term_sum():
     assert expected == pytest.approx(1.718e-4, rel=1e-3, abs=0.0)
 
 
+@pytest.mark.parametrize("alpha, message", [
+    (2.5, "order grid must contain integers"),
+    (math.inf, "order grid must contain integers"),     # used to raise OverflowError
+    (math.nan, "order grid must contain integers"),
+    (1, "orders must be integers >= 2"),
+])
+def test_sgm_rdp_int_refuses_an_order_the_grid_rule_refuses(alpha, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sgm_rdp_int(0.1, 1.0, alpha)
+
+
 def test_sgm_rdp_curve_zero_sampling_all_zero():
     curve = sgm_rdp_curve(0.0, 1.0, np.asarray([2, 3, 4]))
     assert np.all(curve.values == 0.0)
